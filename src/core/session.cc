@@ -344,6 +344,7 @@ StepResult ResolutionSession::Step(uint64_t max_comparisons) {
   const Stopwatch watch;
   StepResult out = impl_->resolver->Step(max_comparisons);
   const double millis = watch.ElapsedMillis();
+  RecordLoopCounters(out);
   impl_->resolve_millis += millis;
   out.wall_millis = millis;
   // Close the quality curve at the true totals of this step (the cadence

@@ -17,6 +17,21 @@ std::string QualifiedBlank(uint32_t kb_id, const std::string& label) {
   return "_:" + std::to_string(kb_id) + ":" + label;
 }
 
+/// The invariant every set kernel and the similarity arena rely on:
+/// `tokens` strictly ascending, and `bag` exactly the runs of those ids in
+/// the same order, each at least once — so the bag is non-decreasing and
+/// its distinct ids are `tokens`.
+bool ConsistentTokenLists(const std::vector<uint32_t>& tokens,
+                          const std::vector<uint32_t>& bag) {
+  size_t j = 0;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (i > 0 && tokens[i] <= tokens[i - 1]) return false;
+    if (j == bag.size() || bag[j] != tokens[i]) return false;
+    while (j < bag.size() && bag[j] == tokens[i]) ++j;
+  }
+  return j == bag.size();
+}
+
 }  // namespace
 
 EntityCollection::EntityCollection(CollectionOptions options)
@@ -445,6 +460,11 @@ Status EntityCollection::Load(std::istream& in) {
     if (!read_ids(e.tokens, tokens_.size()) ||
         !read_ids(e.token_bag, tokens_.size())) {
       return truncated();
+    }
+    if (!ConsistentTokenLists(e.tokens, e.token_bag)) {
+      return Status::ParseError(
+          "serialized entity token lists are unsorted or disagree with its "
+          "token bag");
     }
     entities_.push_back(std::move(e));
   }

@@ -153,7 +153,10 @@ class EntityCollection {
   /// a default-constructed collection). The serialized options are adopted,
   /// derived lookup tables are rebuilt, and every id read is range-checked,
   /// so corrupt or hostile input fails with a Status instead of leaving
-  /// out-of-bounds references behind. On failure the collection is
+  /// out-of-bounds references behind. Each entity's `tokens` must be
+  /// strictly ascending and its `token_bag` non-decreasing with exactly
+  /// those distinct ids (the sorted-unique input every set kernel assumes);
+  /// anything else is a ParseError. On failure the collection is
   /// half-overwritten and must be discarded.
   Status Load(std::istream& in);
 

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "obs/metrics.h"
-#include "text/similarity.h"
 #include "util/hash.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
@@ -16,26 +15,6 @@ namespace minoan {
 namespace online {
 
 namespace {
-
-/// On-the-fly TF-IDF vector with the collection's CURRENT document
-/// frequencies. The batch SimilarityEvaluator precomputes these at
-/// construction; online, the vocabulary grows with every ingest, so vectors
-/// are built per comparison (delta candidate sets are small).
-void BuildTfidf(const EntityCollection& collection, EntityId e,
-                std::vector<WeightedToken>& out) {
-  out.clear();
-  const auto& bag = collection.entity(e).token_bag;  // sorted, with dups
-  size_t i = 0;
-  while (i < bag.size()) {
-    size_t j = i;
-    while (j < bag.size() && bag[j] == bag[i]) ++j;
-    const double idf = collection.TokenIdf(bag[i]);
-    if (idf > 0.0) {
-      out.push_back(WeightedToken{bag[i], static_cast<double>(j - i) * idf});
-    }
-    i = j;
-  }
-}
 
 /// Format tags of the serialized engine state; bump on layout changes.
 /// v1: dynamic state only — Restore needs the caller to rebuild the exact
@@ -282,21 +261,14 @@ double OnlineResolver::Priority(EntityId a, EntityId b,
   return Likelihood(ps) * (1.0 + options_.benefit_weight * benefit);
 }
 
-double OnlineResolver::ProfileSimilarityWithA(
-    EntityId a, const std::vector<WeightedToken>& a_tfidf, EntityId b) const {
-  const EntityCollection& c = collection();
-  const double jaccard =
-      JaccardSimilarity(c.entity(a).tokens, c.entity(b).tokens);
-  if (!options_.similarity.use_tfidf) return jaccard;
-  BuildTfidf(c, b, tfidf_b_);
-  const double cosine = WeightedCosineSimilarity(a_tfidf, tfidf_b_);
-  return options_.similarity.tfidf_weight * cosine +
-         (1.0 - options_.similarity.tfidf_weight) * jaccard;
+ProfileView OnlineResolver::View(EntityId e,
+                                 std::vector<double>& weights) const {
+  return BuildProfileView(collection(), e, options_.similarity.use_tfidf,
+                          weights);
 }
 
-double OnlineResolver::ProfileSimilarity(EntityId a, EntityId b) const {
-  if (options_.similarity.use_tfidf) BuildTfidf(collection(), a, tfidf_a_);
-  return ProfileSimilarityWithA(a, tfidf_a_, b);
+double OnlineResolver::SimilarityTo(const ProfileView& a, EntityId b) {
+  return ProfileSimilarity(a, View(b, weights_b_), options_.similarity);
 }
 
 double OnlineResolver::EvidenceBonus(const PairState& ps) const {
@@ -317,7 +289,7 @@ bool OnlineResolver::ExecuteComparison(uint64_t pair) {
   }
   scheduler_.Erase(pair);
   ++run_.comparisons_executed;
-  const double profile = ProfileSimilarity(a, b);
+  const double profile = SimilarityTo(View(a, weights_a_), b);
   const double sim = profile + bonus;
   if (sim < options_.matcher.threshold) return false;
 
@@ -374,6 +346,7 @@ OnlineStepResult OnlineResolver::ResolveBudget(uint64_t max_comparisons) {
       /*execute=*/
       [&](uint64_t pair, EntityId, EntityId) { ExecuteComparison(pair); });
   out.matches.assign(run_.matches.begin() + match_mark, run_.matches.end());
+  RecordLoopCounters(out);
   static obs::Counter& comparisons =
       obs::MetricsRegistry::Default().counter("online.resolve_comparisons");
   static obs::Counter& matches =
@@ -399,14 +372,13 @@ std::vector<QueryCandidate> OnlineResolver::Query(EntityId id, uint32_t k) {
     if (!pairs_.Find(pair)->executed) ExecuteComparison(pair);
   }
 
-  // Rank with the query side's TF-IDF vector built once, not per partner.
-  if (options_.similarity.use_tfidf) BuildTfidf(collection(), id, tfidf_a_);
+  // Rank with the query side's view built once, not per partner.
+  const ProfileView query = View(id, weights_a_);
   out.reserve(partners_[id].size());
   for (const EntityId p : partners_[id]) {
     const PairState& ps = *pairs_.Find(PairKey(id, p));
-    out.push_back(QueryCandidate{
-        p, ProfileSimilarityWithA(id, tfidf_a_, p) + EvidenceBonus(ps),
-        state_->SameCluster(id, p)});
+    out.push_back(QueryCandidate{p, SimilarityTo(query, p) + EvidenceBonus(ps),
+                                 state_->SameCluster(id, p)});
   }
   std::sort(out.begin(), out.end(),
             [](const QueryCandidate& l, const QueryCandidate& r) {

@@ -204,13 +204,13 @@ class OnlineResolver {
   PairState& PairRef(uint64_t pair, bool* created = nullptr);
   double Likelihood(const PairState& ps) const;
   double Priority(EntityId a, EntityId b, const PairState& ps) const;
-  /// Profile similarity with the current (possibly grown) vocabulary.
-  double ProfileSimilarity(EntityId a, EntityId b) const;
-  /// Same, with a's TF-IDF vector already built (hoisted out of ranking
-  /// loops over one entity's partners).
-  double ProfileSimilarityWithA(EntityId a,
-                                const std::vector<WeightedToken>& a_tfidf,
-                                EntityId b) const;
+  /// Entity e's profile view with the current (possibly grown) vocabulary,
+  /// its weights written to `weights`.
+  ProfileView View(EntityId e, std::vector<double>& weights) const;
+  /// Profile similarity of a (view built by the caller, so ranking loops
+  /// over one entity's partners build it once) and b. `a` must not point
+  /// into weights_b_, where b's view is built.
+  double SimilarityTo(const ProfileView& a, EntityId b);
   double EvidenceBonus(const PairState& ps) const;
   /// Executes one not-yet-executed comparison; records a match and runs the
   /// update phase when the threshold clears. Returns true when it matched.
@@ -256,10 +256,11 @@ class OnlineResolver {
   bool defer_scoring_ = false;
   std::vector<uint64_t> deferred_pairs_;
 
-  // Scratch buffers (ingest + similarity), reused across calls.
+  // Scratch buffers (ingest + similarity), reused across calls: the
+  // weights behind the two profile views of the pair being compared.
   std::vector<DeltaPair> delta_scratch_;
-  mutable std::vector<WeightedToken> tfidf_a_;
-  mutable std::vector<WeightedToken> tfidf_b_;
+  std::vector<double> weights_a_;
+  std::vector<double> weights_b_;
 };
 
 }  // namespace online

@@ -151,6 +151,9 @@ StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
         SampleProgress();
       });
   out.comparisons = stats.comparisons;
+  out.pops = stats.pops;
+  out.requeues = stats.requeues;
+  out.skips = stats.skips;
   out.exhausted = stats.exhausted;
   exhausted_ = stats.exhausted;
   out.matches.assign(result_.run.matches.begin() + match_mark,

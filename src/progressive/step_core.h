@@ -38,6 +38,12 @@ struct StepResult {
   std::vector<MatchEvent> matches;
   /// True when the queue drained before the budget was spent.
   bool exhausted = false;
+  /// Loop accounting of THIS call: schedule entries popped, and how the
+  /// ones not executed were disposed of — re-queued as stale, or skipped as
+  /// already executed. pops == comparisons + requeues + skips.
+  uint64_t pops = 0;
+  uint64_t requeues = 0;
+  uint64_t skips = 0;
   /// Wall time this call took (filled by the session-level drivers;
   /// observational, never part of any determinism contract).
   double wall_millis = 0.0;
@@ -58,8 +64,9 @@ struct StepResult {
 ///   execute(pair, a, b)            — run the comparison (matching + update
 ///                                    phase); counted against the budget.
 ///
-/// Returns the comparisons spent and whether the queue drained; confirmed
-/// matches are recorded by `execute` on the driver's side.
+/// Returns the comparisons spent, the loop accounting, and whether the
+/// queue drained; confirmed matches are recorded by `execute` on the
+/// driver's side.
 template <typename StopFn, typename ExecutedFn, typename PriorityFn,
           typename ExecuteFn>
 StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
@@ -70,15 +77,23 @@ StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
                                    PriorityFn&& current_priority,
                                    ExecuteFn&& execute) {
   StepResult out;
+  // Counted in locals, which stay in registers: out is the caller's return
+  // slot, so its fields would be stored and reloaded around every call into
+  // the (not inlined) matching and update code.
+  uint64_t comparisons = 0, pops = 0, requeues = 0, skips = 0;
   uint64_t pair = 0;
   double popped_priority = 0.0;
-  while (max_comparisons == 0 || out.comparisons < max_comparisons) {
+  while (max_comparisons == 0 || comparisons < max_comparisons) {
     if (should_stop()) break;
     if (!scheduler.Pop(pair, popped_priority)) {
       out.exhausted = true;
       break;
     }
-    if (already_executed(pair)) continue;
+    ++pops;
+    if (already_executed(pair)) {
+      ++skips;
+      continue;
+    }
     const EntityId a = PairKeyFirst(pair);
     const EntityId b = PairKeySecond(pair);
     // Priority drift: the state may have changed since this entry was
@@ -86,12 +101,33 @@ StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
     const double current = current_priority(a, b, pair);
     if (current + 1e-12 < popped_priority * (1.0 - staleness_tolerance)) {
       scheduler.Push(pair, current);
+      ++requeues;
       continue;
     }
     execute(pair, a, b);
-    ++out.comparisons;
+    ++comparisons;
   }
+  out.comparisons = comparisons;
+  out.pops = pops;
+  out.requeues = requeues;
+  out.skips = skips;
   return out;
+}
+
+/// Adds one stepping call's loop accounting to the process-wide
+/// progressive.{pops,requeues,skips,comparisons} counters. Drivers call it
+/// once per Step/ResolveBudget call, never once per comparison.
+inline void RecordLoopCounters(const StepResult& step) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  static obs::Counter& pops = registry.counter("progressive.pops");
+  static obs::Counter& requeues = registry.counter("progressive.requeues");
+  static obs::Counter& skips = registry.counter("progressive.skips");
+  static obs::Counter& comparisons =
+      registry.counter("progressive.comparisons");
+  pops.Add(step.pops);
+  requeues.Add(step.requeues);
+  skips.Add(step.skips);
+  comparisons.Add(step.comparisons);
 }
 
 }  // namespace minoan

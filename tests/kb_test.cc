@@ -2,12 +2,15 @@
 // and cloud statistics.
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "kb/collection.h"
 #include "kb/neighbor_graph.h"
 #include "kb/stats.h"
 #include "rdf/ntriples.h"
+#include "util/serde.h"
 
 namespace minoan {
 namespace {
@@ -200,6 +203,77 @@ TEST(CollectionTest, TypeIndexingToggle) {
   ASSERT_TRUE(c2.AddKnowledgeBase("k", Parse(doc)).ok());
   ASSERT_TRUE(c2.Finalize().ok());
   EXPECT_EQ(c2.tokens().Find("artifact"), kInternNotFound);
+}
+
+// ---------------------------------------------------------------------------
+// Serialization: token-list consistency on load
+// ---------------------------------------------------------------------------
+
+/// One entity's serialized token lists: count + ids, then count + bag.
+std::string TokenListBytes(const std::vector<uint32_t>& tokens,
+                           const std::vector<uint32_t>& bag) {
+  std::ostringstream out;
+  serde::WriteU32(out, static_cast<uint32_t>(tokens.size()));
+  for (const uint32_t t : tokens) serde::WriteU32(out, t);
+  serde::WriteU32(out, static_cast<uint32_t>(bag.size()));
+  for (const uint32_t t : bag) serde::WriteU32(out, t);
+  return out.str();
+}
+
+Status LoadBlob(const std::string& blob) {
+  std::istringstream in(blob);
+  EntityCollection loaded;
+  return loaded.Load(in);
+}
+
+TEST(CollectionSerdeTest, InconsistentTokenListsAreParseErrors) {
+  const EntityCollection c = BuildTwoKbs();
+  std::ostringstream saved;
+  ASSERT_TRUE(c.Save(saved).ok());
+  const std::string blob = saved.str();
+  ASSERT_TRUE(LoadBlob(blob).ok());
+
+  // An entity with two or more tokens, one of which occurs once in its bag
+  // (so dropping that bag entry removes the id from the bag altogether).
+  const EntityDescription* victim = nullptr;
+  uint32_t single = 0;
+  for (const EntityDescription& e : c.entities()) {
+    if (e.tokens.size() < 2) continue;
+    for (const uint32_t t : e.tokens) {
+      if (std::count(e.token_bag.begin(), e.token_bag.end(), t) == 1) {
+        victim = &e;
+        single = t;
+        break;
+      }
+    }
+    if (victim != nullptr) break;
+  }
+  ASSERT_NE(victim, nullptr);
+  const std::string segment =
+      TokenListBytes(victim->tokens, victim->token_bag);
+  const size_t at = blob.find(segment);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(blob.rfind(segment), at);  // the splice target is unambiguous
+  const auto splice = [&](const std::vector<uint32_t>& tokens,
+                          const std::vector<uint32_t>& bag) {
+    return blob.substr(0, at) + TokenListBytes(tokens, bag) +
+           blob.substr(at + segment.size());
+  };
+
+  std::vector<uint32_t> swapped = victim->tokens;
+  std::swap(swapped[0], swapped[1]);
+  std::vector<uint32_t> duplicated = victim->tokens;
+  duplicated[1] = duplicated[0];
+  std::vector<uint32_t> dropped = victim->token_bag;
+  dropped.erase(std::find(dropped.begin(), dropped.end(), single));
+
+  for (const auto& [what, mutated] :
+       {std::pair{"swapped token ids", splice(swapped, victim->token_bag)},
+        std::pair{"duplicated token id", splice(duplicated, victim->token_bag)},
+        std::pair{"dropped bag entry", splice(victim->tokens, dropped)}}) {
+    const Status status = LoadBlob(mutated);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << what;
+  }
 }
 
 // ---------------------------------------------------------------------------

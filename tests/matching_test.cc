@@ -1,13 +1,19 @@
-// Unit tests for the matching module: similarity evaluator, union-find,
-// batch matcher, and unique-mapping clustering.
+// Unit tests for the matching module: similarity evaluator (and its
+// bit parity with the reference kernels), union-find, batch matcher, and
+// unique-mapping clustering.
 
+#include <bit>
 #include <cmath>
 
+#include "blocking/blocking_method.h"
+#include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
 #include "matching/matcher.h"
 #include "matching/similarity_evaluator.h"
 #include "matching/union_find.h"
+#include "online/online_resolver.h"
 #include "rdf/ntriples.h"
+#include "text/similarity.h"
 
 namespace minoan {
 namespace {
@@ -107,6 +113,187 @@ TEST(SimilarityEvaluatorTest, WeightInterpolation) {
   const EntityId b = c.FindByIri("http://b/e1");
   EXPECT_DOUBLE_EQ(ec.Similarity(a, b), ec.TfIdfCosine(a, b));
   EXPECT_DOUBLE_EQ(ej.Similarity(a, b), ej.TokenJaccard(a, b));
+}
+
+// ---------------------------------------------------------------------------
+// ProfileSimilarity: bit parity with the reference kernels
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Per-entity (token, tf·idf) vectors over the token bag, idf ≤ 0 tokens
+/// left out: the layout the reference WeightedCosineSimilarity reads.
+std::vector<std::vector<WeightedToken>> ReferenceTfidf(
+    const EntityCollection& c) {
+  std::vector<std::vector<WeightedToken>> out(c.num_entities());
+  for (const EntityDescription& desc : c.entities()) {
+    const auto& bag = desc.token_bag;
+    for (size_t i = 0; i < bag.size();) {
+      size_t j = i;
+      while (j < bag.size() && bag[j] == bag[i]) ++j;
+      const double idf = c.TokenIdf(bag[i]);
+      if (idf > 0.0) {
+        out[desc.id].push_back(
+            WeightedToken{bag[i], static_cast<double>(j - i) * idf});
+      }
+      i = j;
+    }
+  }
+  return out;
+}
+
+/// w · WeightedCosineSimilarity + (1 − w) · JaccardSimilarity.
+double ReferenceSimilarity(
+    const EntityCollection& c,
+    const std::vector<std::vector<WeightedToken>>& tfidf, EntityId a,
+    EntityId b, const SimilarityOptions& options) {
+  const double jaccard =
+      JaccardSimilarity(c.entity(a).tokens, c.entity(b).tokens);
+  if (!options.use_tfidf) return jaccard;
+  return options.tfidf_weight * WeightedCosineSimilarity(tfidf[a], tfidf[b]) +
+         (1.0 - options.tfidf_weight) * jaccard;
+}
+
+std::vector<SimilarityOptions> AllKernelOptions() {
+  std::vector<SimilarityOptions> out;
+  for (const bool use_tfidf : {true, false}) {
+    for (const double w : {0.0, 0.5, 1.0}) {
+      out.push_back(SimilarityOptions{w, use_tfidf});
+    }
+  }
+  return out;
+}
+
+/// Every ordered pair (self-pairs included), every option combination.
+void ExpectAllPairsBitIdentical(const EntityCollection& c) {
+  const auto tfidf = ReferenceTfidf(c);
+  for (const SimilarityOptions& options : AllKernelOptions()) {
+    const SimilarityEvaluator eval(c, options);
+    for (EntityId a = 0; a < c.num_entities(); ++a) {
+      for (EntityId b = 0; b < c.num_entities(); ++b) {
+        EXPECT_EQ(Bits(eval.Similarity(a, b)),
+                  Bits(ReferenceSimilarity(c, tfidf, a, b, options)))
+            << "pair (" << a << ", " << b << ") w=" << options.tfidf_weight
+            << " tfidf=" << options.use_tfidf;
+      }
+    }
+  }
+}
+
+EntityCollection OneKb(const std::string& doc) {
+  EntityCollection c;
+  EXPECT_TRUE(c.AddKnowledgeBase("k", Parse(doc)).ok());
+  EXPECT_TRUE(c.Finalize().ok());
+  return c;
+}
+
+TEST(ProfileKernelTest, EmptyAndDisjointProfilesMatchReference) {
+  // Single-character IRI names and the literal "z" produce no tokens
+  // (min_token_length 2), so d and e have empty profiles.
+  const EntityCollection c = OneKb(R"(
+<http://k/a> <http://k/p> "alpha beta" .
+<http://k/b> <http://k/p> "gamma delta" .
+<http://k/d> <http://k/p> "z" .
+<http://k/e> <http://k/p> "z" .
+)");
+  const EntityId a = c.FindByIri("http://k/a");
+  const EntityId b = c.FindByIri("http://k/b");
+  const EntityId d = c.FindByIri("http://k/d");
+  const EntityId e = c.FindByIri("http://k/e");
+  ASSERT_TRUE(c.entity(d).tokens.empty());
+  ASSERT_TRUE(c.entity(e).tokens.empty());
+  const SimilarityEvaluator eval(c);
+  EXPECT_EQ(Bits(eval.Similarity(d, e)), Bits(0.0));  // both empty
+  EXPECT_EQ(Bits(eval.Similarity(a, d)), Bits(0.0));  // one empty
+  EXPECT_EQ(Bits(eval.Similarity(a, b)), Bits(0.0));  // disjoint
+  ExpectAllPairsBitIdentical(c);
+}
+
+TEST(ProfileKernelTest, RepeatedAndZeroIdfTokensMatchReference) {
+  // "common" is in every description (df == N, idf 0), so it must add
+  // exactly +0.0 to dot products and norms; b repeats tokens (tf > 1); f
+  // duplicates a; g's only token is the idf-0 one (norm 0, cosine 0); c
+  // shares nothing with a but "common" (Jaccard > 0, cosine 0).
+  const EntityCollection c = OneKb(R"(
+<http://k/a> <http://k/p> "alpha beta gamma common" .
+<http://k/b> <http://k/p> "alpha alpha delta common common" .
+<http://k/c> <http://k/p> "epsilon zeta common" .
+<http://k/f> <http://k/p> "alpha beta gamma common" .
+<http://k/g> <http://k/p> "common" .
+)");
+  const uint32_t common = c.tokens().Find("common");
+  ASSERT_NE(common, kInternNotFound);
+  ASSERT_EQ(c.TokenIdf(common), 0.0);
+  const EntityId a = c.FindByIri("http://k/a");
+  const EntityId b = c.FindByIri("http://k/b");
+  const EntityId cc = c.FindByIri("http://k/c");
+  const EntityId f = c.FindByIri("http://k/f");
+  const EntityId g = c.FindByIri("http://k/g");
+  ASSERT_GT(c.entity(b).token_bag.size(), c.entity(b).tokens.size());
+  const SimilarityEvaluator eval(c);
+  EXPECT_EQ(eval.View(g).norm, 0.0);
+  EXPECT_EQ(Bits(eval.TfIdfCosine(a, g)), Bits(0.0));
+  EXPECT_EQ(Bits(eval.TfIdfCosine(a, cc)), Bits(0.0));
+  EXPECT_GT(eval.TokenJaccard(a, cc), 0.0);
+  EXPECT_NEAR(eval.Similarity(a, f), 1.0, 1e-12);
+  ExpectAllPairsBitIdentical(c);
+}
+
+datagen::LodCloud KernelCloud() {
+  datagen::LodCloudConfig cfg;
+  cfg.seed = 29;
+  cfg.num_real_entities = 1300;  // ~2,000 descriptions over 6 KBs
+  auto cloud = datagen::GenerateLodCloud(cfg);
+  EXPECT_TRUE(cloud.ok());
+  return std::move(cloud).value();
+}
+
+TEST(ProfileKernelTest, EveryCandidatePairOfGeneratedCloud) {
+  auto collection = KernelCloud().BuildCollection();
+  ASSERT_TRUE(collection.ok());
+  const EntityCollection& c = *collection;
+  ASSERT_GE(c.num_entities(), 1800u);
+  const std::vector<Comparison> pairs =
+      TokenBlocking().Build(c).DistinctComparisons(c, ResolutionMode::kDirty);
+  ASSERT_GT(pairs.size(), 10000u);
+  const auto tfidf = ReferenceTfidf(c);
+  for (const SimilarityOptions& options : AllKernelOptions()) {
+    const SimilarityEvaluator eval(c, options);
+    size_t mismatches = 0;
+    for (const Comparison& p : pairs) {
+      mismatches +=
+          Bits(eval.Similarity(p.a, p.b)) !=
+          Bits(ReferenceSimilarity(c, tfidf, p.a, p.b, options));
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << pairs.size() << " pairs, w="
+                              << options.tfidf_weight
+                              << " tfidf=" << options.use_tfidf;
+  }
+}
+
+TEST(ProfileKernelTest, OnlineViewsMatchArenaRows) {
+  auto collection = KernelCloud().BuildCollection();
+  ASSERT_TRUE(collection.ok());
+  const online::OnlineResolver engine(online::OnlineOptions{},
+                                      std::move(collection).value());
+  const EntityCollection& c = engine.collection();
+  const SimilarityEvaluator eval(c);
+  const SimilarityEvaluator jaccard_only(c, SimilarityOptions{0.5, false});
+  std::vector<double> weights;
+  for (EntityId e = 0; e < c.num_entities(); ++e) {
+    const ProfileView row = eval.View(e);
+    const ProfileView online = BuildProfileView(c, e, true, weights);
+    ASSERT_EQ(online.size, row.size) << "entity " << e;
+    for (size_t i = 0; i < row.size; ++i) {
+      ASSERT_EQ(online.ids[i], row.ids[i]) << "entity " << e;
+      ASSERT_EQ(Bits(online.weights[i]), Bits(row.weights[i]))
+          << "entity " << e << " token " << i;
+    }
+    ASSERT_EQ(Bits(online.norm), Bits(row.norm)) << "entity " << e;
+    // Without TF-IDF neither side stores or exposes weights.
+    EXPECT_EQ(BuildProfileView(c, e, false, weights).weights, nullptr);
+    EXPECT_EQ(jaccard_only.View(e).weights, nullptr);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "core/online_session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "online/incremental_block_index.h"
 #include "online/incremental_collection.h"
 #include "online/online_resolver.h"
@@ -411,6 +412,35 @@ TEST(OnlineResolverTest, BudgetExhaustionReported) {
   const OnlineStepResult more = resolver.ResolveBudget(10);
   EXPECT_TRUE(more.exhausted);
   EXPECT_EQ(more.comparisons, 0u);
+}
+
+TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
+  const datagen::LodCloud cloud = SmallCloud();
+  OnlineResolver resolver{OnlineOptions{}};
+  IngestCloud(resolver, cloud);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter& pops = registry.counter("progressive.pops");
+  obs::Counter& requeues = registry.counter("progressive.requeues");
+  obs::Counter& skips = registry.counter("progressive.skips");
+  obs::Counter& comparisons = registry.counter("progressive.comparisons");
+  for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons}) c->Reset();
+
+  OnlineStepResult total;
+  while (!total.exhausted) {
+    const OnlineStepResult step = resolver.ResolveBudget(50);
+    EXPECT_EQ(step.pops, step.comparisons + step.requeues + step.skips);
+    total.pops += step.pops;
+    total.requeues += step.requeues;
+    total.skips += step.skips;
+    total.comparisons += step.comparisons;
+    total.exhausted = step.exhausted;
+  }
+  EXPECT_EQ(total.comparisons, resolver.run().comparisons_executed);
+  EXPECT_EQ(total.pops, total.comparisons + total.requeues + total.skips);
+  EXPECT_EQ(pops.Value(), total.pops);
+  EXPECT_EQ(requeues.Value(), total.requeues);
+  EXPECT_EQ(skips.Value(), total.skips);
+  EXPECT_EQ(comparisons.Value(), total.comparisons);
 }
 
 TEST(OnlineResolverTest, QueryDeterministicAndIdempotent) {

@@ -577,17 +577,19 @@ TEST(ServerStatsTest, ExporterWritesRollingSnapshotsAndEventLog) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
 
   // The rolling exporter must produce a complete, never-torn snapshot
-  // while the server keeps running.
+  // while the server keeps running. Wait for one taken after the tenant
+  // appeared: on a loaded machine the latest installment may predate it.
   std::string rolling;
   for (int attempt = 0; attempt < 100; ++attempt) {
     std::ifstream in(options.stats_path, std::ios::binary);
     std::ostringstream buf;
     buf << in.rdbuf();
     rolling = buf.str();
-    if (!rolling.empty()) break;
+    if (rolling.find("\"tenants\":{\"frank\":") != std::string::npos) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ASSERT_FALSE(rolling.empty()) << "exporter never wrote " << options.stats_path;
+  ASSERT_FALSE(rolling.empty())
+      << "exporter never wrote " << options.stats_path;
   EXPECT_NE(rolling.find("\"schema\":\"minoan-stats-v1\""), std::string::npos);
   EXPECT_NE(rolling.find("\"tenants\":{\"frank\":"), std::string::npos);
   EXPECT_EQ(rolling.back(), '\n');  // complete file, not a torn prefix

@@ -17,6 +17,7 @@
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "util/hash.h"
 
 namespace minoan {
@@ -138,6 +139,39 @@ TEST(SessionTest, StepSplitParity) {
     EXPECT_EQ(streamed[i].a, report.progressive.run.matches[i].a);
     EXPECT_EQ(streamed[i].b, report.progressive.run.matches[i].b);
   }
+}
+
+TEST(SessionTest, LoopCountersAccountForEveryPop) {
+  const EntityCollection collection = MakeCloud(313, /*periphery_heavy=*/true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  obs::Counter& pops = registry.counter("progressive.pops");
+  obs::Counter& requeues = registry.counter("progressive.requeues");
+  obs::Counter& skips = registry.counter("progressive.skips");
+  obs::Counter& comparisons = registry.counter("progressive.comparisons");
+  for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons}) c->Reset();
+
+  // Entity coverage decays a pair's benefit once either side is matched,
+  // so priorities drift down and the loop re-queues stale entries.
+  WorkflowOptions options = DefaultOptions();
+  options.progressive.benefit = BenefitModel::kEntityCoverage;
+  auto session = ResolutionSession::Open(collection, options);
+  ASSERT_TRUE(session.ok());
+  StepResult total;
+  while (!session->exhausted()) {
+    const StepResult step = session->Step(97);
+    EXPECT_EQ(step.pops, step.comparisons + step.requeues + step.skips);
+    total.pops += step.pops;
+    total.requeues += step.requeues;
+    total.skips += step.skips;
+    total.comparisons += step.comparisons;
+  }
+  EXPECT_EQ(total.comparisons, session->comparisons_spent());
+  EXPECT_EQ(total.pops, total.comparisons + total.requeues + total.skips);
+  EXPECT_GT(total.requeues, 0u);
+  EXPECT_EQ(pops.Value(), total.pops);
+  EXPECT_EQ(requeues.Value(), total.requeues);
+  EXPECT_EQ(skips.Value(), total.skips);
+  EXPECT_EQ(comparisons.Value(), total.comparisons);
 }
 
 TEST(SessionTest, StepSplitParityWithSeeds) {
