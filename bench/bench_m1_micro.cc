@@ -136,19 +136,58 @@ void BM_SchedulerPushPop(benchmark::State& state) {
     ComparisonScheduler scheduler;
     state.ResumeTiming();
     for (int i = 0; i < 1024; ++i) {
-      scheduler.Push(PairKey(static_cast<uint32_t>(rng.Below(1000)),
-                             static_cast<uint32_t>(1000 + rng.Below(1000))),
-                     rng.NextDouble());
+      const uint32_t slot = scheduler.FindOrAdd(
+          PairKey(static_cast<uint32_t>(rng.Below(1000)),
+                  static_cast<uint32_t>(1000 + rng.Below(1000))));
+      scheduler.Push(slot, rng.NextDouble());
     }
-    uint64_t pair;
+    uint32_t slot;
     double priority;
-    while (scheduler.Pop(pair, priority)) {
-      benchmark::DoNotOptimize(pair);
+    while (scheduler.Pop(slot, priority)) {
+      benchmark::DoNotOptimize(slot);
     }
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_SchedulerPushPop);
+
+// Begin's shape: index n candidates, prime them as one sorted run, drain.
+// Arg(1) feeds them already in pop order (meta-blocking's order under the
+// default benefit model), Arg(0) shuffled (the full-sort fallback).
+void BM_SchedulerPrimeDrain(benchmark::State& state) {
+  constexpr size_t kSlots = 1 << 16;
+  Rng rng(17);
+  std::vector<uint64_t> pairs(kSlots);
+  std::vector<double> priorities(kSlots);
+  for (size_t i = 0; i < kSlots; ++i) {
+    pairs[i] = PairKey(static_cast<uint32_t>(i),
+                       static_cast<uint32_t>(kSlots + rng.Below(kSlots)));
+    priorities[i] = 1.0 - static_cast<double>(i) / kSlots;
+  }
+  if (state.range(0) == 0) {
+    for (size_t i = kSlots - 1; i > 0; --i) {
+      const size_t j = static_cast<size_t>(rng.Below(i + 1));
+      std::swap(pairs[i], pairs[j]);
+      std::swap(priorities[i], priorities[j]);
+    }
+  }
+  for (auto _ : state) {
+    ComparisonScheduler scheduler;
+    scheduler.Reserve(kSlots);
+    std::vector<uint32_t> slots(kSlots);
+    for (size_t i = 0; i < kSlots; ++i) {
+      slots[i] = scheduler.FindOrAdd(pairs[i]);
+    }
+    scheduler.Prime(std::move(slots), priorities);
+    uint32_t slot;
+    double priority;
+    while (scheduler.Pop(slot, priority)) {
+      benchmark::DoNotOptimize(slot);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kSlots);
+}
+BENCHMARK(BM_SchedulerPrimeDrain)->Arg(1)->Arg(0);
 
 void BM_GenerateCloud(benchmark::State& state) {
   datagen::LodCloudConfig cfg = MakeConfig(CloudProfile::kMixed, 1);

@@ -151,10 +151,9 @@ Result<EntityId> OnlineResolver::Ingest(
   return id;
 }
 
-OnlineResolver::PairState& OnlineResolver::PairRef(uint64_t pair,
-                                                   bool* created) {
+uint32_t OnlineResolver::PairRef(uint64_t pair, bool* created) {
   bool inserted = false;
-  PairState& ps = pairs_.FindOrInsert(pair, &inserted);
+  const uint32_t id = scheduler_.FindOrAdd(pair, &inserted);
   if (inserted) {
     const EntityId a = PairKeyFirst(pair);
     const EntityId b = PairKeySecond(pair);
@@ -162,7 +161,7 @@ OnlineResolver::PairState& OnlineResolver::PairRef(uint64_t pair,
     partners_[b].push_back(a);
   }
   if (created != nullptr) *created = inserted;
-  return ps;
+  return id;
 }
 
 void OnlineResolver::IndexEntity(EntityId id) {
@@ -188,40 +187,35 @@ void OnlineResolver::IndexEntity(EntityId id) {
   delta_scratch_.clear();
   index_.AddEntity(c, id, delta_scratch_);
   for (const DeltaPair& d : delta_scratch_) {
-    const uint64_t pair = PairKey(d.a, d.b);
-    PairState& ps = PairRef(pair);
-    ps.likelihood = d.weight;
+    const uint32_t slot_id = PairRef(PairKey(d.a, d.b));
+    ScheduleSlot& slot = scheduler_.slot(slot_id);
+    slot.likelihood = d.weight;
     // The update phase may have discovered and even executed this pair
     // before blocking produced it.
-    if (ps.executed) continue;
+    if (slot.executed) continue;
     if (defer_scoring_) {
-      deferred_pairs_.push_back(pair);
+      deferred_slots_.push_back(slot_id);
       continue;
     }
-    scheduler_.Push(pair, Priority(d.a, d.b, ps));
+    scheduler_.Push(slot_id, Priority(slot_id));
   }
 }
 
 void OnlineResolver::FlushDeferredScores() {
   defer_scoring_ = false;
-  std::vector<double> priorities(deferred_pairs_.size());
+  std::vector<double> priorities(deferred_slots_.size());
   const auto score = [&](size_t i) {
-    const uint64_t pair = deferred_pairs_[i];
-    priorities[i] = Priority(PairKeyFirst(pair), PairKeySecond(pair),
-                             *pairs_.Find(pair));
+    priorities[i] = Priority(deferred_slots_[i]);
   };
   const uint32_t threads = ResolveThreadCount(options_.num_threads);
-  if (threads > 1 && deferred_pairs_.size() >= 2048) {
+  if (threads > 1 && deferred_slots_.size() >= 2048) {
     ThreadPool pool(threads);
-    pool.ParallelFor(deferred_pairs_.size(), score);
+    pool.ParallelFor(deferred_slots_.size(), score);
   } else {
-    for (size_t i = 0; i < deferred_pairs_.size(); ++i) score(i);
+    for (size_t i = 0; i < deferred_slots_.size(); ++i) score(i);
   }
-  for (size_t i = 0; i < deferred_pairs_.size(); ++i) {
-    scheduler_.Push(deferred_pairs_[i], priorities[i]);
-  }
-  deferred_pairs_.clear();
-  deferred_pairs_.shrink_to_fit();
+  scheduler_.Prime(std::move(deferred_slots_), priorities);
+  deferred_slots_ = {};
 }
 
 void OnlineResolver::ConsumeSameAsSeeds() {
@@ -232,11 +226,10 @@ void OnlineResolver::ConsumeSameAsSeeds() {
   }
   for (; same_as_consumed_ < links.size(); ++same_as_consumed_) {
     const SameAsLink link = links[same_as_consumed_];
-    const uint64_t pair = PairKey(link.a, link.b);
-    PairState& ps = PairRef(pair);
-    if (ps.executed) continue;
-    ps.executed = true;
-    scheduler_.Erase(pair);
+    const uint32_t id = PairRef(PairKey(link.a, link.b));
+    if (scheduler_.slot(id).executed) continue;
+    scheduler_.slot(id).executed = true;
+    scheduler_.Erase(id);
     RecordClusterMerge(link.a, link.b);
     UpdatePhase(link.a, link.b);
   }
@@ -249,16 +242,9 @@ void OnlineResolver::RecordClusterMerge(EntityId a, EntityId b) {
   state_->RecordMatch(a, b);
 }
 
-double OnlineResolver::Likelihood(const PairState& ps) const {
-  if (ps.evidence <= 0.0) return ps.likelihood;
-  return ps.likelihood +
-         options_.evidence.priority * std::min(1.0, ps.evidence);
-}
-
-double OnlineResolver::Priority(EntityId a, EntityId b,
-                                const PairState& ps) const {
-  const double benefit = estimator_.PairBenefit(a, b, *state_);
-  return Likelihood(ps) * (1.0 + options_.benefit_weight * benefit);
+double OnlineResolver::Priority(uint32_t id) const {
+  return SlotPriority(scheduler_.slot(id), estimator_, options_.benefit_weight,
+                      options_.evidence, *state_);
 }
 
 ProfileView OnlineResolver::View(EntityId e,
@@ -271,36 +257,26 @@ double OnlineResolver::SimilarityTo(const ProfileView& a, EntityId b) {
   return ProfileSimilarity(a, View(b, weights_b_), options_.similarity);
 }
 
-double OnlineResolver::EvidenceBonus(const PairState& ps) const {
-  if (ps.evidence <= 0.0) return 0.0;
-  return options_.evidence.weight * std::min(1.0, ps.evidence);
-}
-
-bool OnlineResolver::ExecuteComparison(uint64_t pair) {
-  const EntityId a = PairKeyFirst(pair);
-  const EntityId b = PairKeySecond(pair);
-  double bonus = 0.0;
-  {
-    // Scope the reference: UpdatePhase below inserts into pairs_ and may
-    // rehash.
-    PairState& ps = PairRef(pair);
-    ps.executed = true;
-    bonus = EvidenceBonus(ps);
-  }
-  scheduler_.Erase(pair);
+uint64_t OnlineResolver::ExecuteComparison(uint32_t id) {
+  // Copy what the match needs: the update phase may append slots.
+  ScheduleSlot& slot = scheduler_.slot(id);
+  slot.executed = true;
+  const EntityId a = PairKeyFirst(slot.pair);
+  const EntityId b = PairKeySecond(slot.pair);
+  const double bonus = EvidenceBonus(slot, options_.evidence);
+  scheduler_.Erase(id);
   ++run_.comparisons_executed;
   const double profile = SimilarityTo(View(a, weights_a_), b);
   const double sim = profile + bonus;
-  if (sim < options_.matcher.threshold) return false;
+  if (sim < options_.matcher.threshold) return 0;
 
   RecordClusterMerge(a, b);
   run_.matches.push_back(MatchEvent{run_.comparisons_executed, a, b, sim});
   if (profile < options_.matcher.threshold) ++evidence_assisted_matches_;
-  UpdatePhase(a, b);
-  return true;
+  return UpdatePhase(a, b);
 }
 
-void OnlineResolver::UpdatePhase(EntityId a, EntityId b) {
+uint64_t OnlineResolver::UpdatePhase(EntityId a, EntityId b) {
   const auto& na = neighbors_[a];
   const auto& nb = neighbors_[b];
   const size_t la =
@@ -308,6 +284,7 @@ void OnlineResolver::UpdatePhase(EntityId a, EntityId b) {
   const size_t lb =
       std::min<size_t>(nb.size(), options_.evidence.max_neighbors_per_side);
   const bool clean = options_.blocking.mode == ResolutionMode::kCleanClean;
+  uint64_t updates = 0;
   for (size_t i = 0; i < la; ++i) {
     for (size_t j = 0; j < lb; ++j) {
       const EntityId x = na[i];
@@ -317,13 +294,16 @@ void OnlineResolver::UpdatePhase(EntityId a, EntityId b) {
       const uint64_t pair = PairKey(x, y);
       if (state_->SameCluster(x, y)) continue;
       bool first_sighting = false;
-      PairState& ps = PairRef(pair, &first_sighting);
-      if (ps.executed) continue;
-      ps.evidence += options_.evidence.increment;
+      const uint32_t id = PairRef(pair, &first_sighting);
+      ScheduleSlot& slot = scheduler_.slot(id);
+      if (slot.executed) continue;
+      slot.evidence += options_.evidence.increment;
       if (first_sighting) ++discovered_pairs_;
-      scheduler_.Push(pair, Priority(x, y, ps));
+      ++updates;
+      scheduler_.Push(id, Priority(id));
     }
   }
+  return updates;
 }
 
 OnlineStepResult OnlineResolver::ResolveBudget(uint64_t max_comparisons) {
@@ -331,20 +311,13 @@ OnlineStepResult OnlineResolver::ResolveBudget(uint64_t max_comparisons) {
   // A zero budget spends nothing (the shared core treats 0 as "uncapped").
   if (max_comparisons == 0) return out;
   const size_t match_mark = run_.matches.size();
+  const uint64_t discovered_mark = discovered_pairs_;
   out = RunScheduledComparisons(
       scheduler_, max_comparisons, options_.evidence.staleness_tolerance,
       /*should_stop=*/[] { return false; },
-      /*already_executed=*/
-      [&](uint64_t pair) {
-        const PairState* ps = pairs_.Find(pair);
-        return ps == nullptr || ps->executed;
-      },
-      /*current_priority=*/
-      [&](EntityId a, EntityId b, uint64_t pair) {
-        return Priority(a, b, *pairs_.Find(pair));
-      },
-      /*execute=*/
-      [&](uint64_t pair, EntityId, EntityId) { ExecuteComparison(pair); });
+      /*current_priority=*/[&](uint32_t id) { return Priority(id); },
+      /*execute=*/[&](uint32_t id) { return ExecuteComparison(id); });
+  out.discovered_pairs = discovered_pairs_ - discovered_mark;
   out.matches.assign(run_.matches.begin() + match_mark, run_.matches.end());
   RecordLoopCounters(out);
   static obs::Counter& comparisons =
@@ -367,17 +340,18 @@ std::vector<QueryCandidate> OnlineResolver::Query(EntityId id, uint32_t k) {
   // matches discover for it mid-loop (partners_[id] may grow; indexing by
   // position covers the appended tail).
   for (size_t i = 0; i < partners_[id].size(); ++i) {
-    const uint64_t pair = PairKey(id, partners_[id][i]);
-    // Every partner pair is registered in pairs_ by PairRef.
-    if (!pairs_.Find(pair)->executed) ExecuteComparison(pair);
+    // Every partner pair has a slot: PairRef registers both together.
+    const uint32_t slot = scheduler_.Find(PairKey(id, partners_[id][i]));
+    if (!scheduler_.slot(slot).executed) ExecuteComparison(slot);
   }
 
   // Rank with the query side's view built once, not per partner.
   const ProfileView query = View(id, weights_a_);
   out.reserve(partners_[id].size());
   for (const EntityId p : partners_[id]) {
-    const PairState& ps = *pairs_.Find(PairKey(id, p));
-    out.push_back(QueryCandidate{p, SimilarityTo(query, p) + EvidenceBonus(ps),
+    const double bonus = EvidenceBonus(
+        scheduler_.slot(scheduler_.Find(PairKey(id, p))), options_.evidence);
+    out.push_back(QueryCandidate{p, SimilarityTo(query, p) + bonus,
                                  state_->SameCluster(id, p)});
   }
   std::sort(out.begin(), out.end(),
@@ -423,26 +397,22 @@ Status OnlineResolver::SaveState(std::ostream& out) const {
   save_adjacency(neighbors_);
   save_adjacency(partners_);
 
-  std::vector<std::pair<uint64_t, PairState>> pairs;
-  pairs.reserve(pairs_.size());
-  pairs_.ForEach([&pairs](uint64_t pair, const PairState& ps) {
-    pairs.emplace_back(pair, ps);
-  });
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  serde::WriteU64(out, pairs.size());
-  for (const auto& [pair, ps] : pairs) {
-    serde::WriteU64(out, pair);
-    serde::WriteDouble(out, ps.likelihood);
-    serde::WriteDouble(out, ps.evidence);
-    serde::WriteU8(out, ps.executed ? 1 : 0);
+  const std::vector<uint32_t> by_pair = scheduler_.SlotsByPair();
+  serde::WriteU64(out, by_pair.size());
+  for (const uint32_t id : by_pair) {
+    const ScheduleSlot& slot = scheduler_.slot(id);
+    serde::WriteU64(out, slot.pair);
+    serde::WriteDouble(out, slot.likelihood);
+    serde::WriteDouble(out, slot.evidence);
+    serde::WriteU8(out, slot.executed ? 1 : 0);
   }
 
-  const auto live = scheduler_.LiveEntries();
-  serde::WriteU64(out, live.size());
-  for (const auto& [pair, priority] : live) {
-    serde::WriteU64(out, pair);
-    serde::WriteDouble(out, priority);
+  serde::WriteU64(out, scheduler_.live_size());
+  for (const uint32_t id : by_pair) {
+    const ScheduleSlot& slot = scheduler_.slot(id);
+    if (!slot.live) continue;
+    serde::WriteU64(out, slot.pair);
+    serde::WriteDouble(out, slot.priority);
   }
   serde::WriteU64(out, scheduler_.total_pushes());
 
@@ -529,35 +499,44 @@ Status OnlineResolver::LoadState(std::istream& in) {
   if (!load_adjacency(neighbors_)) return truncated();
   if (!load_adjacency(partners_)) return truncated();
 
+  // The pair table and the live list must be canonical, as SaveState writes
+  // them: ascending keys, finite values, and every live pair a known,
+  // not-yet-executed slot.
   uint64_t n_pairs;
   if (!serde::ReadU64(in, n_pairs)) return truncated();
-  pairs_.Clear();
-  pairs_.Reserve(std::min(n_pairs, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n_pairs; ++i) {
+  ComparisonScheduler scheduler;
+  scheduler.Reserve(std::min(n_pairs, kMaxUpfrontReserve));
+  for (uint64_t i = 0, prev = 0; i < n_pairs; ++i) {
     uint64_t pair;
-    PairState ps;
+    double likelihood, evidence;
     uint8_t executed;
-    if (!serde::ReadU64(in, pair) || !serde::ReadDouble(in, ps.likelihood) ||
-        !serde::ReadDouble(in, ps.evidence) || !serde::ReadU8(in, executed) ||
-        !serde::ValidPairKey(pair, n)) {
+    if (!serde::ReadU64(in, pair) || !serde::ReadDouble(in, likelihood) ||
+        !serde::ReadDouble(in, evidence) || !serde::ReadU8(in, executed) ||
+        !serde::ValidPairKey(pair, n) || (i > 0 && pair <= prev) ||
+        !std::isfinite(likelihood) || !std::isfinite(evidence)) {
       return truncated();
     }
-    ps.executed = executed != 0;
-    pairs_.InsertOrAssign(pair, ps);
+    prev = pair;
+    ScheduleSlot& slot = scheduler.slot(scheduler.FindOrAdd(pair));
+    slot.likelihood = likelihood;
+    slot.evidence = evidence;
+    slot.executed = executed != 0;
   }
 
-  uint64_t n_live;
-  if (!serde::ReadU64(in, n_live)) return truncated();
-  std::vector<std::pair<uint64_t, double>> live;
-  live.reserve(std::min(n_live, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n_live; ++i) {
-    uint64_t pair;
-    double priority;
-    if (!serde::ReadU64(in, pair) || !serde::ReadDouble(in, priority) ||
-        !serde::ValidPairKey(pair, n)) {
-      return truncated();
-    }
-    live.emplace_back(pair, priority);
+  std::vector<uint32_t> live;
+  std::vector<double> live_priorities;
+  if (!serde::ReadAscendingPairDoubles(
+          in, n, [&](uint64_t pair, double priority) {
+            const uint32_t id = scheduler.Find(pair);
+            if (id == ComparisonScheduler::kNoSlot ||
+                scheduler.slot(id).executed) {
+              return false;
+            }
+            live.push_back(id);
+            live_priorities.push_back(priority);
+            return true;
+          })) {
+    return truncated();
   }
   uint64_t total_pushes;
   if (!serde::ReadU64(in, total_pushes)) return truncated();
@@ -609,10 +588,12 @@ Status OnlineResolver::LoadState(std::istream& in) {
   state_->SetDynamicNeighbors(&neighbors_);
   for (const auto& [a, b] : cluster_ops_) state_->RecordMatch(a, b);
 
-  scheduler_.RestoreFrom(live, total_pushes);
+  scheduler.Prime(std::move(live), live_priorities);
+  scheduler.set_total_pushes(total_pushes);
+  scheduler_ = std::move(scheduler);
   run_ = std::move(run);
   defer_scoring_ = false;
-  deferred_pairs_.clear();
+  deferred_slots_.clear();
   return Status::Ok();
 }
 

@@ -45,7 +45,6 @@
 #include "progressive/scheduler.h"
 #include "progressive/state.h"
 #include "progressive/step_core.h"
-#include "util/flat_table.h"
 #include "util/status.h"
 
 namespace minoan {
@@ -102,7 +101,7 @@ class OnlineResolver {
   /// for legacy v1 states it must be the exact snapshot the saving engine
   /// held (entity/KB/triple counts are verified). Unlike the warm
   /// constructor nothing is re-indexed or re-scored: the incremental index,
-  /// the PairState map, the schedule, and the cluster state all come from
+  /// the per-pair slots, the schedule, and the cluster state all come from
   /// the stream, so resolution (and further ingests) continue exactly where
   /// the saved engine stopped — byte-identically.
   static Result<std::unique_ptr<OnlineResolver>> Restore(
@@ -139,7 +138,7 @@ class OnlineResolver {
 
   /// Serializes the full engine state — the collection snapshot itself
   /// (MNER-ONLN-v2; restores are self-contained), the incremental index
-  /// (postings + watermarks + emitted pairs), PairState map, schedule,
+  /// (postings + watermarks + emitted pairs), per-pair state, schedule,
   /// neighbor/partner adjacencies, the cluster-merge log, and the run
   /// record — in the fixed little-endian util/serde.h format, for a later
   /// Restore.
@@ -169,16 +168,6 @@ class OnlineResolver {
   const OnlineOptions& options() const { return options_; }
 
  private:
-  /// All per-pair state in one node: blocking likelihood, accumulated
-  /// neighbor evidence, and whether the comparison was executed. One map
-  /// instead of four parallel ones keeps the scheduling hot path to a
-  /// single hash lookup per pair.
-  struct PairState {
-    double likelihood = 0.0;
-    double evidence = 0.0;
-    bool executed = false;
-  };
-
   /// Restore path: adopts `warm` without indexing or scoring anything —
   /// LoadState fills every structure from the stream instead.
   struct RestoreTag {};
@@ -188,22 +177,22 @@ class OnlineResolver {
   OnlineResolver(OnlineOptions options, RestoreTag);
 
   void IndexEntity(EntityId id);
-  /// Scores and pushes the pairs IndexEntity deferred during warm-start
-  /// bulk indexing. Safe to fan out: the state is pristine (no match
-  /// recorded before the seeds consume below), so priorities are pure reads;
-  /// scores land in a per-index array and are pushed in deferral order, and
-  /// pop order depends only on (priority, pair) — the schedule is identical
-  /// to interleaved sequential pushes for every thread count.
+  /// Scores the pairs IndexEntity deferred during warm-start bulk indexing
+  /// and primes the schedule with them. Safe to fan out: the state is
+  /// pristine (no match recorded before the seeds consume below), so
+  /// priorities are pure reads; scores land in a per-index array, and pop
+  /// order depends only on (priority, pair) — the schedule is identical to
+  /// interleaved sequential pushes for every thread count.
   void FlushDeferredScores();
   /// Applies any not-yet-consumed ingested owl:sameAs links as zero-cost
   /// trusted matches (no-op unless use_same_as_seeds).
   void ConsumeSameAsSeeds();
-  /// Finds or creates the pair's state; on creation registers the two
+  /// Finds or creates the pair's slot; on creation registers the two
   /// entities as each other's partners. `created` (optional) reports
   /// whether this was the pair's first sighting.
-  PairState& PairRef(uint64_t pair, bool* created = nullptr);
-  double Likelihood(const PairState& ps) const;
-  double Priority(EntityId a, EntityId b, const PairState& ps) const;
+  uint32_t PairRef(uint64_t pair, bool* created = nullptr);
+  /// Priority of slot `id` against the current state (SlotPriority).
+  double Priority(uint32_t id) const;
   /// Entity e's profile view with the current (possibly grown) vocabulary,
   /// its weights written to `weights`.
   ProfileView View(EntityId e, std::vector<double>& weights) const;
@@ -211,11 +200,13 @@ class OnlineResolver {
   /// over one entity's partners build it once) and b. `a` must not point
   /// into weights_b_, where b's view is built.
   double SimilarityTo(const ProfileView& a, EntityId b);
-  double EvidenceBonus(const PairState& ps) const;
   /// Executes one not-yet-executed comparison; records a match and runs the
-  /// update phase when the threshold clears. Returns true when it matched.
-  bool ExecuteComparison(uint64_t pair);
-  void UpdatePhase(EntityId a, EntityId b);
+  /// update phase when the threshold clears. Returns the evidence updates
+  /// that made.
+  uint64_t ExecuteComparison(uint32_t id);
+  /// Raises the evidence of (a, b)'s neighbor pairs and re-prioritizes
+  /// them; returns how many it raised.
+  uint64_t UpdatePhase(EntityId a, EntityId b);
   /// Merges (a, b) in the cluster state AND appends the operation to the
   /// replay log — RecordMatch's internal layout depends on call order, so
   /// LoadState replays the exact sequence to reproduce it byte for byte.
@@ -226,6 +217,9 @@ class OnlineResolver {
   IncrementalBlockIndex index_;
   BenefitEstimator estimator_;
   std::unique_ptr<ResolutionState> state_;
+  /// Every known pair's likelihood, evidence, executed flag and priority,
+  /// in dense slots; SaveState sorts them into ascending-pair order before
+  /// writing, so the layout has no bytes-on-disk effect.
   ComparisonScheduler scheduler_;
 
   /// Incremental undirected adjacency over relation edges (the online
@@ -234,12 +228,6 @@ class OnlineResolver {
   /// Every entity this entity shares a known candidate pair with, in
   /// first-seen order (drives Query).
   std::vector<std::vector<EntityId>> partners_;
-
-  /// Flat open-addressing table (util/flat_table.h): every scheduled pop,
-  /// query, and evidence update probes this map, and SaveState sorts its
-  /// contents into ascending-pair order before writing, so the layout is
-  /// pure hot-path win with no bytes-on-disk effect.
-  FlatPairMap<PairState> pairs_;
 
   ResolutionRun run_;
   uint64_t discovered_pairs_ = 0;
@@ -250,11 +238,11 @@ class OnlineResolver {
   /// checkpointable essence of the union-find state.
   std::vector<std::pair<EntityId, EntityId>> cluster_ops_;
 
-  /// Warm-start bulk indexing: when set, IndexEntity records new pairs here
+  /// Warm-start bulk indexing: when set, IndexEntity records new slots here
   /// instead of scoring them one by one; FlushDeferredScores prices the
   /// whole batch (in parallel when options_.num_threads allows).
   bool defer_scoring_ = false;
-  std::vector<uint64_t> deferred_pairs_;
+  std::vector<uint32_t> deferred_slots_;
 
   // Scratch buffers (ingest + similarity), reused across calls: the
   // weights behind the two profile views of the pair being compared.

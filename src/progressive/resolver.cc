@@ -17,6 +17,9 @@ namespace {
 /// Format tag of the serialized loop state; bump on layout changes.
 constexpr std::string_view kStateMagic = "MNER-PROG-v1";
 
+using serde::kMaxUpfrontReserve;
+using serde::ValidPairKey;
+
 }  // namespace
 
 ProgressiveResolver::ProgressiveResolver(const EntityCollection& collection,
@@ -31,57 +34,43 @@ ProgressiveResolver::ProgressiveResolver(const EntityCollection& collection,
       estimator_(options.benefit, options.evidence.max_neighbors_per_side),
       pool_(pool) {}
 
-double ProgressiveResolver::Likelihood(uint64_t pair) const {
-  const double* base = likelihood_.Find(pair);
-  const double* ev = evidence_.Find(pair);
-  if (ev == nullptr) return base == nullptr ? 0.0 : *base;
-  return (base == nullptr ? 0.0 : *base) +
-         options_.evidence.priority * std::min(1.0, *ev);
-}
-
-double ProgressiveResolver::Priority(EntityId a, EntityId b, uint64_t pair,
-                                     ResolutionState& state) const {
-  const double benefit = estimator_.PairBenefit(a, b, state);
-  return Likelihood(pair) *
-         (1.0 + options_.benefit_weight * benefit);
+double ProgressiveResolver::Priority(uint32_t id) const {
+  return SlotPriority(scheduler_.slot(id), estimator_, options_.benefit_weight,
+                      options_.evidence, *state_);
 }
 
 void ProgressiveResolver::Begin(
     const std::vector<WeightedComparison>& candidates,
     const std::vector<Comparison>& seeds) {
-  likelihood_.Clear();
-  evidence_.Clear();
-  executed_.Clear();
-  likelihood_.Reserve(candidates.size());
-  executed_.Reserve(candidates.size());
   scheduler_ = ComparisonScheduler();
+  scheduler_.Reserve(candidates.size());
   result_ = ProgressiveResult();
   seeds_.clear();
   cumulative_benefit_ = 0.0;
   exhausted_ = false;
   state_ = std::make_unique<ResolutionState>(*collection_, graph_);
 
-  // Normalize blocking-graph weights into [0, 1] likelihoods.
+  // Normalize blocking-graph weights into [0, 1] likelihoods; a duplicated
+  // candidate keeps its last weight.
   double max_weight = 0.0;
   for (const WeightedComparison& c : candidates) {
     max_weight = std::max(max_weight, c.weight);
   }
   const double scale = max_weight > 0.0 ? 1.0 / max_weight : 1.0;
-  std::vector<uint64_t> pairs(candidates.size());
+  std::vector<uint32_t> slots(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    pairs[i] = PairKey(candidates[i].a, candidates[i].b);
-    likelihood_.InsertOrAssign(pairs[i], candidates[i].weight * scale);
+    slots[i] = scheduler_.FindOrAdd(PairKey(candidates[i].a, candidates[i].b));
+    ScheduleSlot& slot = scheduler_.slot(slots[i]);
+    slot.likelihood = candidates[i].weight * scale;
+    slot.candidate = true;
   }
   // Score the candidates. Safe to fan out: the state is pristine (no match
   // recorded yet — seeds apply below), so every cluster is a singleton and
   // Priority() only reads (union-find Find() takes no compression step, the
-  // likelihood/evidence tables are frozen). Scores land in a per-index
-  // array, so the schedule is identical for every thread count.
+  // slots are frozen). Scores land in a per-index array, so the schedule is
+  // identical for every thread count.
   std::vector<double> priorities(candidates.size());
-  const auto score = [&](size_t i) {
-    priorities[i] =
-        Priority(candidates[i].a, candidates[i].b, pairs[i], *state_);
-  };
+  const auto score = [&](size_t i) { priorities[i] = Priority(slots[i]); };
   const uint32_t threads = ResolveThreadCount(options_.num_threads);
   // A caller-owned pool (the session's) has no spawn cost, so it pays off
   // on much smaller retained lists than a transient pool does. The gate
@@ -97,19 +86,18 @@ void ProgressiveResolver::Begin(
   } else {
     for (size_t i = 0; i < candidates.size(); ++i) score(i);
   }
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    scheduler_.Push(pairs[i], priorities[i]);
-  }
+  scheduler_.Prime(std::move(slots), priorities);
 
   // Apply warm-start seeds: trusted matches at zero budget cost, propagated
   // so their neighborhoods get evidence before anything is compared. Only
   // the seeds actually applied are retained, so a state replay on restore
   // issues the identical RecordMatch sequence.
   for (const Comparison& seed : seeds) {
-    const uint64_t pair = PairKey(seed.a, seed.b);
-    if (!executed_.Insert(pair)) continue;
+    const uint32_t id = scheduler_.FindOrAdd(PairKey(seed.a, seed.b));
+    if (scheduler_.slot(id).executed) continue;
+    scheduler_.slot(id).executed = true;
     seeds_.push_back(seed);
-    scheduler_.Erase(pair);
+    scheduler_.Erase(id);
     state_->RecordMatch(seed.a, seed.b);
     if (options_.enable_update_phase) {
       UpdatePhase(seed.a, seed.b);
@@ -120,15 +108,16 @@ void ProgressiveResolver::Begin(
 }
 
 StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
-  StepResult out;
   if (!begun_ || exhausted_) {
+    StepResult out;
     out.exhausted = exhausted_;
     return out;
   }
   const size_t match_mark = result_.run.matches.size();
+  const uint64_t discovered_mark = result_.discovered_pairs;
   const uint64_t budget = options_.matcher.budget;
   const Stopwatch watch;
-  const StepResult stats = RunScheduledComparisons(
+  StepResult out = RunScheduledComparisons(
       scheduler_, max_comparisons, options_.evidence.staleness_tolerance,
       /*should_stop=*/
       [&] {
@@ -139,41 +128,34 @@ StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
                watch.ElapsedMillis() >=
                    static_cast<double>(options_.budget_millis);
       },
-      /*already_executed=*/
-      [&](uint64_t pair) { return executed_.Contains(pair); },
-      /*current_priority=*/
-      [&](EntityId a, EntityId b, uint64_t pair) {
-        return Priority(a, b, pair, *state_);
-      },
+      /*current_priority=*/[&](uint32_t id) { return Priority(id); },
       /*execute=*/
-      [&](uint64_t pair, EntityId a, EntityId b) {
-        ExecuteComparison(pair, a, b);
+      [&](uint32_t id) {
+        const uint64_t updates = ExecuteComparison(id);
         SampleProgress();
+        return updates;
       });
-  out.comparisons = stats.comparisons;
-  out.pops = stats.pops;
-  out.requeues = stats.requeues;
-  out.skips = stats.skips;
-  out.exhausted = stats.exhausted;
-  exhausted_ = stats.exhausted;
+  exhausted_ = out.exhausted;
+  out.discovered_pairs = result_.discovered_pairs - discovered_mark;
   out.matches.assign(result_.run.matches.begin() + match_mark,
                      result_.run.matches.end());
   result_.scheduler_pushes = scheduler_.total_pushes();
   return out;
 }
 
-void ProgressiveResolver::ExecuteComparison(uint64_t pair, EntityId a,
-                                            EntityId b) {
+uint64_t ProgressiveResolver::ExecuteComparison(uint32_t id) {
   // ---- Matching phase -----------------------------------------------------
-  executed_.Insert(pair);
+  // Copy what the match needs: the update phase may append slots.
+  ScheduleSlot& slot = scheduler_.slot(id);
+  slot.executed = true;
+  const EntityId a = PairKeyFirst(slot.pair);
+  const EntityId b = PairKeySecond(slot.pair);
+  const bool discovered = !slot.candidate;
+  const double bonus = EvidenceBonus(slot, options_.evidence);
   ++result_.run.comparisons_executed;
   const double profile_sim = evaluator_->Similarity(a, b);
-  const double* ev = evidence_.Find(pair);
-  const double bonus =
-      ev == nullptr ? 0.0
-                    : options_.evidence.weight * std::min(1.0, *ev);
   const double sim = profile_sim + bonus;
-  if (sim < options_.matcher.threshold) return;
+  if (sim < options_.matcher.threshold) return 0;
 
   // ---- Confirmed match ----------------------------------------------------
   const double realized = estimator_.RealizedBenefit(a, b, *state_);
@@ -185,15 +167,11 @@ void ProgressiveResolver::ExecuteComparison(uint64_t pair, EntityId a,
   if (profile_sim < options_.matcher.threshold) {
     ++result_.evidence_assisted_matches;
   }
-  if (!likelihood_.Contains(pair)) {
-    ++result_.discovered_matches;
-  }
+  if (discovered) ++result_.discovered_matches;
   if (on_match_) on_match_(result_.run.matches.back());
 
   // ---- Update phase -------------------------------------------------------
-  if (options_.enable_update_phase) {
-    UpdatePhase(a, b);
-  }
+  return options_.enable_update_phase ? UpdatePhase(a, b) : 0;
 }
 
 void ProgressiveResolver::SampleProgress() {
@@ -218,9 +196,6 @@ ProgressiveResult ProgressiveResolver::ResolveWithSeeds(
   // carrying O(candidates) of scratch until the next Begin (pre-refactor
   // these were function locals freed on return).
   begun_ = false;
-  likelihood_ = {};
-  evidence_ = {};
-  executed_ = {};
   scheduler_ = ComparisonScheduler();
   state_.reset();
   seeds_.clear();
@@ -228,7 +203,7 @@ ProgressiveResult ProgressiveResolver::ResolveWithSeeds(
   return out;
 }
 
-void ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
+uint64_t ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
   const auto na = graph_->Neighbors(a);
   const auto nb = graph_->Neighbors(b);
   const size_t la =
@@ -236,6 +211,7 @@ void ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
   const size_t lb =
       std::min<size_t>(nb.size(), options_.evidence.max_neighbors_per_side);
   const bool clean = options_.mode == ResolutionMode::kCleanClean;
+  uint64_t updates = 0;
   for (size_t i = 0; i < la; ++i) {
     for (size_t j = 0; j < lb; ++j) {
       const EntityId x = na[i];
@@ -243,66 +219,31 @@ void ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
       if (x == y) continue;
       if (clean && !collection_->CrossKb(x, y)) continue;
       const uint64_t pair = PairKey(x, y);
-      if (executed_.Contains(pair)) continue;
+      uint32_t id = scheduler_.Find(pair);
+      if (id != ComparisonScheduler::kNoSlot && scheduler_.slot(id).executed) {
+        continue;
+      }
       if (state_->SameCluster(x, y)) continue;
+      if (id == ComparisonScheduler::kNoSlot) id = scheduler_.FindOrAdd(pair);
       // Accumulate similarity evidence: the matched pair (a, b) vouches for
-      // its aligned neighbors. The reference stays valid through the
-      // increment below — nothing inserts into evidence_ before it.
-      double& ev = evidence_.FindOrInsert(pair);
-      const bool first_sighting = ev == 0.0 && !likelihood_.Contains(pair);
-      ev += options_.evidence.increment;
-      if (first_sighting) {
+      // its aligned neighbors.
+      ScheduleSlot& slot = scheduler_.slot(id);
+      if (slot.evidence == 0.0 && !slot.candidate) {
         // A candidate blocking never produced: discovered via the graph.
         ++result_.discovered_pairs;
       }
-      scheduler_.Push(pair, Priority(x, y, pair, *state_));
+      slot.evidence += options_.evidence.increment;
+      slot.has_evidence = true;
+      ++updates;
+      scheduler_.Push(id, Priority(id));
     }
   }
+  return updates;
 }
 
 // ---------------------------------------------------------------------------
 // Checkpoint / restore
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Writes an unordered (pair -> double) map in canonical ascending-key order.
-void WritePairDoubleMap(std::ostream& out, const FlatPairMap<double>& map) {
-  std::vector<std::pair<uint64_t, double>> entries;
-  entries.reserve(map.size());
-  map.ForEach([&entries](uint64_t pair, const double& value) {
-    entries.emplace_back(pair, value);
-  });
-  std::sort(entries.begin(), entries.end());
-  serde::WriteU64(out, entries.size());
-  for (const auto& [pair, value] : entries) {
-    serde::WriteU64(out, pair);
-    serde::WriteDouble(out, value);
-  }
-}
-
-using serde::kMaxUpfrontReserve;
-using serde::ValidPairKey;
-
-bool ReadPairDoubleMap(std::istream& in, uint32_t num_entities,
-                       FlatPairMap<double>& map) {
-  uint64_t n;
-  if (!serde::ReadU64(in, n)) return false;
-  map.Clear();
-  map.Reserve(std::min(n, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t pair;
-    double value;
-    if (!serde::ReadU64(in, pair) || !serde::ReadDouble(in, value) ||
-        !ValidPairKey(pair, num_entities)) {
-      return false;
-    }
-    map.InsertOrAssign(pair, value);
-  }
-  return true;
-}
-
-}  // namespace
 
 Status ProgressiveResolver::SaveState(std::ostream& out) const {
   if (!begun_) {
@@ -310,22 +251,24 @@ Status ProgressiveResolver::SaveState(std::ostream& out) const {
         "no active resolution to save (call Begin first)");
   }
   serde::WriteString(out, kStateMagic);
-  WritePairDoubleMap(out, likelihood_);
-  WritePairDoubleMap(out, evidence_);
-
-  std::vector<uint64_t> executed;
-  executed.reserve(executed_.size());
-  executed_.ForEach([&executed](uint64_t pair) { executed.push_back(pair); });
-  std::sort(executed.begin(), executed.end());
-  serde::WriteU64(out, executed.size());
-  for (const uint64_t pair : executed) serde::WriteU64(out, pair);
-
-  const auto live = scheduler_.LiveEntries();
-  serde::WriteU64(out, live.size());
-  for (const auto& [pair, priority] : live) {
-    serde::WriteU64(out, pair);
-    serde::WriteDouble(out, priority);
-  }
+  // Every list is a filter of the slots in ascending pair order.
+  const std::vector<uint32_t> by_pair = scheduler_.SlotsByPair();
+  const auto write_slots = [&](bool ScheduleSlot::*in_list,
+                               const double ScheduleSlot::*value) {
+    uint64_t n = 0;
+    for (const uint32_t id : by_pair) n += scheduler_.slot(id).*in_list;
+    serde::WriteU64(out, n);
+    for (const uint32_t id : by_pair) {
+      const ScheduleSlot& slot = scheduler_.slot(id);
+      if (!(slot.*in_list)) continue;
+      serde::WriteU64(out, slot.pair);
+      if (value != nullptr) serde::WriteDouble(out, slot.*value);
+    }
+  };
+  write_slots(&ScheduleSlot::candidate, &ScheduleSlot::likelihood);
+  write_slots(&ScheduleSlot::has_evidence, &ScheduleSlot::evidence);
+  write_slots(&ScheduleSlot::executed, nullptr);
+  write_slots(&ScheduleSlot::live, &ScheduleSlot::priority);
   serde::WriteU64(out, scheduler_.total_pushes());
 
   serde::WriteU64(out, seeds_.size());
@@ -363,33 +306,54 @@ Status ProgressiveResolver::LoadState(std::istream& in) {
   if (magic != kStateMagic) {
     return Status::ParseError("bad resolver-state magic: \"" + magic + "\"");
   }
-  if (!ReadPairDoubleMap(in, num_entities, likelihood_)) return truncated();
-  if (!ReadPairDoubleMap(in, num_entities, evidence_)) return truncated();
+  // The lists must be canonical, as SaveState writes them: ascending
+  // keys, finite values, and no live pair that was already executed.
+  ComparisonScheduler scheduler;
+  const auto slot_of = [&scheduler](uint64_t pair) -> ScheduleSlot& {
+    return scheduler.slot(scheduler.FindOrAdd(pair));
+  };
+  if (!serde::ReadAscendingPairDoubles(
+          in, num_entities, [&](uint64_t pair, double likelihood) {
+            ScheduleSlot& slot = slot_of(pair);
+            slot.likelihood = likelihood;
+            slot.candidate = true;
+            return true;
+          })) {
+    return truncated();
+  }
+  if (!serde::ReadAscendingPairDoubles(
+          in, num_entities, [&](uint64_t pair, double evidence) {
+            ScheduleSlot& slot = slot_of(pair);
+            slot.evidence = evidence;
+            slot.has_evidence = true;
+            return true;
+          })) {
+    return truncated();
+  }
 
   uint64_t n_executed;
   if (!serde::ReadU64(in, n_executed)) return truncated();
-  executed_.Clear();
-  executed_.Reserve(std::min(n_executed, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n_executed; ++i) {
+  for (uint64_t i = 0, prev = 0; i < n_executed; ++i) {
     uint64_t pair;
-    if (!serde::ReadU64(in, pair) || !ValidPairKey(pair, num_entities)) {
+    if (!serde::ReadU64(in, pair) || !ValidPairKey(pair, num_entities) ||
+        (i > 0 && pair <= prev)) {
       return truncated();
     }
-    executed_.Insert(pair);
+    prev = pair;
+    slot_of(pair).executed = true;
   }
 
-  uint64_t n_live;
-  if (!serde::ReadU64(in, n_live)) return truncated();
-  std::vector<std::pair<uint64_t, double>> live;
-  live.reserve(std::min(n_live, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n_live; ++i) {
-    uint64_t pair;
-    double priority;
-    if (!serde::ReadU64(in, pair) || !serde::ReadDouble(in, priority) ||
-        !ValidPairKey(pair, num_entities)) {
-      return truncated();
-    }
-    live.emplace_back(pair, priority);
+  std::vector<uint32_t> live;
+  std::vector<double> live_priorities;
+  if (!serde::ReadAscendingPairDoubles(
+          in, num_entities, [&](uint64_t pair, double priority) {
+            const uint32_t id = scheduler.FindOrAdd(pair);
+            if (scheduler.slot(id).executed) return false;
+            live.push_back(id);
+            live_priorities.push_back(priority);
+            return true;
+          })) {
+    return truncated();
   }
   uint64_t total_pushes;
   if (!serde::ReadU64(in, total_pushes)) return truncated();
@@ -454,7 +418,9 @@ Status ProgressiveResolver::LoadState(std::istream& in) {
   for (const MatchEvent& m : result.run.matches) {
     state_->RecordMatch(m.a, m.b);
   }
-  scheduler_.RestoreFrom(live, total_pushes);
+  scheduler.Prime(std::move(live), live_priorities);
+  scheduler.set_total_pushes(total_pushes);
+  scheduler_ = std::move(scheduler);
   result.scheduler_pushes = total_pushes;
   result_ = std::move(result);
   cumulative_benefit_ = cumulative_benefit;

@@ -49,7 +49,6 @@
 #include "progressive/scheduler.h"
 #include "progressive/state.h"
 #include "progressive/step_core.h"
-#include "util/flat_table.h"
 #include "util/status.h"
 
 namespace minoan {
@@ -91,7 +90,8 @@ struct ProgressiveResult {
   /// Matches that needed neighbor evidence to clear the threshold (profile
   /// similarity alone was below it).
   uint64_t evidence_assisted_matches = 0;
-  /// Scheduling overhead: total heap pushes.
+  /// Scheduling overhead: total schedule pushes (primed candidates
+  /// included).
   uint64_t scheduler_pushes = 0;
 };
 
@@ -182,11 +182,13 @@ class ProgressiveResolver {
       const std::vector<Comparison>& seeds);
 
  private:
-  double Likelihood(uint64_t pair) const;
-  double Priority(EntityId a, EntityId b, uint64_t pair,
-                  ResolutionState& state) const;
-  void ExecuteComparison(uint64_t pair, EntityId a, EntityId b);
-  void UpdatePhase(EntityId a, EntityId b);
+  /// Priority of slot `id` against the current state (SlotPriority).
+  double Priority(uint32_t id) const;
+  /// Runs one comparison; returns the evidence updates its match made.
+  uint64_t ExecuteComparison(uint32_t id);
+  /// Raises the evidence of (a, b)'s neighbor pairs and re-prioritizes
+  /// them; returns how many it raised.
+  uint64_t UpdatePhase(EntityId a, EntityId b);
   /// Feeds the installed progress meter the post-comparison totals.
   void SampleProgress();
 
@@ -199,14 +201,10 @@ class ProgressiveResolver {
   MatchCallback on_match_;
   obs::ProgressMeter* progress_ = nullptr;  // optional, not owned
 
-  // Loop state (reset by Begin, serialized by SaveState). Flat
-  // open-addressing tables: every scheduled comparison probes likelihood,
-  // evidence, and the executed set, so these are the hottest lookups of the
-  // whole loop. Serialization canonicalizes to ascending-pair order, so the
-  // container swap never shows in checkpoint bytes.
-  FlatPairMap<double> likelihood_;
-  FlatPairMap<double> evidence_;
-  FlatPairSet executed_;
+  // Loop state (reset by Begin, serialized by SaveState). The scheduler's
+  // slots hold every pair's likelihood, evidence, executed flag and
+  // priority; serialization canonicalizes to ascending-pair order, so the
+  // slot layout never shows in checkpoint bytes.
   std::unique_ptr<ResolutionState> state_;
   ComparisonScheduler scheduler_;
   ProgressiveResult result_;

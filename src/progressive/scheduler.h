@@ -1,12 +1,33 @@
 // Copyright 2026 The MinoanER Authors.
-// The comparison scheduler: a lazy max-heap over candidate pairs.
+// The comparison scheduler: every known pair's loop state in one dense slot
+// table, plus a lazy priority queue over the slots.
 //
 // The poster's scheduling phase "selects which pairs of descriptions … will
-// be compared in the entity matching phase and in what order". Priorities
-// change as matches land (benefit drift, new neighbor evidence), so the heap
-// supports cheap priority updates by version-stamped lazy invalidation: a
-// pushed entry whose version no longer matches the pair's current version is
-// discarded at pop time. No decrease-key, O(log n) per operation.
+// be compared in the entity matching phase and in what order". Both
+// progressive loops keep their per-pair state here — blocking likelihood,
+// accumulated neighbor evidence, executed flag, newest priority — addressed
+// by a dense slot id, so popping a comparison and pricing it read one slot
+// and probe no hash table. A pair→slot index is consulted only where a pair
+// arrives by key (the update phase, seeds, online ingest deltas, queries,
+// restore).
+//
+// The queue has two parts:
+//   * a primed run: the initial candidates sorted once by (priority desc,
+//     pair asc) and consumed by a cursor — one sort instead of n heap
+//     pushes;
+//   * a binary heap holding every later push (evidence updates, stale
+//     re-queues, online ingest deltas).
+// Priorities change as matches land, so pushes invalidate lazily: each slot
+// carries a push version (0 = primed), and a run or heap entry whose version
+// no longer matches its slot's — or whose slot is no longer live — is
+// discarded at pop time. Pop takes the better of the two heads.
+//
+// Determinism contract: pop order depends only on the (priority, pair) of
+// the live entries — ties broken by the smaller pair — never on push order,
+// versions, or which part an entry sits in. A cursor over a sorted run
+// merged with a heap is an exact priority queue under that order, so a
+// schedule rebuilt from its live (pair, priority) list pops the exact same
+// sequence as the original.
 
 #ifndef MINOAN_PROGRESSIVE_SCHEDULER_H_
 #define MINOAN_PROGRESSIVE_SCHEDULER_H_
@@ -20,64 +41,123 @@
 
 namespace minoan {
 
-/// Max-heap of (priority, pair-key) with version-stamped invalidation.
+/// The loop state of one known pair. Slots are never removed.
+struct ScheduleSlot {
+  uint64_t pair = 0;
+  /// Normalized blocking likelihood (0 for pairs only the update phase
+  /// produced).
+  double likelihood = 0.0;
+  /// Neighbor evidence accumulated by the update phase.
+  double evidence = 0.0;
+  /// Priority of the pair's newest push (its pop priority while live).
+  double priority = 0.0;
+  /// Push version: 0 when primed, bumped by every later push.
+  uint32_t version = 0;
+  /// Scheduled and not yet popped or erased.
+  bool live = false;
+  /// Compared, or applied as a trusted seed.
+  bool executed = false;
+  /// Batch: produced by blocking (the pair has a likelihood entry).
+  bool candidate = false;
+  /// Batch: the update phase touched the pair (it has an evidence entry,
+  /// which matters because the evidence increment may be 0).
+  bool has_evidence = false;
+};
+
+/// Dense per-pair slots plus a primed run and a heap over them.
 class ComparisonScheduler {
  public:
-  /// Inserts or re-prioritizes `pair`. The newest push wins; older entries
-  /// for the same pair become stale.
-  void Push(uint64_t pair, double priority);
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
 
-  /// Pops the highest-priority live pair. Returns false when empty.
-  bool Pop(uint64_t& pair, double& priority);
+  // --- Slots ----------------------------------------------------------------
 
-  /// Current (live) priority of `pair`, or -1 when absent.
-  double PriorityOf(uint64_t pair) const;
+  /// Slot of `pair`, or kNoSlot when the pair is unknown.
+  uint32_t Find(uint64_t pair) const {
+    const uint32_t* id = index_.Find(pair);
+    return id == nullptr ? kNoSlot : *id;
+  }
+  /// Slot of `pair`, appending a zeroed one on first sight. `created`
+  /// (optional) reports whether it was appended. Appending invalidates
+  /// references to slots.
+  uint32_t FindOrAdd(uint64_t pair, bool* created = nullptr);
 
-  /// Number of live pairs (not raw heap entries).
-  size_t live_size() const { return versions_.size(); }
-  bool empty() const { return versions_.empty(); }
+  ScheduleSlot& slot(uint32_t id) { return slots_[id]; }
+  const ScheduleSlot& slot(uint32_t id) const { return slots_[id]; }
+  /// Ensures `n` slots fit without reallocating the table or the index.
+  void Reserve(size_t n);
 
-  /// Total pushes, for accounting the scheduling overhead.
+  /// Every slot id, in ascending pair order — the canonical order
+  /// checkpoints are written in.
+  std::vector<uint32_t> SlotsByPair() const;
+
+  // --- Schedule -------------------------------------------------------------
+
+  /// Makes slot ids[i] live at priorities[i], all at once: the run is
+  /// sorted once instead of taking n heap pushes. A slot listed twice keeps
+  /// its last priority. Only an empty schedule may be primed (Begin, the
+  /// online warm start, restore). Counts ids.size() pushes.
+  void Prime(std::vector<uint32_t> ids, const std::vector<double>& priorities);
+
+  /// Schedules (or re-prioritizes) slot `id`; the newest push wins.
+  void Push(uint32_t id, double priority);
+
+  /// Pops the highest-priority live slot (ties: smaller pair first),
+  /// clearing its live flag. Returns false when nothing is live.
+  bool Pop(uint32_t& id, double& priority);
+
+  /// Unschedules slot `id` (e.g. once executed); its queued entries die
+  /// lazily.
+  void Erase(uint32_t id) {
+    ScheduleSlot& s = slots_[id];
+    if (s.live) {
+      s.live = false;
+      --live_;
+    }
+  }
+
+  /// Number of live slots (not raw queue entries).
+  size_t live_size() const { return live_; }
+  bool empty() const { return live_ == 0; }
+
+  /// Total pushes (primed entries included), for accounting the scheduling
+  /// overhead.
   uint64_t total_pushes() const { return total_pushes_; }
-
-  /// Removes a pair from the live set (e.g. once executed); any of its heap
-  /// entries die lazily.
-  void Erase(uint64_t pair) { versions_.Erase(pair); }
-
-  /// Live (pair, priority) entries in canonical (ascending pair) order —
-  /// the checkpointable essence of the schedule. Pop order depends only on
-  /// (priority, pair), so a scheduler rebuilt from this list pops the exact
-  /// same sequence as the original, even though version stamps differ.
-  std::vector<std::pair<uint64_t, double>> LiveEntries() const;
-
-  /// Resets to exactly `entries` live pairs (one heap entry each) and
-  /// restores the push counter, completing a checkpoint round trip.
-  void RestoreFrom(const std::vector<std::pair<uint64_t, double>>& entries,
-                   uint64_t total_pushes);
+  /// Restores the push counter of a checkpointed schedule.
+  void set_total_pushes(uint64_t n) { total_pushes_ = n; }
 
  private:
+  /// The schedule order: higher priority first, ties to the smaller pair.
+  static bool PopsBefore(double p, uint64_t pair, double q, uint64_t other) {
+    if (p != q) return p > q;
+    return pair < other;
+  }
+
   struct Entry {
     double priority;
     uint64_t pair;
-    uint64_t version;
+    uint32_t slot;
+    uint32_t version;
+    // std::priority_queue is a max-heap on operator<.
     bool operator<(const Entry& o) const {
-      // std::priority_queue is a max-heap on operator<.
-      if (priority != o.priority) return priority < o.priority;
-      return pair > o.pair;  // deterministic tie-break: smaller pair first
+      return PopsBefore(o.priority, o.pair, priority, pair);
     }
   };
 
-  struct Live {
-    uint64_t version;
-    double priority;
-  };
+  bool RunBefore(uint32_t x, uint32_t y) const {
+    return PopsBefore(slots_[x].priority, slots_[x].pair, slots_[y].priority,
+                      slots_[y].pair);
+  }
+  void SortRun();
 
+  std::vector<ScheduleSlot> slots_;
+  /// pair → slot id, in a flat open-addressing table.
+  FlatPairMap<uint32_t> index_;
+  /// Primed slot ids in pop order, consumed from run_[cursor_]; entries
+  /// carry version 0.
+  std::vector<uint32_t> run_;
+  size_t cursor_ = 0;
   std::priority_queue<Entry> heap_;
-  /// Live pairs in a flat open-addressing table: the per-pop staleness
-  /// check is one cache-line probe instead of a node chase. Iteration
-  /// order is hidden behind the sorted LiveEntries() export.
-  FlatPairMap<Live> versions_;
-  uint64_t next_version_ = 0;
+  size_t live_ = 0;
   uint64_t total_pushes_ = 0;
 };
 

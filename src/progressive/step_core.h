@@ -5,8 +5,9 @@
 // OnlineResolver — spend a comparison budget the same way: pop the
 // highest-priority candidate, skip already-executed pairs, re-queue entries
 // whose priority drifted down past the staleness tolerance, execute the
-// rest. Only the storage behind those four decisions differs (two hash maps
-// and a frozen graph in batch, one PairState map and a growable adjacency
+// rest. Both keep their per-pair state in the scheduler's slots and price a
+// slot with the one priority definition below; only the update phase's
+// neighbor source differs (a frozen graph in batch, a growable adjacency
 // online), so the loop itself lives here once, parameterized by callables.
 //
 // The invariant this file owes its callers: for any n, running the loop
@@ -17,6 +18,7 @@
 #ifndef MINOAN_PROGRESSIVE_STEP_CORE_H_
 #define MINOAN_PROGRESSIVE_STEP_CORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -24,7 +26,10 @@
 #include "kb/entity.h"
 #include "matching/matcher.h"
 #include "obs/metrics.h"
+#include "progressive/benefit.h"
+#include "progressive/evidence_options.h"
 #include "progressive/scheduler.h"
+#include "progressive/state.h"
 #include "util/hash.h"
 
 namespace minoan {
@@ -44,6 +49,11 @@ struct StepResult {
   uint64_t pops = 0;
   uint64_t requeues = 0;
   uint64_t skips = 0;
+  /// Neighbor pairs whose evidence this call's matches raised (each one is
+  /// also a schedule push), and pairs the update phase saw for the first
+  /// time during this call.
+  uint64_t evidence_updates = 0;
+  uint64_t discovered_pairs = 0;
   /// Wall time this call took (filled by the session-level drivers;
   /// observational, never part of any determinism contract).
   double wall_millis = 0.0;
@@ -53,27 +63,49 @@ struct StepResult {
   std::shared_ptr<const obs::StatsSnapshot> stats;
 };
 
+/// Similarity bonus of a slot's accumulated neighbor evidence.
+inline double EvidenceBonus(const ScheduleSlot& slot,
+                            const EvidenceOptions& evidence) {
+  if (slot.evidence <= 0.0) return 0.0;
+  return evidence.weight * std::min(1.0, slot.evidence);
+}
+
+/// Priority of a slot against the current state: (blocking likelihood +
+/// capped evidence term) × (1 + benefit_weight · marginal benefit). Both
+/// loops price every push with it.
+inline double SlotPriority(const ScheduleSlot& slot,
+                           const BenefitEstimator& estimator,
+                           double benefit_weight,
+                           const EvidenceOptions& evidence,
+                           ResolutionState& state) {
+  const double benefit = estimator.PairBenefit(
+      PairKeyFirst(slot.pair), PairKeySecond(slot.pair), state);
+  double likelihood = slot.likelihood;
+  if (slot.evidence > 0.0) {
+    likelihood += evidence.priority * std::min(1.0, slot.evidence);
+  }
+  return likelihood * (1.0 + benefit_weight * benefit);
+}
+
 /// Pops and executes up to `max_comparisons` scheduled comparisons
-/// (0 = no per-call cap). The driver supplies four callables:
+/// (0 = no per-call cap). The caller supplies three callables:
 ///
-///   should_stop()                  — extra stop condition checked before
-///                                    every pop (overall budget, wall clock);
-///   already_executed(pair)         — popped pair was executed earlier;
-///   current_priority(a, b, pair)   — priority against the CURRENT state,
-///                                    for the staleness re-queue rule;
-///   execute(pair, a, b)            — run the comparison (matching + update
-///                                    phase); counted against the budget.
+///   should_stop()           — extra stop condition checked before every
+///                             pop (overall budget, wall clock);
+///   current_priority(slot)  — priority against the CURRENT state, for the
+///                             staleness re-queue rule;
+///   execute(slot)           — run the comparison (matching + update phase);
+///                             counted against the budget. Returns the
+///                             number of evidence updates it made.
 ///
-/// Returns the comparisons spent, the loop accounting, and whether the
-/// queue drained; confirmed matches are recorded by `execute` on the
-/// driver's side.
-template <typename StopFn, typename ExecutedFn, typename PriorityFn,
-          typename ExecuteFn>
+/// Popped slots already executed are skipped here. Returns the comparisons
+/// spent, the loop accounting, and whether the queue drained; confirmed
+/// matches (and discovered pairs) are recorded on the caller's side.
+template <typename StopFn, typename PriorityFn, typename ExecuteFn>
 StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
                                    uint64_t max_comparisons,
                                    double staleness_tolerance,
                                    StopFn&& should_stop,
-                                   ExecutedFn&& already_executed,
                                    PriorityFn&& current_priority,
                                    ExecuteFn&& execute) {
   StepResult out;
@@ -81,42 +113,43 @@ StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
   // slot, so its fields would be stored and reloaded around every call into
   // the (not inlined) matching and update code.
   uint64_t comparisons = 0, pops = 0, requeues = 0, skips = 0;
-  uint64_t pair = 0;
+  uint64_t evidence_updates = 0;
+  uint32_t slot = 0;
   double popped_priority = 0.0;
   while (max_comparisons == 0 || comparisons < max_comparisons) {
     if (should_stop()) break;
-    if (!scheduler.Pop(pair, popped_priority)) {
+    if (!scheduler.Pop(slot, popped_priority)) {
       out.exhausted = true;
       break;
     }
     ++pops;
-    if (already_executed(pair)) {
+    if (scheduler.slot(slot).executed) {
       ++skips;
       continue;
     }
-    const EntityId a = PairKeyFirst(pair);
-    const EntityId b = PairKeySecond(pair);
     // Priority drift: the state may have changed since this entry was
     // pushed. Re-queue significantly stale entries instead of executing.
-    const double current = current_priority(a, b, pair);
+    const double current = current_priority(slot);
     if (current + 1e-12 < popped_priority * (1.0 - staleness_tolerance)) {
-      scheduler.Push(pair, current);
+      scheduler.Push(slot, current);
       ++requeues;
       continue;
     }
-    execute(pair, a, b);
+    evidence_updates += execute(slot);
     ++comparisons;
   }
   out.comparisons = comparisons;
   out.pops = pops;
   out.requeues = requeues;
   out.skips = skips;
+  out.evidence_updates = evidence_updates;
   return out;
 }
 
 /// Adds one stepping call's loop accounting to the process-wide
-/// progressive.{pops,requeues,skips,comparisons} counters. Drivers call it
-/// once per Step/ResolveBudget call, never once per comparison.
+/// progressive.{pops,requeues,skips,comparisons,evidence_updates,
+/// discovered_pairs} counters. Both loops call it once per
+/// Step/ResolveBudget call, never once per comparison.
 inline void RecordLoopCounters(const StepResult& step) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   static obs::Counter& pops = registry.counter("progressive.pops");
@@ -124,10 +157,16 @@ inline void RecordLoopCounters(const StepResult& step) {
   static obs::Counter& skips = registry.counter("progressive.skips");
   static obs::Counter& comparisons =
       registry.counter("progressive.comparisons");
+  static obs::Counter& evidence_updates =
+      registry.counter("progressive.evidence_updates");
+  static obs::Counter& discovered_pairs =
+      registry.counter("progressive.discovered_pairs");
   pops.Add(step.pops);
   requeues.Add(step.requeues);
   skips.Add(step.skips);
   comparisons.Add(step.comparisons);
+  evidence_updates.Add(step.evidence_updates);
+  discovered_pairs.Add(step.discovered_pairs);
 }
 
 }  // namespace minoan

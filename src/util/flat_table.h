@@ -1,14 +1,12 @@
 // Copyright 2026 The MinoanER Authors.
 // Flat open-addressing hash tables for uint64 pair keys and POD values.
 //
-// Every per-pair structure on the progressive hot path (likelihood and
-// evidence tables, the executed set, the scheduler's live map, the online
-// PairState map) is keyed by a packed PairKey (util/hash.h) and holds a
-// small POD payload. std::unordered_map spends a heap allocation and a
-// pointer chase per entry on exactly these lookups; FlatPairMap/FlatPairSet
-// replace that with one contiguous slot array, a Mix64 probe over a
-// power-of-two capacity, and linear probing — the whole entry lives in the
-// probed cache line.
+// The progressive loops' pair→slot index (progressive/scheduler.h) is keyed
+// by a packed PairKey (util/hash.h) and holds a small POD payload.
+// std::unordered_map spends a heap allocation and a pointer chase per entry
+// on exactly these lookups; FlatPairMap replaces that with one contiguous
+// slot array, a Mix64 probe over a power-of-two capacity, and linear
+// probing — the whole entry lives in the probed cache line.
 //
 // Deletion is tombstone-free: Erase backward-shifts the displaced run, so
 // probe sequences never degrade and Clear needs no generation counters.
@@ -190,112 +188,6 @@ class FlatPairMap {
   }
 
   std::vector<Slot> slots_;
-  size_t size_ = 0;
-};
-
-/// Open-addressing set of uint64 pair keys: FlatPairMap without the
-/// payload, same probe discipline and contract.
-class FlatPairSet {
- public:
-  static constexpr uint64_t kEmptyKey = ~uint64_t{0};
-
-  FlatPairSet() = default;
-
-  void Reserve(size_t n) {
-    const size_t capacity = flat_internal::CapacityFor(n);
-    if (capacity > keys_.size()) Rehash(capacity);
-  }
-
-  bool Contains(uint64_t key) const {
-    assert(key != kEmptyKey);
-    if (size_ == 0) return false;
-    const size_t mask = keys_.size() - 1;
-    for (size_t i = Mix64(key) & mask;; i = (i + 1) & mask) {
-      if (keys_[i] == key) return true;
-      if (keys_[i] == kEmptyKey) return false;
-    }
-  }
-
-  /// Inserts `key`; returns whether it was newly added.
-  bool Insert(uint64_t key) {
-    assert(key != kEmptyKey);
-    GrowIfNeeded();
-    const size_t mask = keys_.size() - 1;
-    size_t i = Mix64(key) & mask;
-    while (keys_[i] != kEmptyKey) {
-      if (keys_[i] == key) return false;
-      i = (i + 1) & mask;
-    }
-    keys_[i] = key;
-    ++size_;
-    return true;
-  }
-
-  /// Removes `key` with backward-shift deletion. Returns whether present.
-  bool Erase(uint64_t key) {
-    assert(key != kEmptyKey);
-    if (size_ == 0) return false;
-    const size_t mask = keys_.size() - 1;
-    size_t i = Mix64(key) & mask;
-    while (keys_[i] != key) {
-      if (keys_[i] == kEmptyKey) return false;
-      i = (i + 1) & mask;
-    }
-    size_t hole = i;
-    for (size_t j = (hole + 1) & mask;; j = (j + 1) & mask) {
-      if (keys_[j] == kEmptyKey) break;
-      const size_t home = Mix64(keys_[j]) & mask;
-      if (((j - home) & mask) >= ((j - hole) & mask)) {
-        keys_[hole] = keys_[j];
-        hole = j;
-      }
-    }
-    keys_[hole] = kEmptyKey;
-    --size_;
-    return true;
-  }
-
-  void Clear() {
-    for (uint64_t& key : keys_) key = kEmptyKey;
-    size_ = 0;
-  }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  size_t capacity() const { return keys_.size(); }
-
-  /// Calls fn(key) for every key in UNSPECIFIED order — sort before any
-  /// order-sensitive use.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const uint64_t key : keys_) {
-      if (key != kEmptyKey) fn(key);
-    }
-  }
-
- private:
-  void GrowIfNeeded() {
-    if (keys_.empty()) {
-      Rehash(16);
-    } else if ((size_ + 1) * 10 > keys_.size() * 7) {
-      Rehash(keys_.size() * 2);
-    }
-  }
-
-  void Rehash(size_t new_capacity) {
-    assert((new_capacity & (new_capacity - 1)) == 0);
-    std::vector<uint64_t> old = std::move(keys_);
-    keys_.assign(new_capacity, kEmptyKey);
-    const size_t mask = new_capacity - 1;
-    for (const uint64_t key : old) {
-      if (key == kEmptyKey) continue;
-      size_t i = Mix64(key) & mask;
-      while (keys_[i] != kEmptyKey) i = (i + 1) & mask;
-      keys_[i] = key;
-    }
-  }
-
-  std::vector<uint64_t> keys_;
   size_t size_ = 0;
 };
 

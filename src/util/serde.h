@@ -11,6 +11,7 @@
 #define MINOAN_UTIL_SERDE_H_
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -126,6 +127,29 @@ inline uint64_t ClampedReserve(uint64_t count) {
 inline bool ValidPairKey(uint64_t pair, uint32_t num_entities) {
   return static_cast<uint32_t>(pair >> 32) < num_entities &&
          static_cast<uint32_t>(pair & 0xffffffffULL) < num_entities;
+}
+
+/// Reads a count-prefixed list of (pair, double) entries in the canonical
+/// form every SaveState writes: valid pair keys in strictly ascending order,
+/// finite values. Calls accept(pair, value) per entry; returns false on a
+/// short read, a non-canonical entry, or an entry accept() rejects.
+template <typename Accept>
+bool ReadAscendingPairDoubles(std::istream& in, uint32_t num_entities,
+                              Accept&& accept) {
+  uint64_t n;
+  if (!ReadU64(in, n)) return false;
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t pair;
+    double value;
+    if (!ReadU64(in, pair) || !ReadDouble(in, value) ||
+        !ValidPairKey(pair, num_entities) || (i > 0 && pair <= prev) ||
+        !std::isfinite(value) || !accept(pair, value)) {
+      return false;
+    }
+    prev = pair;
+  }
+  return true;
 }
 
 }  // namespace serde

@@ -1,5 +1,5 @@
-// Tests for util/flat_table.h: FlatPairMap / FlatPairSet parity against the
-// std containers they replaced, across randomized insert/find/erase/clear
+// Tests for util/flat_table.h: FlatPairMap parity against the std container
+// it replaced, across randomized insert/find/erase/clear
 // workloads that cross multiple rehash boundaries, plus targeted checks of
 // the backward-shift erase (the one operation with real room for subtle
 // probe-chain bugs).
@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <random>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -174,60 +173,13 @@ TEST(FlatPairMapTest, BackwardShiftEraseKeepsRunsReachable) {
   } while (std::next_permutation(order.begin(), order.end()));
 }
 
-TEST(FlatPairSetTest, RandomizedParityWithUnorderedSet) {
-  std::mt19937_64 rng(0x5E75E75Eu);
-  FlatPairSet flat;
-  std::unordered_set<uint64_t> ref;
-  std::uniform_int_distribution<uint64_t> key_dist(0, 2047);
-  std::uniform_int_distribution<int> op_dist(0, 99);
-
-  for (int i = 0; i < 60000; ++i) {
-    const uint64_t key = key_dist(rng);
-    const int op = op_dist(rng);
-    if (op < 55) {
-      ASSERT_EQ(flat.Insert(key), ref.insert(key).second) << "key " << key;
-    } else if (op < 85) {
-      ASSERT_EQ(flat.Erase(key), ref.erase(key) > 0) << "key " << key;
-    } else {
-      ASSERT_EQ(flat.Contains(key), ref.count(key) > 0) << "key " << key;
-    }
-  }
-  ASSERT_EQ(flat.size(), ref.size());
-  std::vector<uint64_t> got;
-  got.reserve(flat.size());
-  flat.ForEach([&got](uint64_t k) { got.push_back(k); });
-  std::sort(got.begin(), got.end());
-  std::vector<uint64_t> want(ref.begin(), ref.end());
-  std::sort(want.begin(), want.end());
-  EXPECT_EQ(got, want);
-}
-
-TEST(FlatPairSetTest, InsertEraseBasics) {
-  FlatPairSet set;
-  EXPECT_FALSE(set.Contains(1));
-  EXPECT_TRUE(set.Insert(1));
-  EXPECT_FALSE(set.Insert(1));
-  EXPECT_TRUE(set.Contains(1));
-  EXPECT_EQ(set.size(), 1u);
-  EXPECT_TRUE(set.Erase(1));
-  EXPECT_FALSE(set.Erase(1));
-  EXPECT_TRUE(set.empty());
-  set.Reserve(500);
-  const size_t capacity = set.capacity();
-  for (uint64_t k = 0; k < 500; ++k) set.Insert(k);
-  EXPECT_EQ(set.capacity(), capacity);
-  set.Clear();
-  EXPECT_EQ(set.size(), 0u);
-  EXPECT_FALSE(set.Contains(123));
-}
-
 // PairKey packs two dense u32 entity ids, so the all-ones sentinel can
 // never be produced by a valid pair — the premise of the reserved key.
 TEST(FlatPairTableTest, SentinelIsNoValidPairKey) {
   const uint64_t max_valid =
       PairKey(0xFFFFFFFEu, 0xFFFFFFFFu);  // largest packable pair
-  EXPECT_NE(max_valid, FlatPairSet::kEmptyKey);
-  EXPECT_NE(PairKey(0, 0), FlatPairSet::kEmptyKey);
+  EXPECT_NE(max_valid, FlatPairMap<uint32_t>::kEmptyKey);
+  EXPECT_NE(PairKey(0, 0), FlatPairMap<uint32_t>::kEmptyKey);
 }
 
 }  // namespace

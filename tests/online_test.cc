@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include "progressive/state.h"
 #include "rdf/ntriples.h"
 #include "util/hash.h"
+#include "util/serde.h"
 
 namespace minoan {
 namespace {
@@ -360,6 +362,12 @@ datagen::LodCloud SmallCloud() {
   return std::move(cloud).value();
 }
 
+EntityCollection WarmCollection(const datagen::LodCloud& cloud) {
+  auto collection = cloud.BuildCollection();
+  EXPECT_TRUE(collection.ok());
+  return std::move(collection).value();
+}
+
 void IngestCloud(OnlineResolver& resolver, const datagen::LodCloud& cloud) {
   for (const datagen::GeneratedKb& kb : cloud.kbs) {
     const uint32_t kb_id = resolver.EnsureKb(kb.name);
@@ -416,14 +424,24 @@ TEST(OnlineResolverTest, BudgetExhaustionReported) {
 
 TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
   const datagen::LodCloud cloud = SmallCloud();
-  OnlineResolver resolver{OnlineOptions{}};
-  IngestCloud(resolver, cloud);
+  // A warm start resolves relations (streamed ingestion degrades forward
+  // references), and a low threshold lets matches spread evidence.
+  OnlineOptions options;
+  options.matcher.threshold = 0.3;
+  OnlineResolver resolver(options, WarmCollection(cloud));
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   obs::Counter& pops = registry.counter("progressive.pops");
   obs::Counter& requeues = registry.counter("progressive.requeues");
   obs::Counter& skips = registry.counter("progressive.skips");
   obs::Counter& comparisons = registry.counter("progressive.comparisons");
-  for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons}) c->Reset();
+  obs::Counter& evidence_updates =
+      registry.counter("progressive.evidence_updates");
+  obs::Counter& discovered = registry.counter("progressive.discovered_pairs");
+  for (obs::Counter* c :
+       {&pops, &requeues, &skips, &comparisons, &evidence_updates, &discovered}) {
+    c->Reset();
+  }
+  const uint64_t discovered_before = resolver.discovered_pairs();
 
   OnlineStepResult total;
   while (!total.exhausted) {
@@ -433,14 +451,21 @@ TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
     total.requeues += step.requeues;
     total.skips += step.skips;
     total.comparisons += step.comparisons;
+    total.evidence_updates += step.evidence_updates;
+    total.discovered_pairs += step.discovered_pairs;
     total.exhausted = step.exhausted;
   }
   EXPECT_EQ(total.comparisons, resolver.run().comparisons_executed);
   EXPECT_EQ(total.pops, total.comparisons + total.requeues + total.skips);
+  EXPECT_GT(total.evidence_updates, 0u);
+  EXPECT_EQ(total.discovered_pairs,
+            resolver.discovered_pairs() - discovered_before);
   EXPECT_EQ(pops.Value(), total.pops);
   EXPECT_EQ(requeues.Value(), total.requeues);
   EXPECT_EQ(skips.Value(), total.skips);
   EXPECT_EQ(comparisons.Value(), total.comparisons);
+  EXPECT_EQ(evidence_updates.Value(), total.evidence_updates);
+  EXPECT_EQ(discovered.Value(), total.discovered_pairs);
 }
 
 TEST(OnlineResolverTest, QueryDeterministicAndIdempotent) {
@@ -597,12 +622,6 @@ TEST(OnlineResolverTest, WarmStartReproducesBatchCandidateSet) {
 // OnlineResolver checkpoint / restore (mirrors session_test.cc)
 // ---------------------------------------------------------------------------
 
-EntityCollection WarmCollection(const datagen::LodCloud& cloud) {
-  auto collection = cloud.BuildCollection();
-  EXPECT_TRUE(collection.ok());
-  return std::move(collection).value();
-}
-
 void ExpectSameMatches(const std::vector<MatchEvent>& a,
                        const std::vector<MatchEvent>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -712,6 +731,152 @@ TEST(OnlineResolverTest, RestorePreservesSameAsSeedCursor) {
   ASSERT_TRUE(restored.ok()) << restored.status();
   (*restored)->ResolveBudget(1u << 30);
   ExpectSameMatches(whole.run().matches, (*restored)->run().matches);
+}
+
+// The pair table and live list of an engine state (OnlineResolver::
+// SaveState), split out so a test can rewrite them. They sit right before a
+// tail whose length the engine's public record fixes: the push counter, the
+// cluster-merge log (one merge per match without sameAs seeds), the run
+// record, and three trailing counters.
+struct SavedPairs {
+  struct Row {
+    uint64_t pair;
+    double likelihood;
+    double evidence;
+    uint8_t executed;
+  };
+  std::string head;
+  std::vector<Row> rows;
+  std::vector<std::pair<uint64_t, double>> live;
+  std::string tail;
+
+  static SavedPairs Split(const std::string& bytes,
+                          const OnlineResolver& engine) {
+    const auto u64_at = [&bytes](size_t at) {
+      uint64_t v = 0;
+      for (int i = 7; i >= 0; --i) {
+        v = (v << 8) | static_cast<uint8_t>(bytes[at + i]);
+      }
+      return v;
+    };
+    const size_t matches = engine.run().matches.size();
+    const size_t tail_size = 8 + (8 + 8 * matches) + (16 + 24 * matches) + 24;
+    const size_t live_at =
+        bytes.size() - tail_size - 8 - 16 * engine.pending_comparisons();
+    SavedPairs out;
+    out.tail = bytes.substr(bytes.size() - tail_size);
+    {
+      std::istringstream in(bytes.substr(live_at));
+      uint64_t n = 0;
+      EXPECT_TRUE(serde::ReadU64(in, n));
+      out.live.resize(n);
+      for (auto& [pair, priority] : out.live) {
+        EXPECT_TRUE(serde::ReadU64(in, pair) &&
+                    serde::ReadDouble(in, priority));
+      }
+    }
+    // Walk back to the pair table's count: 25 bytes per row, ascending keys,
+    // and every live pair among them.
+    for (uint64_t n = out.live.size(); 8 + 25 * n <= live_at; ++n) {
+      const size_t at = live_at - 8 - 25 * n;
+      if (u64_at(at) != n) continue;
+      std::istringstream in(bytes.substr(at + 8, 25 * n));
+      std::vector<Row> rows(n);
+      bool canonical = true;
+      for (size_t i = 0; i < n && canonical; ++i) {
+        Row& r = rows[i];
+        canonical = serde::ReadU64(in, r.pair) &&
+                    serde::ReadDouble(in, r.likelihood) &&
+                    serde::ReadDouble(in, r.evidence) &&
+                    serde::ReadU8(in, r.executed) && r.executed <= 1 &&
+                    (i == 0 || rows[i - 1].pair < r.pair);
+      }
+      for (const auto& [pair, priority] : out.live) {
+        canonical = canonical &&
+                    std::binary_search(
+                        rows.begin(), rows.end(), Row{pair, 0, 0, 0},
+                        [](const Row& x, const Row& y) {
+                          return x.pair < y.pair;
+                        });
+      }
+      if (!canonical) continue;
+      out.head = bytes.substr(0, at);
+      out.rows = std::move(rows);
+      return out;
+    }
+    ADD_FAILURE() << "pair table not found";
+    return out;
+  }
+
+  std::string Join() const {
+    std::ostringstream out;
+    out << head;
+    serde::WriteU64(out, rows.size());
+    for (const Row& r : rows) {
+      serde::WriteU64(out, r.pair);
+      serde::WriteDouble(out, r.likelihood);
+      serde::WriteDouble(out, r.evidence);
+      serde::WriteU8(out, r.executed);
+    }
+    serde::WriteU64(out, live.size());
+    for (const auto& [pair, priority] : live) {
+      serde::WriteU64(out, pair);
+      serde::WriteDouble(out, priority);
+    }
+    out << tail;
+    return out.str();
+  }
+};
+
+TEST(OnlineResolverTest, RestoreRejectsNonCanonicalSchedule) {
+  const datagen::LodCloud cloud = SmallCloud();
+  OnlineOptions options;
+  options.matcher.threshold = 0.3;
+  OnlineResolver engine(options, WarmCollection(cloud));
+  engine.ResolveBudget(300);
+  std::stringstream state;
+  ASSERT_TRUE(engine.SaveState(state).ok());
+  const std::string bytes = state.str();
+  const SavedPairs saved = SavedPairs::Split(bytes, engine);
+  ASSERT_EQ(saved.Join(), bytes);  // the split is exact
+  ASSERT_GE(saved.live.size(), 2u);
+  const auto executed = std::find_if(
+      saved.rows.begin(), saved.rows.end(),
+      [](const SavedPairs::Row& r) { return r.executed == 1; });
+  ASSERT_NE(executed, saved.rows.end());
+  const size_t executed_row = executed - saved.rows.begin();
+
+  std::vector<std::pair<std::string, SavedPairs>> mutants;
+  const auto mutant = [&](const std::string& name) -> SavedPairs& {
+    mutants.emplace_back(name, saved);
+    return mutants.back().second;
+  };
+  mutant("NaN live priority").live[0].second =
+      std::numeric_limits<double>::quiet_NaN();
+  mutant("infinite evidence").rows[0].evidence =
+      std::numeric_limits<double>::infinity();
+  {
+    SavedPairs& m = mutant("two live keys swapped");
+    std::swap(m.live[0], m.live[1]);
+  }
+  {
+    SavedPairs& m = mutant("duplicated executed key");
+    m.rows.insert(m.rows.begin() + executed_row + 1, m.rows[executed_row]);
+  }
+  {
+    SavedPairs& m = mutant("live pair also executed");
+    for (SavedPairs::Row& r : m.rows) {
+      if (r.pair == m.live[0].first) r.executed = 1;
+    }
+  }
+  for (const auto& [name, m] : mutants) {
+    std::istringstream in(m.Join());
+    auto restored = OnlineResolver::Restore(options, in);
+    ASSERT_FALSE(restored.ok()) << name;
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError) << name;
+  }
+  std::istringstream in(bytes);
+  EXPECT_TRUE(OnlineResolver::Restore(options, in).ok());
 }
 
 TEST(OnlineResolverTest, RestoreRejectsMismatchesAndTruncation) {

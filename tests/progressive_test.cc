@@ -2,7 +2,12 @@
 // benefit models, and the full scheduling/matching/update loop.
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <random>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "datagen/lod_generator.h"
 #include "eval/ground_truth.h"
@@ -32,77 +37,237 @@ std::vector<rdf::Triple> Parse(const std::string& doc) {
 // ComparisonScheduler
 // ---------------------------------------------------------------------------
 
+// Schedules `pair` at `priority` through its slot.
+void PushPair(ComparisonScheduler& s, uint64_t pair, double priority) {
+  s.Push(s.FindOrAdd(pair), priority);
+}
+
+// Pops the next live pair; false when nothing is live.
+bool PopPair(ComparisonScheduler& s, uint64_t& pair, double& priority) {
+  uint32_t slot;
+  if (!s.Pop(slot, priority)) return false;
+  pair = s.slot(slot).pair;
+  return true;
+}
+
 TEST(SchedulerTest, PopsInPriorityOrder) {
   ComparisonScheduler s;
-  s.Push(PairKey(0, 1), 0.5);
-  s.Push(PairKey(0, 2), 0.9);
-  s.Push(PairKey(0, 3), 0.7);
+  PushPair(s, PairKey(0, 1), 0.5);
+  PushPair(s, PairKey(0, 2), 0.9);
+  PushPair(s, PairKey(0, 3), 0.7);
   uint64_t pair;
   double priority;
-  ASSERT_TRUE(s.Pop(pair, priority));
+  ASSERT_TRUE(PopPair(s, pair, priority));
   EXPECT_EQ(pair, PairKey(0, 2));
-  ASSERT_TRUE(s.Pop(pair, priority));
+  ASSERT_TRUE(PopPair(s, pair, priority));
   EXPECT_EQ(pair, PairKey(0, 3));
-  ASSERT_TRUE(s.Pop(pair, priority));
+  ASSERT_TRUE(PopPair(s, pair, priority));
   EXPECT_EQ(pair, PairKey(0, 1));
-  EXPECT_FALSE(s.Pop(pair, priority));
+  EXPECT_FALSE(PopPair(s, pair, priority));
 }
 
 TEST(SchedulerTest, RepushInvalidatesOldEntry) {
   ComparisonScheduler s;
-  s.Push(PairKey(0, 1), 0.9);
-  s.Push(PairKey(0, 2), 0.5);
-  s.Push(PairKey(0, 1), 0.1);  // downgrade
+  PushPair(s, PairKey(0, 1), 0.9);
+  PushPair(s, PairKey(0, 2), 0.5);
+  PushPair(s, PairKey(0, 1), 0.1);  // downgrade
   uint64_t pair;
   double priority;
-  ASSERT_TRUE(s.Pop(pair, priority));
+  ASSERT_TRUE(PopPair(s, pair, priority));
   EXPECT_EQ(pair, PairKey(0, 2));  // 0.5 now highest live
-  ASSERT_TRUE(s.Pop(pair, priority));
+  ASSERT_TRUE(PopPair(s, pair, priority));
   EXPECT_EQ(pair, PairKey(0, 1));
   EXPECT_DOUBLE_EQ(priority, 0.1);
-  EXPECT_FALSE(s.Pop(pair, priority));  // stale 0.9 entry discarded
+  EXPECT_FALSE(PopPair(s, pair, priority));  // stale 0.9 entry discarded
 }
 
 TEST(SchedulerTest, EachPairPoppedOnce) {
   ComparisonScheduler s;
   for (int i = 0; i < 10; ++i) {
-    s.Push(PairKey(0, 1), 0.1 * (i + 1));  // same pair re-pushed 10 times
+    PushPair(s, PairKey(0, 1), 0.1 * (i + 1));  // same pair re-pushed 10 times
   }
   uint64_t pair;
   double priority;
   int pops = 0;
-  while (s.Pop(pair, priority)) ++pops;
+  while (PopPair(s, pair, priority)) ++pops;
   EXPECT_EQ(pops, 1);
   EXPECT_EQ(s.total_pushes(), 10u);
 }
 
 TEST(SchedulerTest, TieBreakDeterministic) {
   ComparisonScheduler s;
-  s.Push(PairKey(2, 3), 0.5);
-  s.Push(PairKey(0, 1), 0.5);
+  PushPair(s, PairKey(2, 3), 0.5);
+  PushPair(s, PairKey(0, 1), 0.5);
   uint64_t pair;
   double priority;
-  ASSERT_TRUE(s.Pop(pair, priority));
+  ASSERT_TRUE(PopPair(s, pair, priority));
   EXPECT_EQ(pair, PairKey(0, 1));  // smaller pair first on tie
 }
 
 TEST(SchedulerTest, EraseRemovesLivePair) {
   ComparisonScheduler s;
-  s.Push(PairKey(0, 1), 0.9);
-  s.Erase(PairKey(0, 1));
+  PushPair(s, PairKey(0, 1), 0.9);
+  s.Erase(s.Find(PairKey(0, 1)));
   uint64_t pair;
   double priority;
-  EXPECT_FALSE(s.Pop(pair, priority));
+  EXPECT_FALSE(PopPair(s, pair, priority));
   EXPECT_TRUE(s.empty());
 }
 
-TEST(SchedulerTest, PriorityOfReflectsLiveState) {
+TEST(SchedulerTest, SlotHoldsNewestPushedPriority) {
   ComparisonScheduler s;
-  EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 1)), -1.0);
-  s.Push(PairKey(0, 1), 0.4);
-  EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 1)), 0.4);
-  s.Push(PairKey(0, 1), 0.6);
-  EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 1)), 0.6);
+  EXPECT_EQ(s.Find(PairKey(0, 1)), ComparisonScheduler::kNoSlot);
+  PushPair(s, PairKey(0, 1), 0.4);
+  const uint32_t slot = s.Find(PairKey(0, 1));
+  ASSERT_NE(slot, ComparisonScheduler::kNoSlot);
+  EXPECT_TRUE(s.slot(slot).live);
+  EXPECT_DOUBLE_EQ(s.slot(slot).priority, 0.4);
+  PushPair(s, PairKey(0, 1), 0.6);
+  EXPECT_EQ(s.Find(PairKey(0, 1)), slot);  // one slot per pair
+  EXPECT_DOUBLE_EQ(s.slot(slot).priority, 0.6);
+  s.Erase(slot);
+  EXPECT_FALSE(s.slot(slot).live);
+}
+
+// Reference order of the schedule: priority descending, then pair ascending.
+struct ScheduleOrder {
+  bool operator()(const std::pair<double, uint64_t>& x,
+                  const std::pair<double, uint64_t>& y) const {
+    if (x.first != y.first) return x.first > y.first;
+    return x.second < y.second;
+  }
+};
+
+// Model check: a primed run merged with the heap must behave exactly like a
+// set of live (priority, pair) entries under the schedule order, through
+// random pushes (new pairs, re-pushes up/down/equal), erases, and pops.
+// Priorities come from a small set, so ties inside the run and between run
+// and heap entries are common.
+TEST(SchedulerTest, MatchesReferenceQueueUnderRandomOperations) {
+  constexpr double kLevels[] = {0.0, 0.125, 0.25, 0.5, 0.75, 1.0};
+  constexpr int kNumLevels = 6;
+  constexpr uint32_t kEntities = 120;  // 7,140 distinct pairs
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto random_pair = [&] {
+      const uint32_t a = static_cast<uint32_t>(rng() % kEntities);
+      uint32_t b = static_cast<uint32_t>(rng() % (kEntities - 1));
+      if (b >= a) ++b;
+      return PairKey(a, b);
+    };
+    ComparisonScheduler s;
+    std::set<std::pair<double, uint64_t>, ScheduleOrder> ref;
+    std::map<uint64_t, int> level_of;  // live pair -> its level in ref
+    uint64_t pushes = 0;
+    const auto schedule = [&](uint64_t pair, int level) {
+      const auto it = level_of.find(pair);
+      if (it != level_of.end()) ref.erase({kLevels[it->second], pair});
+      ref.insert({kLevels[level], pair});
+      level_of[pair] = level;
+      ++pushes;
+    };
+
+    // Prime 0-5,000 entries (a pair may be listed twice: last one wins).
+    const size_t n_prime = rng() % 5001;
+    std::vector<uint32_t> slots;
+    std::vector<double> priorities;
+    for (size_t i = 0; i < n_prime; ++i) {
+      const uint64_t pair = random_pair();
+      const int level = static_cast<int>(rng() % kNumLevels);
+      slots.push_back(s.FindOrAdd(pair));
+      priorities.push_back(kLevels[level]);
+      schedule(pair, level);
+    }
+    s.Prime(std::move(slots), priorities);
+    ASSERT_EQ(s.live_size(), ref.size()) << "seed " << seed;
+    ASSERT_EQ(s.total_pushes(), pushes) << "seed " << seed;
+
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t roll = rng() % 100;
+      if (roll < 40) {
+        // Push: re-push a live pair up, down or equal, or push any pair.
+        uint64_t pair = random_pair();
+        int level = static_cast<int>(rng() % kNumLevels);
+        if (roll < 20 && !level_of.empty()) {
+          auto it = level_of.lower_bound(random_pair());
+          if (it == level_of.end()) it = level_of.begin();
+          pair = it->first;
+          level = std::clamp(it->second + static_cast<int>(rng() % 3) - 1, 0,
+                             kNumLevels - 1);
+        }
+        s.Push(s.FindOrAdd(pair), kLevels[level]);
+        schedule(pair, level);
+      } else if (roll < 55) {
+        const uint64_t pair = random_pair();
+        const uint32_t slot = s.Find(pair);
+        if (slot != ComparisonScheduler::kNoSlot) s.Erase(slot);
+        const auto it = level_of.find(pair);
+        if (it != level_of.end()) {
+          ref.erase({kLevels[it->second], pair});
+          level_of.erase(it);
+        }
+      } else {
+        uint32_t slot;
+        double priority;
+        const bool popped = s.Pop(slot, priority);
+        ASSERT_EQ(popped, !ref.empty()) << "seed " << seed << " op " << op;
+        if (popped) {
+          const auto [want_priority, want_pair] = *ref.begin();
+          ASSERT_EQ(s.slot(slot).pair, want_pair)
+              << "seed " << seed << " op " << op;
+          ASSERT_EQ(std::bit_cast<uint64_t>(priority),
+                    std::bit_cast<uint64_t>(want_priority))
+              << "seed " << seed << " op " << op;
+          ASSERT_FALSE(s.slot(slot).live);
+          ref.erase(ref.begin());
+          level_of.erase(want_pair);
+        }
+      }
+      ASSERT_EQ(s.live_size(), ref.size()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(s.total_pushes(), pushes) << "seed " << seed << " op " << op;
+    }
+  }
+}
+
+// The run's order comes from (priority, pair) alone: priming a list already
+// in pop order (the one-pass path), with a few adjacent swaps (the repair
+// path), or shuffled (the full-sort path) pops the same sequence.
+TEST(SchedulerTest, PrimeOrderDoesNotChangePopSequence) {
+  std::mt19937_64 rng(99);
+  std::vector<std::pair<double, uint64_t>> entries;
+  for (uint32_t a = 0; a < 60; ++a) {
+    for (uint32_t b = a + 1; b < 60; ++b) {
+      entries.emplace_back(0.125 * static_cast<double>(rng() % 8),
+                           PairKey(a, b));
+    }
+  }
+  std::sort(entries.begin(), entries.end(), ScheduleOrder{});
+  std::vector<std::pair<double, uint64_t>> swapped = entries;
+  for (size_t i = 1; i < swapped.size(); i += 97) {
+    std::swap(swapped[i - 1], swapped[i]);
+  }
+  std::vector<std::pair<double, uint64_t>> shuffled = entries;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+  const auto drain = [](const std::vector<std::pair<double, uint64_t>>& in) {
+    ComparisonScheduler s;
+    std::vector<uint32_t> slots;
+    std::vector<double> priorities;
+    for (const auto& [priority, pair] : in) {
+      slots.push_back(s.FindOrAdd(pair));
+      priorities.push_back(priority);
+    }
+    s.Prime(std::move(slots), priorities);
+    std::vector<std::pair<double, uint64_t>> out;
+    uint64_t pair;
+    double priority;
+    while (PopPair(s, pair, priority)) out.emplace_back(priority, pair);
+    return out;
+  };
+  const auto want = drain(entries);
+  ASSERT_EQ(want, entries);
+  EXPECT_EQ(drain(swapped), want);
+  EXPECT_EQ(drain(shuffled), want);
 }
 
 // ---------------------------------------------------------------------------

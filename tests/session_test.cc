@@ -7,10 +7,14 @@
 //     match sequence, report counters, and benefit trace;
 //   * checkpoint → restore → step reproduces the uninterrupted run exactly.
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/minoan_er.h"
@@ -19,6 +23,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
+#include "util/serde.h"
 
 namespace minoan {
 namespace {
@@ -148,7 +153,13 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
   obs::Counter& requeues = registry.counter("progressive.requeues");
   obs::Counter& skips = registry.counter("progressive.skips");
   obs::Counter& comparisons = registry.counter("progressive.comparisons");
-  for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons}) c->Reset();
+  obs::Counter& evidence_updates =
+      registry.counter("progressive.evidence_updates");
+  obs::Counter& discovered = registry.counter("progressive.discovered_pairs");
+  for (obs::Counter* c :
+       {&pops, &requeues, &skips, &comparisons, &evidence_updates, &discovered}) {
+    c->Reset();
+  }
 
   // Entity coverage decays a pair's benefit once either side is matched,
   // so priorities drift down and the loop re-queues stale entries.
@@ -164,14 +175,27 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
     total.requeues += step.requeues;
     total.skips += step.skips;
     total.comparisons += step.comparisons;
+    total.evidence_updates += step.evidence_updates;
+    total.discovered_pairs += step.discovered_pairs;
   }
   EXPECT_EQ(total.comparisons, session->comparisons_spent());
   EXPECT_EQ(total.pops, total.comparisons + total.requeues + total.skips);
   EXPECT_GT(total.requeues, 0u);
+  EXPECT_GT(total.evidence_updates, 0u);
   EXPECT_EQ(pops.Value(), total.pops);
   EXPECT_EQ(requeues.Value(), total.requeues);
   EXPECT_EQ(skips.Value(), total.skips);
   EXPECT_EQ(comparisons.Value(), total.comparisons);
+  EXPECT_EQ(evidence_updates.Value(), total.evidence_updates);
+  EXPECT_EQ(discovered.Value(), total.discovered_pairs);
+
+  // Without seeds, every push is a primed candidate, a stale re-queue, or
+  // an evidence update, and every discovery happens inside a Step.
+  const ResolutionReport report = session->Report();
+  EXPECT_EQ(report.progressive.scheduler_pushes,
+            report.comparisons_after_meta + requeues.Value() +
+                evidence_updates.Value());
+  EXPECT_EQ(discovered.Value(), report.progressive.discovered_pairs);
 }
 
 TEST(SessionTest, StepSplitParityWithSeeds) {
@@ -312,6 +336,114 @@ TEST(SessionTest, RestoreRejectsDifferentOptions) {
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(restored.status().message().find("options"), std::string::npos);
+}
+
+// The schedule sections of a resolver state (ProgressiveResolver::SaveState)
+// split out of a session checkpoint, so a test can rewrite them.
+struct SavedSchedule {
+  using Entries = std::vector<std::pair<uint64_t, double>>;
+  std::string head;  // through the resolver-state magic
+  Entries likelihood;
+  Entries evidence;
+  std::vector<uint64_t> executed;
+  Entries live;
+  std::string tail;  // the push counter onwards
+
+  static SavedSchedule Split(const std::string& bytes) {
+    SavedSchedule out;
+    const std::string magic = "MNER-PROG-v1";
+    const size_t at = bytes.find(magic);
+    EXPECT_NE(at, std::string::npos);
+    out.head = bytes.substr(0, at + magic.size());
+    std::istringstream in(bytes.substr(out.head.size()));
+    const auto read_entries = [&in](Entries& entries) {
+      uint64_t n = 0;
+      EXPECT_TRUE(serde::ReadU64(in, n));
+      entries.resize(n);
+      for (auto& [pair, value] : entries) {
+        EXPECT_TRUE(serde::ReadU64(in, pair) && serde::ReadDouble(in, value));
+      }
+    };
+    read_entries(out.likelihood);
+    read_entries(out.evidence);
+    uint64_t n = 0;
+    EXPECT_TRUE(serde::ReadU64(in, n));
+    out.executed.resize(n);
+    for (uint64_t& pair : out.executed) EXPECT_TRUE(serde::ReadU64(in, pair));
+    read_entries(out.live);
+    out.tail.assign(std::istreambuf_iterator<char>(in), {});
+    return out;
+  }
+
+  std::string Join() const {
+    std::ostringstream out;
+    out << head;
+    const auto write_entries = [&out](const Entries& entries) {
+      serde::WriteU64(out, entries.size());
+      for (const auto& [pair, value] : entries) {
+        serde::WriteU64(out, pair);
+        serde::WriteDouble(out, value);
+      }
+    };
+    write_entries(likelihood);
+    write_entries(evidence);
+    serde::WriteU64(out, executed.size());
+    for (const uint64_t pair : executed) serde::WriteU64(out, pair);
+    write_entries(live);
+    out << tail;
+    return out.str();
+  }
+};
+
+TEST(SessionTest, RestoreRejectsNonCanonicalSchedule) {
+  const EntityCollection collection = MakeCloud(379, /*periphery_heavy=*/true);
+  const WorkflowOptions options = DefaultOptions();
+  auto whole = ResolutionSession::Open(collection, options);
+  ASSERT_TRUE(whole.ok());
+  whole->Step(0);
+  auto session = ResolutionSession::Open(collection, options);
+  ASSERT_TRUE(session.ok());
+  session->Step(whole->comparisons_spent() / 2);  // mid-evidence, mid-schedule
+  std::stringstream state;
+  ASSERT_TRUE(session->Checkpoint(state).ok());
+  const std::string bytes = state.str();
+  const SavedSchedule saved = SavedSchedule::Split(bytes);
+  ASSERT_EQ(saved.Join(), bytes);  // the split is exact
+  ASSERT_FALSE(saved.evidence.empty());
+  ASSERT_FALSE(saved.executed.empty());
+  ASSERT_GE(saved.live.size(), 2u);
+
+  std::vector<std::pair<std::string, SavedSchedule>> mutants;
+  const auto mutant = [&](const std::string& name) -> SavedSchedule& {
+    mutants.emplace_back(name, saved);
+    return mutants.back().second;
+  };
+  mutant("NaN live priority").live[0].second =
+      std::numeric_limits<double>::quiet_NaN();
+  mutant("infinite evidence").evidence[0].second =
+      std::numeric_limits<double>::infinity();
+  {
+    SavedSchedule& m = mutant("two live keys swapped");
+    std::swap(m.live[0], m.live[1]);
+  }
+  {
+    SavedSchedule& m = mutant("duplicated executed key");
+    m.executed.insert(m.executed.begin() + 1, m.executed[0]);
+  }
+  {
+    SavedSchedule& m = mutant("live pair also executed");
+    const uint64_t pair = m.live[0].first;
+    m.executed.insert(
+        std::upper_bound(m.executed.begin(), m.executed.end(), pair), pair);
+  }
+  for (const auto& [name, m] : mutants) {
+    std::stringstream in(m.Join());
+    auto restored = ResolutionSession::Restore(collection, options, in);
+    ASSERT_FALSE(restored.ok()) << name;
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError) << name;
+  }
+  std::stringstream in(bytes);
+  EXPECT_TRUE(ResolutionSession::Restore(collection, options, in).ok());
 }
 
 TEST(SessionTest, RestoreRejectsGarbageAndTruncation) {
