@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     opts.matcher.threshold = 0.35;
     mutate(opts);
     ProgressiveResolver resolver(*w.collection, *w.graph, *w.evaluator, opts);
-    return Score(resolver.Resolve(candidates), w, horizon);
+    return Score(RunToEnd(resolver, candidates), w, horizon);
   };
 
   {
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
       opts.evidence.max_neighbors_per_side = cap;
       ProgressiveResolver resolver(*w.collection, *w.graph, *w.evaluator,
                                    opts);
-      const ProgressiveResult result = resolver.Resolve(candidates);
+      const ProgressiveResult result = RunToEnd(resolver, candidates);
       const Scores s = Score(result, w, horizon);
       t.AddRow()
           .Cell(static_cast<uint64_t>(cap))

@@ -21,6 +21,7 @@
 #include "kb/neighbor_graph.h"
 #include "matching/similarity_evaluator.h"
 #include "metablocking/meta_blocking.h"
+#include "progressive/resolver.h"
 
 namespace minoan {
 namespace bench {
@@ -105,6 +106,15 @@ struct World {
     std::exit(1);
   }
 };
+
+/// Begin + Step to exhaustion over `candidates`; returns the run's result.
+inline ProgressiveResult RunToEnd(
+    ProgressiveResolver& resolver,
+    const std::vector<WeightedComparison>& candidates) {
+  resolver.Begin(candidates);
+  resolver.Step(0);
+  return resolver.result();
+}
 
 /// Parses `--scale N` (or `--scale=N`) from argv; default 1, minimum 1.
 inline uint32_t ParseScale(int argc, char** argv) {

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     ProgressiveResolver resolver(*w.collection, *w.graph, *w.evaluator, opts);
     runs.emplace_back(
         std::string("minoan/") + std::string(BenefitModelName(opts.benefit)),
-        resolver.Resolve(candidates).run);
+        RunToEnd(resolver, candidates).run);
   }
 
   const std::vector<double> fractions = {0.01, 0.02, 0.05, 0.10, 0.25,

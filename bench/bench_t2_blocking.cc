@@ -17,6 +17,7 @@
 // the physical core count (flat on single-core machines — see the recorded
 // hardware_concurrency), identical blocks throughout.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -57,11 +58,8 @@ double MedianOfThree(const std::function<double()>& run) {
 
 bool SameBlocks(const BlockCollection& a, const BlockCollection& b) {
   if (a.num_blocks() != b.num_blocks()) return false;
-  for (size_t i = 0; i < a.num_blocks(); ++i) {
-    if (a.KeyString(a.block(i).key) != b.KeyString(b.block(i).key) ||
-        a.block(i).entities != b.block(i).entities) {
-      return false;
-    }
+  for (uint32_t i = 0; i < a.num_blocks(); ++i) {
+    if (!std::ranges::equal(a.entities(i), b.entities(i))) return false;
   }
   return true;
 }
@@ -118,7 +116,7 @@ int main(int argc, char** argv) {
   report("raw");
   AutoPurge(blocks, *w.collection, ResolutionMode::kCleanClean);
   report("+auto-purge");
-  FilterBlocks(blocks, 0.8, *w.collection, ResolutionMode::kCleanClean);
+  FilterBlocks(blocks, 0.8, *w.collection);
   report("+filter(0.8)");
   cleaning.Print(std::cout);
 

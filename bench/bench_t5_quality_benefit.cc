@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
                                    opts);
       add_row(std::string("minoan/") +
                   std::string(BenefitModelName(opts.benefit)),
-              resolver.Resolve(candidates).run);
+              RunToEnd(resolver, candidates).run);
     }
     table.Print(std::cout);
     std::printf("\n");

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       opts.matcher.budget = budget;
       ProgressiveResolver resolver(*w.collection, *w.graph, *w.evaluator,
                                    opts);
-      const ProgressiveResult result = resolver.Resolve(candidates);
+      const ProgressiveResult result = RunToEnd(resolver, candidates);
       const MatchingMetrics m =
           EvaluateMatches(result.run.matches, *w.truth);
       if (!update) recall_off = m.recall;

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       opts.matcher.budget = budget;
       ProgressiveResolver resolver(*w.collection, *w.graph, *w.evaluator,
                                    opts);
-      const ProgressiveResult result = resolver.Resolve(candidates);
+      const ProgressiveResult result = RunToEnd(resolver, candidates);
       const double realized = result.benefit_trace.empty()
                                   ? 0.0
                                   : result.benefit_trace.back();

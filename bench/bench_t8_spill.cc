@@ -13,8 +13,8 @@
 //
 // Two mode families, each gated against its own in-memory reference:
 //   * stream-*: the default token+pis workflow under a budget — merged
-//     postings stream straight from the spill runs into the flat block
-//     store and graph view, never materializing a BlockCollection;
+//     postings stream straight from the spill runs into the block
+//     collection, never materializing the full postings;
 //   * sn-extsort-*: sorted neighborhood under a budget — the sorted key
 //     list is produced by the external single-stream merge sort.
 //
@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
     int reference_group;  // modes gate against the group's in-memory run
   };
   const Mode modes[] = {
-      // token+pis: budgeted runs stream merged postings into the flat
-      // block store (no materialized BlockCollection).
+      // token+pis: budgeted runs stream merged postings into the block
+      // collection (no materialized postings).
       {"in-memory", 0, BlockerChoice::kTokenPlusPis, 0},
       {"stream-16m", 16ull << 20, BlockerChoice::kTokenPlusPis, 0},
       // pathological: forces many runs/shard

@@ -17,45 +17,10 @@ namespace {
 /// count.
 constexpr size_t kCleaningChunk = 256;
 
-CleaningStats MakeStats(const BlockCollection& before_blocks,
-                        uint64_t comparisons_before,
-                        const BlockCollection& after_blocks,
-                        const EntityCollection& collection,
-                        ResolutionMode mode, uint64_t blocks_before) {
-  (void)before_blocks;
-  CleaningStats stats;
-  stats.blocks_before = blocks_before;
-  stats.blocks_after = after_blocks.num_blocks();
-  stats.comparisons_before = comparisons_before;
-  stats.comparisons_after = after_blocks.AggregateComparisons(collection, mode);
-  return stats;
-}
-
 }  // namespace
 
-CleaningStats PurgeBySize(BlockCollection& blocks, uint32_t max_block_size,
-                          const EntityCollection& collection,
-                          ResolutionMode mode) {
-  const uint64_t blocks_before = blocks.num_blocks();
-  const uint64_t comparisons_before =
-      blocks.AggregateComparisons(collection, mode);
-  std::vector<Block> kept;
-  for (const Block& b : blocks.blocks()) {
-    if (b.size() <= max_block_size) kept.push_back(b);
-  }
-  blocks.ReplaceBlocks(std::move(kept));
-  return MakeStats(blocks, comparisons_before, blocks, collection, mode,
-                   blocks_before);
-}
-
-CleaningStats AutoPurge(BlockCollection& blocks,
-                        const EntityCollection& collection,
-                        ResolutionMode mode, double smoothing,
-                        ThreadPool* pool) {
-  const uint64_t blocks_before = blocks.num_blocks();
-  const uint64_t comparisons_before =
-      blocks.AggregateComparisons(collection, mode);
-
+void AutoPurge(BlockCollection& blocks, const EntityCollection& collection,
+               ResolutionMode mode, double smoothing, ThreadPool* pool) {
   // Per distinct block size: total comparisons and total block assignments,
   // as a size -> (cmp, assign) map — counted per block chunk and summed in
   // chunk order (integer sums, identical at every thread count).
@@ -63,11 +28,12 @@ CleaningStats AutoPurge(BlockCollection& blocks,
       NumChunks(blocks.num_blocks(), kCleaningChunk));
   RunChunkedTasks(pool, blocks.num_blocks(), kCleaningChunk,
                   [&](size_t c, size_t begin, size_t end) {
-                    for (size_t bi = begin; bi < end; ++bi) {
-                      const Block& b = blocks.block(bi);
-                      auto& [cmp, assign] = chunk_sizes[c][b.size()];
-                      cmp += b.NumComparisons(collection, mode);
-                      assign += b.size();
+                    for (size_t i = begin; i < end; ++i) {
+                      const uint32_t bi = static_cast<uint32_t>(i);
+                      auto& [cmp, assign] =
+                          chunk_sizes[c][blocks.block_size(bi)];
+                      cmp += blocks.NumComparisons(bi, collection, mode);
+                      assign += blocks.block_size(bi);
                     }
                   });
   std::map<uint64_t, std::pair<uint64_t, uint64_t>> by_size;
@@ -102,30 +68,12 @@ CleaningStats AutoPurge(BlockCollection& blocks,
   if (max_keep_size == 0 && !by_size.empty()) {
     max_keep_size = by_size.begin()->first;
   }
-  // Keep scan: chunk-local survivor lists concatenated in chunk order = the
-  // sequential block order.
-  std::vector<std::vector<Block>> chunk_kept(
-      NumChunks(blocks.num_blocks(), kCleaningChunk));
-  RunChunkedTasks(pool, blocks.num_blocks(), kCleaningChunk,
-                  [&](size_t c, size_t begin, size_t end) {
-                    for (size_t bi = begin; bi < end; ++bi) {
-                      const Block& b = blocks.block(bi);
-                      if (b.size() <= max_keep_size) {
-                        chunk_kept[c].push_back(b);
-                      }
-                    }
-                  });
-  blocks.ReplaceBlocks(FlattenInOrder(chunk_kept));
-  return MakeStats(blocks, comparisons_before, blocks, collection, mode,
-                   blocks_before);
+  blocks.FilterInPlace(
+      [&](uint32_t bi) { return blocks.block_size(bi) <= max_keep_size; });
 }
 
-CleaningStats FilterBlocks(BlockCollection& blocks, double ratio,
-                           const EntityCollection& collection,
-                           ResolutionMode mode, ThreadPool* pool) {
-  const uint64_t blocks_before = blocks.num_blocks();
-  const uint64_t comparisons_before =
-      blocks.AggregateComparisons(collection, mode);
+void FilterBlocks(BlockCollection& blocks, double ratio,
+                  const EntityCollection& collection, ThreadPool* pool) {
   if (ratio <= 0.0 || ratio > 1.0) ratio = 1.0;
 
   // entity -> indices of its blocks, ascending (a cheap linear scatter;
@@ -133,7 +81,7 @@ CleaningStats FilterBlocks(BlockCollection& blocks, double ratio,
   const uint32_t n = collection.num_entities();
   std::vector<std::vector<uint32_t>> memberships(n);
   for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
-    for (EntityId e : blocks.block(bi).entities) {
+    for (EntityId e : blocks.entities(bi)) {
       memberships[e].push_back(bi);
     }
   }
@@ -149,7 +97,7 @@ CleaningStats FilterBlocks(BlockCollection& blocks, double ratio,
       auto& mine = memberships[e];
       if (mine.empty()) continue;
       std::sort(mine.begin(), mine.end(), [&](uint32_t x, uint32_t y) {
-        const size_t sx = blocks.block(x).size(), sy = blocks.block(y).size();
+        const size_t sx = blocks.block_size(x), sy = blocks.block_size(y);
         return sx != sy ? sx < sy : x < y;
       });
       const size_t keep = static_cast<size_t>(
@@ -167,25 +115,17 @@ CleaningStats FilterBlocks(BlockCollection& blocks, double ratio,
     chunk.clear();
     chunk.shrink_to_fit();
   }
-  // Rebuild surviving blocks (chunked over blocks, concatenated in block
-  // order — the sequential emission order).
-  std::vector<std::vector<Block>> chunk_kept(
-      NumChunks(blocks.num_blocks(), kCleaningChunk));
-  RunChunkedTasks(pool, blocks.num_blocks(), kCleaningChunk,
-                  [&](size_t c, size_t begin, size_t end) {
-                    for (size_t bi = begin; bi < end; ++bi) {
-                      if (retained[bi].size() < 2) continue;
-                      Block b;
-                      b.key = blocks.block(bi).key;
-                      std::sort(retained[bi].begin(), retained[bi].end());
-                      b.entities = std::move(retained[bi]);
-                      chunk_kept[c].push_back(std::move(b));
-                    }
-                  });
-  // Rebuild against the same key table: ReplaceBlocks keeps the interner.
-  blocks.ReplaceBlocks(FlattenInOrder(chunk_kept));
-  return MakeStats(blocks, comparisons_before, blocks, collection, mode,
-                   blocks_before);
+  // Rebuild the surviving blocks, in block order, into a fresh CSR.
+  std::vector<uint64_t> new_offsets{0};
+  std::vector<EntityId> new_entities;
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    auto& kept = retained[bi];
+    if (kept.size() < 2) continue;
+    std::sort(kept.begin(), kept.end());
+    new_entities.insert(new_entities.end(), kept.begin(), kept.end());
+    new_offsets.push_back(new_entities.size());
+  }
+  blocks.Replace(std::move(new_offsets), std::move(new_entities));
 }
 
 }  // namespace minoan

@@ -8,34 +8,19 @@
 // cost — the standard pipeline of block-based ER over heterogeneous data.
 //
 // Both operators run their scans on the chunked-pool pattern
-// (util/thread_pool.h RunChunkedTasks): pass a pool and the size histogram,
-// the per-entity membership filtering, and the keep scans fan out over
-// fixed-size chunks; pass nullptr and the same code runs inline. The
-// cleaned block collection is byte-identical at every thread count.
+// (util/thread_pool.h RunChunkedTasks): pass a pool and the size histogram
+// and the per-entity membership filtering fan out over fixed-size chunks;
+// pass nullptr and the same code runs inline. The cleaned block collection
+// is byte-identical at every thread count.
 
 #ifndef MINOAN_BLOCKING_BLOCK_CLEANING_H_
 #define MINOAN_BLOCKING_BLOCK_CLEANING_H_
-
-#include <cstdint>
 
 #include "blocking/block.h"
 
 namespace minoan {
 
 class ThreadPool;
-
-/// Result summary of a cleaning step.
-struct CleaningStats {
-  uint64_t blocks_before = 0;
-  uint64_t blocks_after = 0;
-  uint64_t comparisons_before = 0;  // aggregate cardinality
-  uint64_t comparisons_after = 0;
-};
-
-/// Removes blocks with more than `max_block_size` entities.
-CleaningStats PurgeBySize(BlockCollection& blocks, uint32_t max_block_size,
-                          const EntityCollection& collection,
-                          ResolutionMode mode);
 
 /// Comparison-based automatic purging (Papadakis et al.): scans distinct
 /// block sizes in ascending order tracking the ratio of cumulative
@@ -44,18 +29,18 @@ CleaningStats PurgeBySize(BlockCollection& blocks, uint32_t max_block_size,
 /// `smoothing` (default 1.025). Intuition: once each extra block assignment
 /// starts buying disproportionately many comparisons, the remaining
 /// (oversized) blocks are noise.
-CleaningStats AutoPurge(BlockCollection& blocks,
-                        const EntityCollection& collection,
-                        ResolutionMode mode, double smoothing = 1.025,
-                        ThreadPool* pool = nullptr);
+void AutoPurge(BlockCollection& blocks, const EntityCollection& collection,
+               ResolutionMode mode, double smoothing = 1.025,
+               ThreadPool* pool = nullptr);
 
 /// Block filtering (Papadakis et al.): each entity retains only the
 /// ceil(ratio * |blocks(e)|) smallest of its blocks; blocks are then rebuilt
 /// from the retained memberships. `ratio` in (0, 1]; 0.8 is the literature
-/// default.
-CleaningStats FilterBlocks(BlockCollection& blocks, double ratio,
-                           const EntityCollection& collection,
-                           ResolutionMode mode, ThreadPool* pool = nullptr);
+/// default. Blocks are ranked by size alone, so unlike AutoPurge it needs
+/// no resolution mode.
+void FilterBlocks(BlockCollection& blocks, double ratio,
+                  const EntityCollection& collection,
+                  ThreadPool* pool = nullptr);
 
 }  // namespace minoan
 

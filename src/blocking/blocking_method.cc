@@ -90,32 +90,6 @@ std::vector<uint32_t> LinkProfiledPredicates(
   return cluster;
 }
 
-/// Prefixes every key with "<name>:" before forwarding to the inner sink —
-/// the composite method's namespacing, applied without materializing the
-/// constituent's BlockCollection.
-class PrefixedSink : public BlockSink {
- public:
-  PrefixedSink(std::string_view prefix, BlockSink& inner) : inner_(&inner) {
-    prefix_.assign(prefix);
-    prefix_ += ':';
-  }
-  bool wants_keys() const override { return inner_->wants_keys(); }
-  void Add(std::string_view key, std::vector<EntityId>& entities) override {
-    if (!inner_->wants_keys()) {
-      inner_->Add(key, entities);
-      return;
-    }
-    scratch_.assign(prefix_);
-    scratch_.append(key);
-    inner_->Add(scratch_, entities);
-  }
-
- private:
-  BlockSink* inner_;
-  std::string prefix_;
-  std::string scratch_;
-};
-
 }  // namespace
 
 void TokenBlocking::BuildInto(const EntityCollection& collection,
@@ -129,21 +103,14 @@ void TokenBlocking::BuildInto(const EntityCollection& collection,
   };
   const uint64_t df_cap = static_cast<uint64_t>(
       options_.max_df_fraction * collection.num_entities());
-  const auto consume = [&](uint32_t key, std::vector<EntityId>& entities) {
+  const auto consume = [&](uint32_t /*key*/,
+                           std::vector<EntityId>& entities) {
     if (entities.size() < options_.min_df) return;
     if (df_cap > 0 && entities.size() > df_cap) return;
-    sink.Add(sink.wants_keys() ? collection.tokens().View(key)
-                               : std::string_view(),
-             entities);
+    sink.Add(entities);
   };
-  if (memory_or_null() != nullptr) {
-    StreamShardedPostings<uint32_t>(collection.num_entities(), pool, emit,
-                                    HashU32, *memory_or_null(), consume);
-    return;
-  }
-  auto postings = BuildShardedPostings<uint32_t>(collection.num_entities(),
-                                                 pool, emit, HashU32);
-  for (auto& posting : postings) consume(posting.key, posting.entities);
+  BuildShardedPostings<uint32_t>(collection.num_entities(), pool, emit,
+                                 HashU32, memory_or_null(), consume);
 }
 
 void AppendPisKeys(const PisBlocking::Options& options,
@@ -178,21 +145,14 @@ void PisBlocking::BuildInto(const EntityCollection& collection,
                   collection.iris().View(collection.entity(e).iri), keys,
                   token_scratch);
   };
-  const auto consume = [&](const std::string& key,
+  const auto consume = [&](const std::string& /*key*/,
                            std::vector<EntityId>& entities) {
     if (entities.size() < options_.min_block_size) return;
     if (entities.size() > options_.max_block_size) return;
-    sink.Add(key, entities);
+    sink.Add(entities);
   };
-  if (memory_or_null() != nullptr) {
-    StreamShardedPostings<std::string>(collection.num_entities(), pool, emit,
-                                       HashString, *memory_or_null(),
-                                       consume);
-    return;
-  }
-  auto postings = BuildShardedPostings<std::string>(collection.num_entities(),
-                                                    pool, emit, HashString);
-  for (auto& posting : postings) consume(posting.key, posting.entities);
+  BuildShardedPostings<std::string>(collection.num_entities(), pool, emit,
+                                    HashString, memory_or_null(), consume);
 }
 
 std::vector<uint32_t> AttributeClusteringBlocking::ClusterPredicates(
@@ -335,39 +295,23 @@ void AttributeClusteringBlocking::BuildInto(const EntityCollection& collection,
   };
   const uint64_t df_cap = static_cast<uint64_t>(
       options_.max_df_fraction * collection.num_entities());
-  std::string key_str;
-  const auto consume = [&](uint64_t key, std::vector<EntityId>& entities) {
+  const auto consume = [&](uint64_t /*key*/,
+                           std::vector<EntityId>& entities) {
     if (entities.size() < options_.min_df) return;
     if (df_cap > 0 && entities.size() > df_cap) return;
-    if (sink.wants_keys()) {
-      const uint32_t c = static_cast<uint32_t>(key >> 32);
-      const uint32_t tok = static_cast<uint32_t>(key & 0xffffffffULL);
-      key_str = "c" + std::to_string(c) + ":" +
-                std::string(collection.tokens().View(tok));
-      sink.Add(key_str, entities);
-    } else {
-      sink.Add(std::string_view(), entities);
-    }
+    sink.Add(entities);
   };
-  if (memory_or_null() != nullptr) {
-    StreamShardedPostings<uint64_t>(collection.num_entities(), pool, emit,
-                                    HashU64, *memory_or_null(), consume);
-    return;
-  }
-  auto postings = BuildShardedPostings<uint64_t>(collection.num_entities(),
-                                                 pool, emit, HashU64);
-  for (auto& posting : postings) consume(posting.key, posting.entities);
+  BuildShardedPostings<uint64_t>(collection.num_entities(), pool, emit,
+                                 HashU64, memory_or_null(), consume);
 }
 
 void CompositeBlocking::BuildInto(const EntityCollection& collection,
                                   ThreadPool* pool, BlockSink& sink) const {
-  // Each constituent streams straight into the caller's sink through a
-  // "<name>:" key prefixer — no per-method BlockCollection. Normalization
-  // (sort/dedup/drop <2) is idempotent, so sinking each surviving block
-  // once matches the old materialize-then-re-add behavior byte for byte.
+  // Each constituent streams straight into the caller's sink, in order.
+  // Blocks are never merged across methods: a block two methods both emit
+  // appears twice.
   for (const auto& method : methods_) {
-    PrefixedSink prefixed(method->name(), sink);
-    method->BuildInto(collection, pool, prefixed);
+    method->BuildInto(collection, pool, sink);
   }
 }
 

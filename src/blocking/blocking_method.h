@@ -19,28 +19,20 @@ class ThreadPool;
 /// Receiver of a blocking method's emitted blocks, one call per surviving
 /// block in the method's canonical (deterministic) emission order.
 /// `entities` is caller-owned scratch: the sink may read, mutate, or steal
-/// it (BlockCollectionSink moves it into AddBlock). Lists may be unsorted
-/// and contain duplicates — sinks normalize exactly like
-/// BlockCollection::AddBlock always has.
+/// it. Lists may be unsorted and contain duplicates — sinks normalize
+/// exactly like BlockCollection::AddBlock.
 class BlockSink {
  public:
   virtual ~BlockSink() = default;
-
-  /// False when the sink ignores block keys (the out-of-core flat store
-  /// keeps only entity membership) — methods then skip materializing key
-  /// strings and may pass an empty view.
-  virtual bool wants_keys() const { return true; }
-
-  virtual void Add(std::string_view key, std::vector<EntityId>& entities) = 0;
+  virtual void Add(std::vector<EntityId>& entities) = 0;
 };
 
-/// The classic sink: interns keys and appends normalized blocks to a
-/// BlockCollection.
+/// The sink that appends normalized blocks to a BlockCollection.
 class BlockCollectionSink : public BlockSink {
  public:
   explicit BlockCollectionSink(BlockCollection& out) : out_(&out) {}
-  void Add(std::string_view key, std::vector<EntityId>& entities) override {
-    out_->AddBlock(key, std::move(entities));
+  void Add(std::vector<EntityId>& entities) override {
+    out_->AddBlock(entities);
   }
 
  private:
@@ -53,8 +45,8 @@ class BlockCollectionSink : public BlockSink {
 /// Every concrete method runs on the deterministic sharded-postings core
 /// (blocking/sharded_blocking.h): pass a pool and index construction fans
 /// out over fixed entity chunks; pass nullptr and the same code runs inline.
-/// The block output — keys, entity lists, and emission order — is
-/// bit-identical for every thread count.
+/// The block output — entity lists and emission order — is bit-identical
+/// for every thread count.
 class BlockingMethod {
  public:
   virtual ~BlockingMethod() = default;
@@ -71,8 +63,7 @@ class BlockingMethod {
   virtual void BuildInto(const EntityCollection& collection, ThreadPool* pool,
                          BlockSink& sink) const = 0;
 
-  /// Builds a materialized BlockCollection (BuildInto through a
-  /// BlockCollectionSink).
+  /// Builds a BlockCollection (BuildInto through a BlockCollectionSink).
   BlockCollection Build(const EntityCollection& collection,
                         ThreadPool* pool) const {
     BlockCollection out;
@@ -99,7 +90,8 @@ class BlockingMethod {
   const extmem::MemoryBudgetOptions& memory_budget() const { return memory_; }
 
  protected:
-  /// The form BuildShardedPostings takes: null when the budget is disabled.
+  /// The form BuildShardedPostings takes: null when the budget is disabled,
+  /// so the postings are built in memory.
   const extmem::MemoryBudgetOptions* memory_or_null() const {
     return memory_.enabled() ? &memory_ : nullptr;
   }
@@ -200,8 +192,8 @@ void AppendPisKeys(const PisBlocking::Options& options,
                    std::vector<std::string>& out,
                    std::vector<std::string>& token_scratch);
 
-/// Composite: union of the blocks of several methods (e.g. token + PIS, the
-/// configuration MinoanER uses for the Web of Data).
+/// Composite: the blocks of several methods, one method after the other
+/// (e.g. token + PIS, the configuration MinoanER uses for the Web of Data).
 class CompositeBlocking : public BlockingMethod {
  public:
   explicit CompositeBlocking(

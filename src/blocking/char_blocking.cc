@@ -29,18 +29,14 @@ void EntityGrams(const EntityCollection& collection, EntityId e, uint32_t q,
 }
 
 /// Emits the sliding-window blocks over a key-sorted (key, entity) record
-/// stream (the external path). Holds at most window_size + 1 records: the
+/// stream (the external path). Holds at most window_size + 1 entities: the
 /// current window plus one record of lookahead to decide whether the window
 /// reaches the end of the stream. Reproduces the in-memory window loop —
-/// same starts, same window contents, same "w:<key>:<start>" keys — without
-/// the global sorted list ever existing.
+/// same starts, same window contents — without the global sorted list ever
+/// existing.
 void SlideWindowOverStream(extmem::ShuffleSource& source, size_t w,
                            BlockSink& sink) {
-  struct KeyedRecord {
-    std::string key;
-    EntityId entity;
-  };
-  std::deque<KeyedRecord> buf;
+  std::deque<EntityId> buf;
   bool exhausted = false;
   const auto fill = [&](size_t want) {
     std::string_view record;
@@ -49,30 +45,20 @@ void SlideWindowOverStream(extmem::ShuffleSource& source, size_t w,
         exhausted = true;
         break;
       }
-      buf.push_back({std::string(extmem::RecordKey(record)),
-                     extmem::ReadU32Le(extmem::RecordPayload(record))});
+      buf.push_back(extmem::ReadU32Le(extmem::RecordPayload(record)));
     }
   };
-  size_t start = 0;  // absolute index of buf.front() in the sorted list
   std::vector<EntityId> window;
-  std::string key;
   for (;;) {
     fill(w + 1);
     // In-memory loop condition `start + 1 < N`: at least two records remain.
     if (buf.size() < 2) break;
     const size_t len = std::min(w, buf.size());
-    window.clear();
-    for (size_t i = 0; i < len; ++i) window.push_back(buf[i].entity);
-    if (sink.wants_keys()) {
-      key = "w:" + buf.front().key + ":" + std::to_string(start);
-      sink.Add(key, window);
-    } else {
-      sink.Add(std::string_view(), window);
-    }
+    window.assign(buf.begin(), buf.begin() + len);
+    sink.Add(window);
     // In-memory `end == N` break: the window consumed every record left.
     if (buf.size() <= w) break;
     for (size_t i = 0; i < w / 2; ++i) buf.pop_front();
-    start += w / 2;
   }
 }
 
@@ -142,26 +128,15 @@ void QGramBlocking::BuildInto(const EntityCollection& collection,
   const auto hash = [](const std::string& s) { return Fnv1a64(s); };
   const uint64_t df_cap = static_cast<uint64_t>(options_.max_df_fraction *
                                                 collection.num_entities());
-  std::string key_str;
   // Postings arrive in deterministic sorted-key order on both paths.
-  const auto consume = [&](const std::string& key,
+  const auto consume = [&](const std::string& /*key*/,
                            std::vector<EntityId>& entities) {
     if (entities.size() < options_.min_df) return;
     if (df_cap > 0 && entities.size() > df_cap) return;
-    if (sink.wants_keys()) {
-      key_str = "g:" + key;
-      sink.Add(key_str, entities);
-    } else {
-      sink.Add(std::string_view(), entities);
-    }
+    sink.Add(entities);
   };
-  if (memory_or_null() != nullptr) {
-    StreamShardedPostings<std::string>(n, pool, emit, hash, *memory_or_null(),
-                                       consume);
-    return;
-  }
-  auto postings = BuildShardedPostings<std::string>(n, pool, emit, hash);
-  for (auto& posting : postings) consume(posting.key, posting.entities);
+  BuildShardedPostings<std::string>(n, pool, emit, hash, memory_or_null(),
+                                    consume);
 }
 
 void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
@@ -206,10 +181,9 @@ void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
    public:
     CountingSink(BlockSink& inner, uint64_t& count)
         : inner_(&inner), count_(&count) {}
-    bool wants_keys() const override { return inner_->wants_keys(); }
-    void Add(std::string_view key, std::vector<EntityId>& entities) override {
+    void Add(std::vector<EntityId>& entities) override {
       ++*count_;
-      inner_->Add(key, entities);
+      inner_->Add(entities);
     }
 
    private:
@@ -266,17 +240,11 @@ void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
 
   // Slide a window over the sorted key list; each window is one block.
   std::vector<EntityId> window;
-  std::string key;
   for (size_t start = 0; start + 1 < keyed.size(); start += w / 2) {
     const size_t end = std::min(keyed.size(), start + w);
     window.clear();
     for (size_t i = start; i < end; ++i) window.push_back(keyed[i].second);
-    if (counting.wants_keys()) {
-      key = "w:" + keyed[start].first + ":" + std::to_string(start);
-      counting.Add(key, window);
-    } else {
-      counting.Add(std::string_view(), window);
-    }
+    counting.Add(window);
     if (end == keyed.size()) break;
   }
   postings_counter.Add(windows_emitted);

@@ -1,27 +1,10 @@
 // Copyright 2026 The MinoanER Authors.
-// FlatBlockStore: the out-of-core pipeline's block representation.
-//
-// Under a memory budget the BlockCollection is never materialized: blocking
-// methods stream their surviving blocks straight into this store, which
-// keeps ONLY entity membership — one CSR (offsets + entity ids), no key
-// interner, no per-block vector headers. That is the part of a block the
-// rest of the pipeline (cleaning, graph view, pruning) actually reads; keys
-// exist only for reporting on the in-memory path.
-//
-// Every operation mirrors its BlockCollection counterpart exactly — same
-// normalization (sort, dedup, drop < 2), same comparison counting, same
-// CSR entity index, same cleaning algorithms (flat mirrors of AutoPurge /
-// FilterBlocks below) — so a budgeted run's block set is bit-identical in
-// content and order to the unbudgeted run's, which is what keeps the final
-// links and checkpoints byte-identical.
+// Former names of the block store and its cleaning calls, kept only because
+// the benchmark harness (perfbench/harness.cc) still spells them.
+// BlockCollection is the one block store; new code must not use these.
 
 #ifndef MINOAN_BLOCKING_FLAT_BLOCK_STORE_H_
 #define MINOAN_BLOCKING_FLAT_BLOCK_STORE_H_
-
-#include <algorithm>
-#include <cstdint>
-#include <span>
-#include <vector>
 
 #include "blocking/block.h"
 #include "blocking/block_cleaning.h"
@@ -29,110 +12,22 @@
 
 namespace minoan {
 
-class ThreadPool;
+using FlatBlockStore = BlockCollection;
+using FlatStoreSink = BlockCollectionSink;
 
-/// Keyless CSR block store. Blocks are appended in emission order and keep
-/// that order forever (cleaning filters in place, order-preserving).
-class FlatBlockStore {
- public:
-  FlatBlockStore() : offsets_{0} {}
+inline void AutoPurgeFlat(BlockCollection& blocks,
+                          const EntityCollection& collection,
+                          ResolutionMode mode, double smoothing = 1.025,
+                          ThreadPool* pool = nullptr) {
+  AutoPurge(blocks, collection, mode, smoothing, pool);
+}
 
-  /// Appends one block after BlockCollection::AddBlock's normalization:
-  /// `entities` is sorted and deduplicated in place; lists of fewer than 2
-  /// entities are dropped.
-  void AddBlock(std::vector<EntityId>& entities);
-
-  size_t num_blocks() const { return offsets_.size() - 1; }
-
-  std::span<const EntityId> entities(uint32_t bi) const {
-    return std::span<const EntityId>(entities_.data() + offsets_[bi],
-                                     offsets_[bi + 1] - offsets_[bi]);
-  }
-  size_t block_size(uint32_t bi) const {
-    return offsets_[bi + 1] - offsets_[bi];
-  }
-
-  /// Comparisons induced by block `bi` under `mode` — Block::NumComparisons
-  /// verbatim.
-  uint64_t NumComparisons(uint32_t bi, const EntityCollection& collection,
-                          ResolutionMode mode) const;
-
-  /// Aggregate comparisons over all blocks (with cross-block redundancy).
-  uint64_t AggregateComparisons(const EntityCollection& collection,
-                                ResolutionMode mode) const;
-
-  /// Distinct comparisons in block order — BlockCollection's enumeration
-  /// verbatim (the no-meta-blocking candidate path).
-  std::vector<Comparison> DistinctComparisons(
-      const EntityCollection& collection, ResolutionMode mode) const;
-
-  /// Builds the entity→block-indices CSR over `num_entities` entities.
-  void BuildEntityIndex(uint32_t num_entities);
-  bool has_entity_index() const { return !index_offsets_.empty(); }
-
-  /// Block indices containing `e` (requires BuildEntityIndex).
-  std::span<const uint32_t> BlocksOf(EntityId e) const {
-    return std::span<const uint32_t>(
-        index_blocks_.data() + index_offsets_[e],
-        index_offsets_[e + 1] - index_offsets_[e]);
-  }
-
-  /// Keeps exactly the blocks for which `keep(bi)` is true, in order;
-  /// invalidates the entity index.
-  template <typename KeepFn>
-  void FilterInPlace(const KeepFn& keep) {
-    std::vector<uint64_t> new_offsets{0};
-    size_t write = 0;
-    for (uint32_t bi = 0; bi < num_blocks(); ++bi) {
-      if (!keep(bi)) continue;
-      const std::span<const EntityId> block = entities(bi);
-      std::copy(block.begin(), block.end(), entities_.begin() + write);
-      write += block.size();
-      new_offsets.push_back(write);
-    }
-    entities_.resize(write);
-    offsets_ = std::move(new_offsets);
-    index_offsets_.clear();
-    index_blocks_.clear();
-  }
-
-  /// Replaces the whole block set; invalidates the entity index.
-  void Replace(std::vector<uint64_t> offsets, std::vector<EntityId> entities);
-
- private:
-  std::vector<uint64_t> offsets_;   // offsets_[0] == 0, size = blocks + 1
-  std::vector<EntityId> entities_;  // concatenated block entity lists
-  std::vector<uint64_t> index_offsets_;
-  std::vector<uint32_t> index_blocks_;
-};
-
-/// BlockSink writing into a FlatBlockStore (keys ignored).
-class FlatStoreSink : public BlockSink {
- public:
-  explicit FlatStoreSink(FlatBlockStore& out) : out_(&out) {}
-  bool wants_keys() const override { return false; }
-  void Add(std::string_view /*key*/,
-           std::vector<EntityId>& entities) override {
-    out_->AddBlock(entities);
-  }
-
- private:
-  FlatBlockStore* out_;
-};
-
-/// AutoPurge over a FlatBlockStore: identical size histogram, identical
-/// threshold scan, identical survivor set (see block_cleaning.cc).
-CleaningStats AutoPurgeFlat(FlatBlockStore& blocks,
-                            const EntityCollection& collection,
-                            ResolutionMode mode, double smoothing = 1.025,
-                            ThreadPool* pool = nullptr);
-
-/// FilterBlocks over a FlatBlockStore: identical per-entity retention and
-/// identical rebuilt block contents/order.
-CleaningStats FilterBlocksFlat(FlatBlockStore& blocks, double ratio,
-                               const EntityCollection& collection,
-                               ResolutionMode mode,
-                               ThreadPool* pool = nullptr);
+inline void FilterBlocksFlat(BlockCollection& blocks, double ratio,
+                             const EntityCollection& collection,
+                             ResolutionMode /*mode*/,
+                             ThreadPool* pool = nullptr) {
+  FilterBlocks(blocks, ratio, collection, pool);
+}
 
 }  // namespace minoan
 

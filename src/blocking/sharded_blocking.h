@@ -15,7 +15,8 @@
 // shuffle engine (extmem/shuffle.h): emissions stream through bounded
 // per-shard buffers that spill sorted runs to temp files, and the k-way
 // merge reader reproduces the exact stable order the in-memory path sorts
-// into — the postings are byte-identical with and without spilling.
+// into — the postings are byte-identical with and without spilling, and
+// reach the caller one at a time either way.
 
 #ifndef MINOAN_BLOCKING_SHARDED_BLOCKING_H_
 #define MINOAN_BLOCKING_SHARDED_BLOCKING_H_
@@ -59,39 +60,31 @@ struct KeyedPosting {
   std::vector<EntityId> entities;
 };
 
-/// Phase C of the postings build, shared by the in-memory and spill paths:
-/// shards hold disjoint key sets, so one sort by (unique) key fixes the
-/// global emission order.
-template <typename Key>
-std::vector<KeyedPosting<Key>> ConcatenatePostingsSortedByKey(
-    std::vector<std::vector<KeyedPosting<Key>>>& shard_out) {
-  std::vector<KeyedPosting<Key>> out = FlattenInOrder(shard_out);
-  std::sort(out.begin(), out.end(),
-            [](const KeyedPosting<Key>& a, const KeyedPosting<Key>& b) {
-              return a.key < b.key;
-            });
-  static obs::Counter& postings =
-      obs::MetricsRegistry::Default().counter("blocking.postings");
-  postings.Add(out.size());
-  return out;
-}
-
-/// External-memory variant of the shard merge: emissions are serialized as
-/// shuffle records (order-preserving key bytes + the entity id as payload)
-/// and pushed through spilling shard sinks; each shard's merged stream is
-/// the stable key sort of its arrival order — the exact order the in-memory
-/// phase B produces — so the grouped postings carry identical bytes.
-template <typename Key, typename EmitFn, typename HashFn>
-void SpilledPostingsShards(uint32_t num_entities, ThreadPool* pool,
+/// The budgeted path of BuildShardedPostings: the merged postings reach
+/// `consume(key, entities)` one at a time in the exact global key order
+/// the in-memory path sorts into, without ever holding more than one
+/// posting (plus the bounded shard sink buffers) in memory. Emissions
+/// stream through the spill engine's shard sinks; the finished shards are
+/// k-way-merged by key bytes (keys are shard-disjoint, so the cross-shard
+/// merge IS the global key order). `entities` is scratch owned by the loop;
+/// consume may steal or mutate it. Counter semantics (blocking.chunks /
+/// emissions / postings) match the in-memory path.
+template <typename Key, typename EmitFn, typename HashFn, typename ConsumeFn>
+void StreamShardedPostings(uint32_t num_entities, ThreadPool* pool,
                            const EmitFn& emit, const HashFn& hash,
                            const extmem::MemoryBudgetOptions& memory,
-                           std::vector<std::vector<KeyedPosting<Key>>>&
-                               shard_out) {
+                           const ConsumeFn& consume) {
+  static obs::Counter& chunks_counter =
+      obs::MetricsRegistry::Default().counter("blocking.chunks");
   static obs::Counter& emissions_counter =
       obs::MetricsRegistry::Default().counter("blocking.emissions");
-  extmem::RunSpilledShuffle(
+  static obs::Counter& postings_counter =
+      obs::MetricsRegistry::Default().counter("blocking.postings");
+  chunks_counter.Add(NumChunks(num_entities, kBlockingChunkEntities));
+
+  extmem::MergedShuffle shuffle(memory, kBlockingMergeShards);
+  extmem::ScatterIntoSinks(
       pool, num_entities, kBlockingChunkEntities, kBlockingMergeShards,
-      memory,
       [&](size_t /*chunk*/, size_t begin, size_t end, const auto& route) {
         std::vector<Key> keys;
         std::string record;
@@ -111,40 +104,39 @@ void SpilledPostingsShards(uint32_t num_entities, ThreadPool* pool,
         }
         emissions_counter.Add(emitted);
       },
-      [&](uint32_t s, extmem::ShuffleSource& source) {
-        std::string_view record;
-        std::string group_key;  // encoded key bytes of the open posting
-        KeyedPosting<Key> posting;
-        bool open = false;
-        while (source.Next(record)) {
-          const std::string_view key_bytes = extmem::RecordKey(record);
-          if (!open || key_bytes != group_key) {
-            if (open) shard_out[s].push_back(std::move(posting));
-            posting = KeyedPosting<Key>();
-            posting.key = extmem::DecodeKey<Key>(key_bytes);
-            group_key.assign(key_bytes.data(), key_bytes.size());
-            open = true;
-          }
-          posting.entities.push_back(
-              extmem::ReadU32Le(extmem::RecordPayload(record)));
-        }
-        if (open) shard_out[s].push_back(std::move(posting));
-      });
+      shuffle.sinks());
+
+  extmem::PostingsStream<Key> stream(shuffle.FinishMerged(pool));
+  Key key{};
+  std::vector<EntityId> entities;
+  uint64_t num_postings = 0;
+  while (stream.Next(key, entities)) {
+    consume(key, entities);
+    ++num_postings;
+  }
+  postings_counter.Add(num_postings);
 }
 
-/// Builds the merged postings of `num_entities` entities. `emit(e, keys)`
-/// appends entity e's blocking keys to `keys` (cleared by the caller), in
-/// the exact order the sequential scan would have produced them. `hash(key)`
-/// must be a pure function (only the shard *grouping* depends on it; the
-/// output is canonically sorted, so any stable hash yields identical
-/// results). Returns postings sorted ascending by key; keys are unique.
-/// A non-null `memory` with an enabled budget routes the shard merge through
-/// the spill-to-disk engine — byte-identical output, bounded memory.
-template <typename Key, typename EmitFn, typename HashFn>
-std::vector<KeyedPosting<Key>> BuildShardedPostings(
-    uint32_t num_entities, ThreadPool* pool, const EmitFn& emit,
-    const HashFn& hash,
-    const extmem::MemoryBudgetOptions* memory = nullptr) {
+/// Builds the merged postings of `num_entities` entities and hands each to
+/// `consume(key, entities)`, ascending by key (keys are unique).
+/// `emit(e, keys)` appends entity e's blocking keys to `keys` (cleared by
+/// the caller), in the exact order the sequential scan would have produced
+/// them. `hash(key)` must be a pure function (only the shard *grouping*
+/// depends on it; the output is canonically sorted, so any stable hash
+/// yields identical results). `entities` is scratch consume may steal or
+/// mutate. A non-null `memory` streams the shard merge through the
+/// spill-to-disk engine (StreamShardedPostings) — byte-identical postings,
+/// bounded memory.
+template <typename Key, typename EmitFn, typename HashFn, typename ConsumeFn>
+void BuildShardedPostings(uint32_t num_entities, ThreadPool* pool,
+                          const EmitFn& emit, const HashFn& hash,
+                          const extmem::MemoryBudgetOptions* memory,
+                          const ConsumeFn& consume) {
+  if (memory != nullptr && memory->enabled()) {
+    StreamShardedPostings<Key>(num_entities, pool, emit, hash, *memory,
+                               consume);
+    return;
+  }
   using Emission = std::pair<Key, EntityId>;
 
   // Coarse-grained telemetry only: one add per chunk or shard, never per
@@ -153,19 +145,13 @@ std::vector<KeyedPosting<Key>> BuildShardedPostings(
       obs::MetricsRegistry::Default().counter("blocking.chunks");
   static obs::Counter& emissions_counter =
       obs::MetricsRegistry::Default().counter("blocking.emissions");
+  static obs::Counter& postings_counter =
+      obs::MetricsRegistry::Default().counter("blocking.postings");
   static obs::Histogram& shard_records =
       obs::MetricsRegistry::Default().histogram("blocking.shard_records");
   static obs::Histogram& merge_fanin =
       obs::MetricsRegistry::Default().histogram("blocking.merge_fanin");
   chunks_counter.Add(NumChunks(num_entities, kBlockingChunkEntities));
-
-  if (memory != nullptr && memory->enabled()) {
-    std::vector<std::vector<KeyedPosting<Key>>> shard_out(
-        kBlockingMergeShards);
-    SpilledPostingsShards(num_entities, pool, emit, hash, *memory,
-                          shard_out);
-    return ConcatenatePostingsSortedByKey(shard_out);
-  }
 
   // Phase A: per-chunk scan. Each chunk collects its emissions in scan
   // order, then counting-sorts them by shard in place — one contiguous
@@ -262,65 +248,17 @@ std::vector<KeyedPosting<Key>> BuildShardedPostings(
     }
   });
 
-  return ConcatenatePostingsSortedByKey(shard_out);
-}
-
-/// Fully streaming variant of BuildShardedPostings: instead of returning a
-/// materialized postings vector, the merged postings are delivered one at a
-/// time to `consume(key, entities)` in the exact global key order
-/// BuildShardedPostings sorts into — without ever holding more than one
-/// posting (plus the bounded shard sink buffers) in memory. Emissions
-/// stream through the spill engine's shard sinks; the finished shards are
-/// k-way-merged by key bytes (keys are shard-disjoint, so the cross-shard
-/// merge IS the global key order). `entities` is scratch owned by the loop;
-/// consume may steal or mutate it. Counter semantics (blocking.chunks /
-/// emissions / postings) match the materializing path.
-template <typename Key, typename EmitFn, typename HashFn, typename ConsumeFn>
-void StreamShardedPostings(uint32_t num_entities, ThreadPool* pool,
-                           const EmitFn& emit, const HashFn& hash,
-                           const extmem::MemoryBudgetOptions& memory,
-                           const ConsumeFn& consume) {
-  static obs::Counter& chunks_counter =
-      obs::MetricsRegistry::Default().counter("blocking.chunks");
-  static obs::Counter& emissions_counter =
-      obs::MetricsRegistry::Default().counter("blocking.emissions");
-  static obs::Counter& postings_counter =
-      obs::MetricsRegistry::Default().counter("blocking.postings");
-  chunks_counter.Add(NumChunks(num_entities, kBlockingChunkEntities));
-
-  extmem::MergedShuffle shuffle(memory, kBlockingMergeShards);
-  extmem::ScatterIntoSinks(
-      pool, num_entities, kBlockingChunkEntities, kBlockingMergeShards,
-      [&](size_t /*chunk*/, size_t begin, size_t end, const auto& route) {
-        std::vector<Key> keys;
-        std::string record;
-        uint64_t emitted = 0;
-        for (EntityId e = static_cast<EntityId>(begin);
-             e < static_cast<EntityId>(end); ++e) {
-          keys.clear();
-          emit(e, keys);
-          for (const Key& key : keys) {
-            extmem::EncodeKey(key, record);
-            extmem::AppendU32Le(record, e);
-            route(static_cast<uint32_t>(Mix64(hash(key)) &
-                                        (kBlockingMergeShards - 1)),
-                  record);
-            ++emitted;
-          }
-        }
-        emissions_counter.Add(emitted);
-      },
-      shuffle.sinks());
-
-  extmem::PostingsStream<Key> stream(shuffle.FinishMerged(pool));
-  Key key{};
-  std::vector<EntityId> entities;
-  uint64_t num_postings = 0;
-  while (stream.Next(key, entities)) {
-    consume(key, entities);
-    ++num_postings;
+  // Phase C: shards hold disjoint key sets, so one sort by (unique) key
+  // fixes the global emission order.
+  std::vector<KeyedPosting<Key>> postings = FlattenInOrder(shard_out);
+  std::sort(postings.begin(), postings.end(),
+            [](const KeyedPosting<Key>& a, const KeyedPosting<Key>& b) {
+              return a.key < b.key;
+            });
+  postings_counter.Add(postings.size());
+  for (KeyedPosting<Key>& posting : postings) {
+    consume(posting.key, posting.entities);
   }
-  postings_counter.Add(num_postings);
 }
 
 }  // namespace minoan

@@ -3,13 +3,10 @@
 #include <cmath>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "core/session.h"
-#include "extmem/spill_file.h"
 #include "util/logging.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace minoan {
 
@@ -139,31 +136,6 @@ std::unique_ptr<BlockingMethod> MakeWorkflowBlocker(
   }
   blocker->set_memory_budget(options.memory);
   return blocker;
-}
-
-Result<BlockCollection> MinoanEr::BuildBlocks(
-    const EntityCollection& collection) const {
-  const uint32_t threads = ResolveThreadCount(options_.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(
-        threads, ThreadPoolOptions{options_.pin_threads});
-  }
-  try {
-    BlockCollection blocks =
-        MakeWorkflowBlocker(options_)->Build(collection, pool.get());
-    if (options_.auto_purge) {
-      AutoPurge(blocks, collection, options_.meta.mode, /*smoothing=*/1.025,
-                pool.get());
-    }
-    if (options_.filter_ratio > 0.0 && options_.filter_ratio < 1.0) {
-      FilterBlocks(blocks, options_.filter_ratio, collection,
-                   options_.meta.mode, pool.get());
-    }
-    return blocks;
-  } catch (const extmem::SpillError& e) {
-    return Status::IoError(e.what());
-  }
 }
 
 Result<ResolutionReport> MinoanEr::Run(

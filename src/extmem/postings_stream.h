@@ -14,9 +14,8 @@
 //
 // PostingsStream turns the merged record stream into (key, [entities])
 // posting groups, one per distinct key, holding only the current group in
-// memory. This is what lets the blocking methods feed the graph-view /
-// block-store builder directly from spill runs, with the BlockCollection
-// never materialized.
+// memory. This is what lets the blocking methods feed the block collection
+// directly from spill runs, with the full postings never materialized.
 
 #ifndef MINOAN_EXTMEM_POSTINGS_STREAM_H_
 #define MINOAN_EXTMEM_POSTINGS_STREAM_H_

@@ -35,24 +35,6 @@ BlockingGraphView::BlockingGraphView(BlockCollection& blocks,
       collection_(&collection),
       weighting_(weighting),
       mode_(mode) {
-  Init(blocks, pool);
-}
-
-BlockingGraphView::BlockingGraphView(FlatBlockStore& blocks,
-                                     const EntityCollection& collection,
-                                     WeightingScheme weighting,
-                                     ResolutionMode mode, ThreadPool* pool)
-    : flat_(&blocks),
-      collection_(&collection),
-      weighting_(weighting),
-      mode_(mode) {
-  Init(blocks, pool);
-}
-
-template <typename Store>
-void BlockingGraphView::Init(Store& blocks, ThreadPool* pool) {
-  const EntityCollection& collection = *collection_;
-  const ResolutionMode mode = mode_;
   if (!blocks.has_entity_index()) {
     blocks.BuildEntityIndex(collection.num_entities());
   }
@@ -69,13 +51,12 @@ void BlockingGraphView::Init(Store& blocks, ThreadPool* pool) {
                   [&](size_t c, size_t begin, size_t end) {
                     uint64_t assignments = 0;
                     for (size_t bi = begin; bi < end; ++bi) {
-                      const uint64_t card = GraphBlockComparisons(
-                          blocks, static_cast<uint32_t>(bi), collection, mode);
+                      const uint64_t card = blocks.NumComparisons(
+                          static_cast<uint32_t>(bi), collection, mode);
                       arcs_term_[bi] =
                           card > 0 ? 1.0 / static_cast<double>(card) : 0.0;
                       assignments +=
-                          GraphBlockEntities(blocks, static_cast<uint32_t>(bi))
-                              .size();
+                          blocks.block_size(static_cast<uint32_t>(bi));
                     }
                     chunk_assignments[c] = assignments;
                   });
@@ -122,18 +103,15 @@ void BlockingGraphView::Init(Store& blocks, ThreadPool* pool) {
   }
 }
 
-template void BlockingGraphView::Init<BlockCollection>(BlockCollection&,
-                                                       ThreadPool*);
-template void BlockingGraphView::Init<FlatBlockStore>(FlatBlockStore&,
-                                                      ThreadPool*);
-
-template <typename Store>
-double BlockingGraphView::PairWeightOver(const Store& store, EntityId a,
-                                         EntityId b) const {
+double BlockingGraphView::PairWeight(EntityId a, EntityId b) const {
+  if (a == b) return 0.0;
+  if (mode_ == ResolutionMode::kCleanClean && !collection_->CrossKb(a, b)) {
+    return 0.0;
+  }
   uint32_t common = 0;
   double arcs = 0.0;
-  for (uint32_t bi : store.BlocksOf(a)) {
-    for (EntityId n : GraphBlockEntities(store, bi)) {
+  for (uint32_t bi : blocks_->BlocksOf(a)) {
+    for (EntityId n : blocks_->entities(bi)) {
       if (n == b) {
         ++common;
         arcs += arcs_term_[bi];
@@ -144,19 +122,10 @@ double BlockingGraphView::PairWeightOver(const Store& store, EntityId a,
   return common == 0 ? 0.0 : EdgeWeight(a, b, common, arcs);
 }
 
-double BlockingGraphView::PairWeight(EntityId a, EntityId b) const {
-  if (a == b) return 0.0;
-  if (mode_ == ResolutionMode::kCleanClean && !collection_->CrossKb(a, b)) {
-    return 0.0;
-  }
-  return flat_ != nullptr ? PairWeightOver(*flat_, a, b)
-                          : PairWeightOver(*blocks_, a, b);
-}
-
 double BlockingGraphView::EdgeWeight(EntityId a, EntityId b, uint32_t common,
                                      double arcs_sum) const {
-  const double ba = static_cast<double>(NumBlocksOf(a));
-  const double bb = static_cast<double>(NumBlocksOf(b));
+  const double ba = static_cast<double>(blocks_->BlocksOf(a).size());
+  const double bb = static_cast<double>(blocks_->BlocksOf(b).size());
   switch (weighting_) {
     case WeightingScheme::kCbs:
       return static_cast<double>(common);

@@ -69,27 +69,6 @@ std::vector<WeightedComparison> MetaBlocking::Prune(
   return ShardedPrune(view, options_, &pool, stats);
 }
 
-std::vector<WeightedComparison> MetaBlocking::Prune(
-    FlatBlockStore& blocks, const EntityCollection& collection,
-    MetaBlockingStats* stats) const {
-  const uint32_t threads = ResolveThreadCount(options_.num_threads);
-  if (threads <= 1) {
-    const BlockingGraphView view(blocks, collection, options_.weighting,
-                                 options_.mode);
-    return ShardedPrune(view, options_, nullptr, stats);
-  }
-  ThreadPool pool(threads);
-  return Prune(blocks, collection, pool, stats);
-}
-
-std::vector<WeightedComparison> MetaBlocking::Prune(
-    FlatBlockStore& blocks, const EntityCollection& collection,
-    ThreadPool& pool, MetaBlockingStats* stats) const {
-  const BlockingGraphView view(blocks, collection, options_.weighting,
-                               options_.mode, &pool);
-  return ShardedPrune(view, options_, &pool, stats);
-}
-
 double ComputePairWeight(BlockCollection& blocks,
                          const EntityCollection& collection,
                          WeightingScheme scheme, ResolutionMode mode,

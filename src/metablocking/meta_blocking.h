@@ -13,7 +13,8 @@
 // The graph is never materialized: edges are streamed per entity from the
 // entity-block index with O(1) stamp-array deduplication, exactly the
 // structure parallelized in [4] (Efthymiou et al., Parallel meta-blocking);
-// see mapreduce/parallel_meta_blocking.h for the MapReduce version.
+// see metablocking/sharded_prune.h for the sharded version both overloads
+// of MetaBlocking::Prune run on.
 
 #ifndef MINOAN_METABLOCKING_META_BLOCKING_H_
 #define MINOAN_METABLOCKING_META_BLOCKING_H_
@@ -26,7 +27,6 @@
 
 namespace minoan {
 
-class FlatBlockStore;
 class ThreadPool;
 
 /// Executes weighting + pruning over a block collection. Runs on the
@@ -47,25 +47,11 @@ class MetaBlocking {
                                         MetaBlockingStats* stats = nullptr)
       const;
 
-  /// Same, on a caller-owned pool. Lets long-lived drivers (MapReduce
-  /// engine, benches) reuse their threads. (Takes a reference, not a
-  /// pointer, so `Prune(b, c, nullptr)` stays an unambiguous spelling of
-  /// the stats-only overload.)
+  /// Same, on a caller-owned pool, so long-lived drivers (the session,
+  /// benches) reuse their threads. (Takes a reference, not a pointer, so
+  /// `Prune(b, c, nullptr)` stays an unambiguous spelling of the stats-only
+  /// overload.)
   std::vector<WeightedComparison> Prune(BlockCollection& blocks,
-                                        const EntityCollection& collection,
-                                        ThreadPool& pool,
-                                        MetaBlockingStats* stats = nullptr)
-      const;
-
-  /// Same pruning over the out-of-core FlatBlockStore (the budgeted
-  /// pipeline). The flat store holds the same blocks in the same order as
-  /// the collection the unbudgeted run materializes, so the retained edges
-  /// come out bit-identical.
-  std::vector<WeightedComparison> Prune(FlatBlockStore& blocks,
-                                        const EntityCollection& collection,
-                                        MetaBlockingStats* stats = nullptr)
-      const;
-  std::vector<WeightedComparison> Prune(FlatBlockStore& blocks,
                                         const EntityCollection& collection,
                                         ThreadPool& pool,
                                         MetaBlockingStats* stats = nullptr)

@@ -1,6 +1,6 @@
 // Copyright 2026 The MinoanER Authors.
-// The sharded pruning core: one implementation of WEP/CEP/WNP/CNP shared by
-// the sequential MetaBlocking driver and the MapReduce path.
+// The sharded pruning core: the one implementation of WEP/CEP/WNP/CNP behind
+// MetaBlocking::Prune, with or without a pool and a memory budget.
 //
 // Entities are dealt to workers in fixed-size chunks (constant, independent
 // of the worker count) so every floating-point partial aggregate folds in

@@ -72,7 +72,8 @@ class EventLog {
   uint64_t filtered() const;
 
   /// One JSON object per line, oldest first:
-  ///   {"ts_us":N,"severity":"warn","kind":"slow_request",<text...>,<values...>}
+  ///   {"ts_us":N,"severity":"warn","kind":"slow_request",
+  ///    <text...>,<values...>}
   void WriteJsonl(std::ostream& out) const;
 
  private:

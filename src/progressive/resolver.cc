@@ -181,28 +181,6 @@ void ProgressiveResolver::SampleProgress() {
   }
 }
 
-ProgressiveResult ProgressiveResolver::Resolve(
-    const std::vector<WeightedComparison>& candidates) {
-  return ResolveWithSeeds(candidates, {});
-}
-
-ProgressiveResult ProgressiveResolver::ResolveWithSeeds(
-    const std::vector<WeightedComparison>& candidates,
-    const std::vector<Comparison>& seeds) {
-  Begin(candidates, seeds);
-  Step(0);
-  ProgressiveResult out = std::move(result_);
-  // One-shot semantics: the run is over, so drop the loop state instead of
-  // carrying O(candidates) of scratch until the next Begin (pre-refactor
-  // these were function locals freed on return).
-  begun_ = false;
-  scheduler_ = ComparisonScheduler();
-  state_.reset();
-  seeds_.clear();
-  result_ = ProgressiveResult();
-  return out;
-}
-
 uint64_t ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
   const auto na = graph_->Neighbors(a);
   const auto nb = graph_->Neighbors(b);

@@ -23,10 +23,9 @@
 // The resolver is a stateful begin/step core: Begin() ingests the candidate
 // schedule, Step(n) spends up to n more comparisons, and the loop state
 // (scheduler, evidence, partial clusters) persists between calls, so
-// Step(n/2) twice is byte-identical to Step(n). The legacy run-to-completion
-// Resolve()/ResolveWithSeeds() are thin wrappers, and SaveState/LoadState
-// round-trip the loop state for checkpointable sessions
-// (core/session.h).
+// Step(n/2) twice is byte-identical to Step(n); Begin + Step(0) runs to
+// completion. SaveState/LoadState round-trip the loop state for
+// checkpointable sessions (core/session.h).
 
 #ifndef MINOAN_PROGRESSIVE_RESOLVER_H_
 #define MINOAN_PROGRESSIVE_RESOLVER_H_
@@ -116,8 +115,13 @@ class ProgressiveResolver {
 
   /// Initializes a resolution from the given candidates (meta-blocking
   /// output: weighted comparisons; weights are normalized to [0, 1]
-  /// likelihoods) plus optional warm-start seeds (see ResolveWithSeeds).
-  /// Resets any previous run.
+  /// likelihoods) plus optional warm-start seeds. Seeds are trusted
+  /// equivalences known before matching — existing owl:sameAs interlinks,
+  /// or the output of a previous pay-as-you-go session. They are recorded
+  /// into the resolution state at zero budget cost and propagated through
+  /// the update phase, so their neighborhoods are prioritized from the
+  /// first comparison on. Seeds do not appear among the matches (they were
+  /// not discovered by this run). Resets any previous run.
   void Begin(const std::vector<WeightedComparison>& candidates,
              const std::vector<Comparison>& seeds = {});
 
@@ -126,7 +130,7 @@ class ProgressiveResolver {
   /// executes the byte-identical schedule as Step(n) once.
   StepResult Step(uint64_t max_comparisons);
 
-  /// True after Begin/LoadState, until the result is taken by Resolve.
+  /// True after Begin/LoadState.
   bool begun() const { return begun_; }
   /// True once the schedule drained (further Steps are no-ops).
   bool exhausted() const { return exhausted_; }
@@ -164,22 +168,6 @@ class ProgressiveResolver {
   /// Restores the loop state saved by SaveState against the same collection;
   /// stepping then continues exactly where the saved run left off.
   Status LoadState(std::istream& in);
-
-  // --- Legacy run-to-completion interface ----------------------------------
-
-  /// Resolves from the given initial candidates: Begin + Step to exhaustion.
-  ProgressiveResult Resolve(const std::vector<WeightedComparison>& candidates);
-
-  /// Warm start: `seeds` are trusted equivalences known before matching —
-  /// existing owl:sameAs interlinks, or the output of a previous
-  /// pay-as-you-go session. They are recorded into the resolution state at
-  /// zero budget cost and propagated through the update phase, so their
-  /// neighborhoods are prioritized from the first comparison on. Seeds do
-  /// not appear among the returned matches (they were not discovered by
-  /// this run).
-  ProgressiveResult ResolveWithSeeds(
-      const std::vector<WeightedComparison>& candidates,
-      const std::vector<Comparison>& seeds);
 
  private:
   /// Priority of slot `id` against the current state (SlotPriority).

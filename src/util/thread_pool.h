@@ -1,5 +1,6 @@
 // Copyright 2026 The MinoanER Authors.
-// Fixed-size worker pool used by the MapReduce engine and parallel benches.
+// Fixed-size worker pool shared by the parallel phases of a session and by
+// the benches.
 
 #ifndef MINOAN_UTIL_THREAD_POOL_H_
 #define MINOAN_UTIL_THREAD_POOL_H_

@@ -45,43 +45,58 @@ EntityId Find(const EntityCollection& c, std::string_view iri) {
   return e;
 }
 
+std::vector<EntityId> Members(const BlockCollection& blocks, uint32_t bi) {
+  const auto span = blocks.entities(bi);
+  return std::vector<EntityId>(span.begin(), span.end());
+}
+
+/// True when some block's entity list is exactly `members` (sorted).
+bool HasBlock(const BlockCollection& blocks,
+              const std::vector<EntityId>& members) {
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    if (Members(blocks, bi) == members) return true;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------------------
 // Block / BlockCollection mechanics
 // ---------------------------------------------------------------------------
 
 TEST(BlockTest, DirtyComparisonsIsChoose2) {
   EntityCollection c = TinyCollection();
-  Block b;
-  b.entities = {0, 1, 2, 3};
-  EXPECT_EQ(b.NumComparisons(c, ResolutionMode::kDirty), 6u);
+  BlockCollection blocks;
+  blocks.AddBlock({0, 1, 2, 3});
+  EXPECT_EQ(blocks.NumComparisons(0, c, ResolutionMode::kDirty), 6u);
 }
 
 TEST(BlockTest, CleanCleanComparisonsCrossKbOnly) {
   EntityCollection c = TinyCollection();
   // Entities 0..2 are in KB a, 3..4 in KB b.
-  Block b;
-  b.entities = {0, 1, 3};
+  BlockCollection blocks;
+  blocks.AddBlock({0, 1, 3});
+  blocks.AddBlock({0, 1, 2});
   // pairs: (0,3), (1,3) cross; (0,1) same-KB.
-  EXPECT_EQ(b.NumComparisons(c, ResolutionMode::kCleanClean), 2u);
-  Block same_kb;
-  same_kb.entities = {0, 1, 2};
-  EXPECT_EQ(same_kb.NumComparisons(c, ResolutionMode::kCleanClean), 0u);
+  EXPECT_EQ(blocks.NumComparisons(0, c, ResolutionMode::kCleanClean), 2u);
+  EXPECT_EQ(blocks.NumComparisons(1, c, ResolutionMode::kCleanClean), 0u);
+  EXPECT_EQ(blocks.AggregateComparisons(c, ResolutionMode::kCleanClean), 2u);
+  EXPECT_EQ(blocks.AggregateComparisons(c, ResolutionMode::kDirty), 6u);
 }
 
 TEST(BlockCollectionTest, AddBlockDropsSingletonsAndDupes) {
   BlockCollection blocks;
-  blocks.AddBlock("solo", {4});
-  blocks.AddBlock("dupes", {2, 2, 1});
+  blocks.AddBlock({4});
+  blocks.AddBlock({2, 2, 1});
+  blocks.AddBlock({3, 3});
   ASSERT_EQ(blocks.num_blocks(), 1u);
-  EXPECT_EQ(blocks.block(0).entities, (std::vector<EntityId>{1, 2}));
-  EXPECT_EQ(blocks.KeyString(blocks.block(0).key), "dupes");
+  EXPECT_EQ(Members(blocks, 0), (std::vector<EntityId>{1, 2}));
 }
 
 TEST(BlockCollectionTest, DistinctComparisonsDedupesAcrossBlocks) {
   EntityCollection c = TinyCollection();
   BlockCollection blocks;
-  blocks.AddBlock("k1", {0, 3});
-  blocks.AddBlock("k2", {0, 3, 4});
+  blocks.AddBlock({0, 3});
+  blocks.AddBlock({0, 3, 4});
   const auto distinct =
       blocks.DistinctComparisons(c, ResolutionMode::kCleanClean);
   // (0,3) appears twice across blocks but once distinct; plus (0,4), (3,4)
@@ -95,19 +110,32 @@ TEST(BlockCollectionTest, DistinctComparisonsDedupesAcrossBlocks) {
 TEST(BlockCollectionTest, EntityIndexInvertsBlocks) {
   EntityCollection c = TinyCollection();
   BlockCollection blocks;
-  blocks.AddBlock("k1", {0, 1});
-  blocks.AddBlock("k2", {1, 2});
+  blocks.AddBlock({0, 1});
+  blocks.AddBlock({1, 2});
   blocks.BuildEntityIndex(c.num_entities());
   EXPECT_EQ(blocks.BlocksOf(1).size(), 2u);
   EXPECT_EQ(blocks.BlocksOf(0).size(), 1u);
   EXPECT_EQ(blocks.BlocksOf(4).size(), 0u);
 }
 
-TEST(BlockCollectionTest, NumPlacedEntities) {
+TEST(BlockCollectionTest, FilterInPlaceKeepsOrderAndContents) {
+  // Keeping the first block moves it onto itself; the later survivors
+  // shift left over the dropped ones.
   BlockCollection blocks;
-  blocks.AddBlock("k1", {0, 1});
-  blocks.AddBlock("k2", {1, 2});
-  EXPECT_EQ(blocks.NumPlacedEntities(), 3u);
+  blocks.AddBlock({0, 1});
+  blocks.AddBlock({2, 3, 4});
+  blocks.AddBlock({1, 4});
+  blocks.AddBlock({0, 2, 3});
+  blocks.BuildEntityIndex(5);
+  blocks.FilterInPlace([](uint32_t bi) { return bi != 1; });
+  EXPECT_FALSE(blocks.has_entity_index());
+  ASSERT_EQ(blocks.num_blocks(), 3u);
+  EXPECT_EQ(Members(blocks, 0), (std::vector<EntityId>{0, 1}));
+  EXPECT_EQ(Members(blocks, 1), (std::vector<EntityId>{1, 4}));
+  EXPECT_EQ(Members(blocks, 2), (std::vector<EntityId>{0, 2, 3}));
+  blocks.FilterInPlace([](uint32_t bi) { return bi == 2; });
+  ASSERT_EQ(blocks.num_blocks(), 1u);
+  EXPECT_EQ(Members(blocks, 0), (std::vector<EntityId>{0, 2, 3}));
 }
 
 // ---------------------------------------------------------------------------
@@ -122,11 +150,10 @@ TEST(TokenBlockingTest, SharedTokenCreatesBlock) {
   const EntityId ha = Find(c, "http://a/r/heraklion");
   const EntityId hb = Find(c, "http://b/x/h1");
   bool together = false;
-  for (const Block& b : blocks.blocks()) {
-    const bool has_a = std::binary_search(b.entities.begin(),
-                                          b.entities.end(), ha);
-    const bool has_b = std::binary_search(b.entities.begin(),
-                                          b.entities.end(), hb);
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    const auto b = blocks.entities(bi);
+    const bool has_a = std::binary_search(b.begin(), b.end(), ha);
+    const bool has_b = std::binary_search(b.begin(), b.end(), hb);
     if (has_a && has_b) together = true;
   }
   EXPECT_TRUE(together);
@@ -136,14 +163,14 @@ TEST(TokenBlockingTest, MinDfFiltersUniqueTokens) {
   EntityCollection c = TinyCollection();
   TokenBlocking blocking;  // min_df = 2
   BlockCollection blocks = blocking.Build(c);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_GE(b.size(), 2u);
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    EXPECT_GE(blocks.block_size(bi), 2u);
   }
 }
 
 TEST(TokenBlockingTest, MaxDfDropsStopTokens) {
   // Token "common" present in every entity: with max_df_fraction = 0.5 its
-  // block must disappear.
+  // block (the only one holding all four entities) must disappear.
   EntityCollection c;
   ASSERT_TRUE(c.AddKnowledgeBase("a", Parse(R"(
 <http://a/1> <http://a/p> "common alpha" .
@@ -158,9 +185,11 @@ TEST(TokenBlockingTest, MaxDfDropsStopTokens) {
   opts.max_df_fraction = 0.5;
   TokenBlocking blocking(opts);
   BlockCollection blocks = blocking.Build(c);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_NE(blocks.KeyString(b.key), "common");
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    EXPECT_LT(blocks.block_size(bi), 4u);
   }
+  // Without the cap the stop-token block is there.
+  EXPECT_TRUE(HasBlock(TokenBlocking().Build(c), {0, 1, 2, 3}));
 }
 
 TEST(TokenBlockingTest, RecallOnGeneratedCenterCloud) {
@@ -220,14 +249,9 @@ TEST(PisBlockingTest, SharedSuffixCreatesBlock) {
   ASSERT_TRUE(c.Finalize().ok());
   PisBlocking blocking;
   BlockCollection blocks = blocking.Build(c);
-  bool suffix_block = false;
-  for (const Block& b : blocks.blocks()) {
-    if (blocks.KeyString(b.key) == "sfx:Heraklion") {
-      suffix_block = true;
-      EXPECT_EQ(b.size(), 2u);
-    }
-  }
-  EXPECT_TRUE(suffix_block);
+  const EntityId ha = Find(c, "http://a/r/Heraklion");
+  const EntityId hb = Find(c, "http://b/place/Heraklion");
+  EXPECT_TRUE(HasBlock(blocks, {std::min(ha, hb), std::max(ha, hb)}));
 }
 
 TEST(PisBlockingTest, InfixOptional) {
@@ -237,16 +261,14 @@ TEST(PisBlockingTest, InfixOptional) {
 <http://a/res/x2> <http://a/p> "v2" .
 )")).ok());
   ASSERT_TRUE(c.Finalize().ok());
+  // The suffixes differ, so only the shared "/res" infix joins the two.
   PisBlocking::Options opts;
-  opts.use_infix = true;
   opts.tokenize_suffix = false;
-  PisBlocking blocking(opts);
-  BlockCollection blocks = blocking.Build(c);
-  bool infix_block = false;
-  for (const Block& b : blocks.blocks()) {
-    if (blocks.KeyString(b.key) == "ifx:/res") infix_block = true;
-  }
-  EXPECT_TRUE(infix_block);
+  EXPECT_EQ(PisBlocking(opts).Build(c).num_blocks(), 0u);
+  opts.use_infix = true;
+  BlockCollection blocks = PisBlocking(opts).Build(c);
+  ASSERT_EQ(blocks.num_blocks(), 1u);
+  EXPECT_EQ(Members(blocks, 0), (std::vector<EntityId>{0, 1}));
 }
 
 TEST(PisBlockingTest, CatchesMatchesWithDisjointValues) {
@@ -262,11 +284,7 @@ TEST(PisBlockingTest, CatchesMatchesWithDisjointValues) {
   PisBlocking blocking;
   BlockCollection blocks = blocking.Build(c);
   EXPECT_GT(blocks.num_blocks(), 0u);
-  bool together = false;
-  for (const Block& b : blocks.blocks()) {
-    if (b.size() == 2) together = true;
-  }
-  EXPECT_TRUE(together);
+  EXPECT_TRUE(HasBlock(blocks, {0, 1}));
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +328,7 @@ TEST(AttrClusteringTest, DisjointVocabulariesStaySeparate) {
   EXPECT_EQ(clusters[color_id], 0u);
 }
 
-TEST(AttrClusteringTest, BlocksKeyedByClusterAndToken) {
+TEST(AttrClusteringTest, SharedTokensUnderOneAttributeFormBlocks) {
   EntityCollection c;
   ASSERT_TRUE(c.AddKnowledgeBase("a", Parse(R"(
 <http://a/1> <http://a/v/name> "shared token" .
@@ -320,8 +338,8 @@ TEST(AttrClusteringTest, BlocksKeyedByClusterAndToken) {
   AttributeClusteringBlocking blocking;
   BlockCollection blocks = blocking.Build(c);
   ASSERT_GT(blocks.num_blocks(), 0u);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_EQ(blocks.KeyString(b.key).substr(0, 1), "c");
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    EXPECT_EQ(Members(blocks, bi), (std::vector<EntityId>{0, 1}));
   }
 }
 
@@ -329,7 +347,7 @@ TEST(AttrClusteringTest, BlocksKeyedByClusterAndToken) {
 // Composite blocking
 // ---------------------------------------------------------------------------
 
-TEST(CompositeBlockingTest, UnionOfMethods) {
+TEST(CompositeBlockingTest, EmitsEachMethodsBlocksInTurn) {
   // IRIs share suffixes across KBs so PIS produces non-singleton blocks.
   EntityCollection c;
   ASSERT_TRUE(c.AddKnowledgeBase("a", Parse(R"(
@@ -347,16 +365,18 @@ TEST(CompositeBlockingTest, UnionOfMethods) {
   CompositeBlocking composite(std::move(methods));
   BlockCollection combined = composite.Build(c);
   BlockCollection token_only = TokenBlocking().Build(c);
-  EXPECT_GE(combined.num_blocks(), token_only.num_blocks());
-  // Keys carry the method prefix.
-  bool token_prefixed = false, pis_prefixed = false;
-  for (const Block& b : combined.blocks()) {
-    const auto key = combined.KeyString(b.key);
-    if (key.substr(0, 6) == "token:") token_prefixed = true;
-    if (key.substr(0, 4) == "pis:") pis_prefixed = true;
+  BlockCollection pis_only = PisBlocking().Build(c);
+  ASSERT_GT(token_only.num_blocks(), 0u);
+  ASSERT_GT(pis_only.num_blocks(), 0u);
+  // Token's blocks, then PIS's, unmerged even where they coincide.
+  ASSERT_EQ(combined.num_blocks(),
+            token_only.num_blocks() + pis_only.num_blocks());
+  const uint32_t tb = static_cast<uint32_t>(token_only.num_blocks());
+  for (uint32_t bi = 0; bi < combined.num_blocks(); ++bi) {
+    EXPECT_EQ(Members(combined, bi), bi < tb ? Members(token_only, bi)
+                                             : Members(pis_only, bi - tb))
+        << "block " << bi;
   }
-  EXPECT_TRUE(token_prefixed);
-  EXPECT_TRUE(pis_prefixed);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,23 +385,10 @@ TEST(CompositeBlockingTest, UnionOfMethods) {
 
 BlockCollection OversizedBlocks() {
   BlockCollection blocks;
-  blocks.AddBlock("small1", {0, 3});
-  blocks.AddBlock("small2", {1, 3});
-  blocks.AddBlock("huge", {0, 1, 2, 3, 4});
+  blocks.AddBlock({0, 3});           // small
+  blocks.AddBlock({1, 3});           // small
+  blocks.AddBlock({0, 1, 2, 3, 4});  // huge
   return blocks;
-}
-
-TEST(PurgingTest, PurgeBySizeDropsLargeBlocks) {
-  EntityCollection c = TinyCollection();
-  BlockCollection blocks = OversizedBlocks();
-  const CleaningStats stats =
-      PurgeBySize(blocks, 3, c, ResolutionMode::kDirty);
-  EXPECT_EQ(stats.blocks_before, 3u);
-  EXPECT_EQ(stats.blocks_after, 2u);
-  EXPECT_LT(stats.comparisons_after, stats.comparisons_before);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_LE(b.size(), 3u);
-  }
 }
 
 TEST(PurgingTest, AutoPurgeNeverIncreasesComparisons) {
@@ -394,35 +401,38 @@ TEST(PurgingTest, AutoPurgeNeverIncreasesComparisons) {
   auto c = cloud->BuildCollection();
   ASSERT_TRUE(c.ok());
   BlockCollection blocks = TokenBlocking().Build(*c);
-  const CleaningStats stats =
-      AutoPurge(blocks, *c, ResolutionMode::kCleanClean);
-  EXPECT_LE(stats.comparisons_after, stats.comparisons_before);
-  EXPECT_LE(stats.blocks_after, stats.blocks_before);
-  EXPECT_GT(stats.blocks_after, 0u);
+  const size_t blocks_before = blocks.num_blocks();
+  const uint64_t comparisons_before =
+      blocks.AggregateComparisons(*c, ResolutionMode::kCleanClean);
+  AutoPurge(blocks, *c, ResolutionMode::kCleanClean);
+  EXPECT_LE(blocks.AggregateComparisons(*c, ResolutionMode::kCleanClean),
+            comparisons_before);
+  EXPECT_LE(blocks.num_blocks(), blocks_before);
+  EXPECT_GT(blocks.num_blocks(), 0u);
 }
 
 TEST(FilteringTest, RatioOneKeepsEverything) {
   EntityCollection c = TinyCollection();
   BlockCollection blocks = OversizedBlocks();
-  const CleaningStats stats =
-      FilterBlocks(blocks, 1.0, c, ResolutionMode::kDirty);
-  EXPECT_EQ(stats.blocks_after, stats.blocks_before);
-  EXPECT_EQ(stats.comparisons_after, stats.comparisons_before);
+  FilterBlocks(blocks, 1.0, c);
+  ASSERT_EQ(blocks.num_blocks(), 3u);
+  for (uint32_t bi = 0; bi < 3; ++bi) {
+    EXPECT_EQ(Members(blocks, bi), Members(OversizedBlocks(), bi));
+  }
 }
 
 TEST(FilteringTest, KeepsSmallestBlocksPerEntity) {
   EntityCollection c = TinyCollection();
   BlockCollection blocks = OversizedBlocks();
   // Entity 3 sits in all three blocks; ratio 0.5 keeps ceil(1.5) = 2 of its
-  // smallest, so the "huge" block must lose it.
-  FilterBlocks(blocks, 0.5, c, ResolutionMode::kDirty);
-  for (const Block& b : blocks.blocks()) {
-    if (blocks.KeyString(b.key) == "huge") {
-      EXPECT_FALSE(std::binary_search(b.entities.begin(), b.entities.end(),
-                                      EntityId{3}))
-          << "entity 3's largest block must lose it";
-    }
-  }
+  // smallest, so the huge block must lose it. Entities 0 and 1 keep only
+  // their small block; 2 and 4 have no other.
+  FilterBlocks(blocks, 0.5, c);
+  ASSERT_EQ(blocks.num_blocks(), 3u);
+  EXPECT_EQ(Members(blocks, 0), (std::vector<EntityId>{0, 3}));
+  EXPECT_EQ(Members(blocks, 1), (std::vector<EntityId>{1, 3}));
+  EXPECT_EQ(Members(blocks, 2), (std::vector<EntityId>{2, 4}))
+      << "entity 3's largest block must lose it";
 }
 
 TEST(FilteringTest, ReducesComparisonsOnRealisticBlocks) {
@@ -435,9 +445,11 @@ TEST(FilteringTest, ReducesComparisonsOnRealisticBlocks) {
   auto c = cloud->BuildCollection();
   ASSERT_TRUE(c.ok());
   BlockCollection blocks = TokenBlocking().Build(*c);
-  const CleaningStats stats =
-      FilterBlocks(blocks, 0.5, c.value(), ResolutionMode::kCleanClean);
-  EXPECT_LT(stats.comparisons_after, stats.comparisons_before);
+  const uint64_t comparisons_before =
+      blocks.AggregateComparisons(*c, ResolutionMode::kCleanClean);
+  FilterBlocks(blocks, 0.5, c.value());
+  EXPECT_LT(blocks.AggregateComparisons(*c, ResolutionMode::kCleanClean),
+            comparisons_before);
 }
 
 }  // namespace

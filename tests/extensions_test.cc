@@ -1,5 +1,5 @@
-// Tests for the extension features: B-cubed cluster metrics, parallel batch
-// matching, and warm-start (seeded) progressive resolution.
+// Tests for the extension features: B-cubed cluster metrics and warm-start
+// (seeded) progressive resolution.
 
 #include <memory>
 #include <set>
@@ -11,7 +11,6 @@
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "gtest/gtest.h"
-#include "mapreduce/parallel_matching.h"
 #include "metablocking/meta_blocking.h"
 #include "progressive/resolver.h"
 #include "util/hash.h"
@@ -73,72 +72,6 @@ TEST(BCubedTest, PartialMergePartialScores) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel batch matching
-// ---------------------------------------------------------------------------
-
-struct MatchWorld {
-  std::unique_ptr<EntityCollection> collection;
-  std::unique_ptr<SimilarityEvaluator> evaluator;
-  std::vector<WeightedComparison> candidates;
-};
-
-MatchWorld MakeMatchWorld() {
-  datagen::LodCloudConfig cfg;
-  cfg.seed = 501;
-  cfg.num_real_entities = 300;
-  cfg.num_kbs = 4;
-  cfg.center_kbs = 2;
-  auto cloud = datagen::GenerateLodCloud(cfg);
-  EXPECT_TRUE(cloud.ok());
-  auto collection_result = cloud->BuildCollection();
-  EXPECT_TRUE(collection_result.ok());
-  auto collection = std::make_unique<EntityCollection>(
-      std::move(collection_result).value());
-  BlockCollection blocks = TokenBlocking().Build(*collection);
-  auto candidates = MetaBlocking().Prune(blocks, *collection);
-  auto evaluator = std::make_unique<SimilarityEvaluator>(*collection);
-  return MatchWorld{std::move(collection), std::move(evaluator),
-                    std::move(candidates)};
-}
-
-TEST(ParallelMatchingTest, MatchesSequentialBatchMatcher) {
-  MatchWorld w = MakeMatchWorld();
-  MatcherOptions mopts;
-  mopts.threshold = 0.35;
-  BatchMatcher sequential(*w.evaluator, mopts);
-  std::vector<Comparison> order;
-  for (const auto& c : w.candidates) order.emplace_back(c.a, c.b);
-  const ResolutionRun seq = sequential.Run(order);
-
-  std::set<uint64_t> seq_pairs;
-  for (const MatchEvent& m : seq.matches) {
-    seq_pairs.insert(PairKey(m.a, m.b));
-  }
-  for (uint32_t workers : {1u, 8u}) {
-    mapreduce::Engine engine(workers);
-    const ResolutionRun par = mapreduce::ParallelBatchMatching(
-        w.candidates, *w.evaluator, 0.35, engine);
-    std::set<uint64_t> par_pairs;
-    for (const MatchEvent& m : par.matches) {
-      par_pairs.insert(PairKey(m.a, m.b));
-    }
-    EXPECT_EQ(par_pairs, seq_pairs) << workers << " workers";
-    EXPECT_EQ(par.comparisons_executed, w.candidates.size());
-  }
-}
-
-TEST(ParallelMatchingTest, MatchesSortedByPairId) {
-  MatchWorld w = MakeMatchWorld();
-  mapreduce::Engine engine(4);
-  const ResolutionRun run = mapreduce::ParallelBatchMatching(
-      w.candidates, *w.evaluator, 0.35, engine);
-  for (size_t i = 1; i < run.matches.size(); ++i) {
-    EXPECT_LT(PairKey(run.matches[i - 1].a, run.matches[i - 1].b),
-              PairKey(run.matches[i].a, run.matches[i].b));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Warm-start seeds
 // ---------------------------------------------------------------------------
 
@@ -150,6 +83,15 @@ struct SeedWorld {
   std::unique_ptr<SimilarityEvaluator> evaluator;
   std::vector<WeightedComparison> candidates;
 };
+
+/// Begin + Step to exhaustion; returns the run's result.
+ProgressiveResult RunToEnd(ProgressiveResolver& resolver,
+                           const std::vector<WeightedComparison>& candidates,
+                           const std::vector<Comparison>& seeds = {}) {
+  resolver.Begin(candidates, seeds);
+  resolver.Step(0);
+  return resolver.result();
+}
 
 SeedWorld MakeSeedWorld() {
   datagen::LodCloudConfig cfg;
@@ -190,8 +132,7 @@ TEST(SeededResolveTest, SeedsNotReportedAsMatches) {
   ProgressiveOptions opts;
   opts.matcher.threshold = 0.3;
   ProgressiveResolver resolver(*w.collection, *w.graph, *w.evaluator, opts);
-  const ProgressiveResult result =
-      resolver.ResolveWithSeeds(w.candidates, seeds);
+  const ProgressiveResult result = RunToEnd(resolver, w.candidates, seeds);
   std::set<uint64_t> seed_keys;
   for (const Comparison& s : seeds) seed_keys.insert(PairKey(s.a, s.b));
   for (const MatchEvent& m : result.run.matches) {
@@ -210,9 +151,8 @@ TEST(SeededResolveTest, SeedsImproveRecallOfRemainingPairs) {
   opts.matcher.threshold = 0.3;
   opts.evidence.weight = 0.4;
   ProgressiveResolver resolver(*w.collection, *w.graph, *w.evaluator, opts);
-  const ProgressiveResult cold = resolver.Resolve(w.candidates);
-  const ProgressiveResult warm =
-      resolver.ResolveWithSeeds(w.candidates, seeds);
+  const ProgressiveResult cold = RunToEnd(resolver, w.candidates);
+  const ProgressiveResult warm = RunToEnd(resolver, w.candidates, seeds);
 
   // Score both runs only on the non-seeded truth pairs.
   std::set<uint64_t> seed_keys;
@@ -247,13 +187,22 @@ TEST(SeededResolveTest, PipelineFlagUsesSameAsLinks) {
   EXPECT_GT(r_with->progressive.discovered_pairs, 0u);
 }
 
-TEST(SeededResolveTest, EmptySeedListEqualsPlainResolve) {
+TEST(SeededResolveTest, BeginDropsThePreviousRunsSeeds) {
   SeedWorld w = MakeSeedWorld();
+  std::vector<Comparison> seeds;
+  for (const SameAsLink& link : w.collection->same_as_links()) {
+    seeds.emplace_back(link.a, link.b);
+  }
+  ASSERT_FALSE(seeds.empty());
   ProgressiveOptions opts;
   opts.matcher.budget = 200;
-  ProgressiveResolver resolver(*w.collection, *w.graph, *w.evaluator, opts);
-  const ProgressiveResult a = resolver.Resolve(w.candidates);
-  const ProgressiveResult b = resolver.ResolveWithSeeds(w.candidates, {});
+  ProgressiveResolver fresh(*w.collection, *w.graph, *w.evaluator, opts);
+  const ProgressiveResult a = RunToEnd(fresh, w.candidates);
+  // A seeded run first: the unseeded run after it must not see its seeds.
+  ProgressiveResolver reused(*w.collection, *w.graph, *w.evaluator, opts);
+  RunToEnd(reused, w.candidates, seeds);
+  const ProgressiveResult b = RunToEnd(reused, w.candidates);
+  EXPECT_EQ(a.run.comparisons_executed, b.run.comparisons_executed);
   ASSERT_EQ(a.run.matches.size(), b.run.matches.size());
   for (size_t i = 0; i < a.run.matches.size(); ++i) {
     EXPECT_EQ(PairKey(a.run.matches[i].a, a.run.matches[i].b),

@@ -131,7 +131,9 @@ TEST(FlatPairMapTest, RandomizedParityWithUnorderedMap) {
         const uint64_t* fv = flat.Find(key);
         const auto it = ref.find(key);
         ASSERT_EQ(fv != nullptr, it != ref.end()) << "key " << key;
-        if (fv != nullptr) EXPECT_EQ(*fv, it->second);
+        if (fv != nullptr) {
+          EXPECT_EQ(*fv, it->second);
+        }
       }
     }
     expect_equal();

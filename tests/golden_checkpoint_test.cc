@@ -16,9 +16,18 @@
 // blobs from a build at the commit BEFORE the format change and say so in
 // the commit message — never paste in bytes produced by the same build
 // that is being tested, which would make the test a tautology.
+//
+// The same rule holds for kPinnedPipelines below: per-configuration digests
+// of the whole static pipeline (every blocker, pruning scheme, weighting
+// scheme and cleaning switch), generated by a build of the commit before
+// the block-store collapse, so one code path must reproduce what the keyed
+// and the flat stores produced.
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <iostream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -28,6 +37,7 @@
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
 #include "online/online_resolver.h"
+#include "util/hash.h"
 #include "util/serde.h"
 
 namespace minoan {
@@ -257,6 +267,167 @@ TEST(GoldenCheckpointTest, OnlineSelfContainedRestoreRejectsV1) {
   std::istringstream blob(HexDecode(kOnlineGoldenHex));
   auto restored = online::OnlineResolver::Restore(OnlineGoldenOptions(), blob);
   EXPECT_FALSE(restored.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Static pipeline digests
+// ---------------------------------------------------------------------------
+
+/// One pinned configuration: Fnv1a64 of the canonical checkpoint after
+/// Step(400) (block counters, meta-blocking stats and every candidate's
+/// likelihood), and PipelineMatchDigest after Step(0).
+struct PinnedPipeline {
+  const char* name;
+  uint64_t checkpoint;
+  uint64_t matches;
+};
+
+// MakeCloud(1203, 300), threshold 0.3, sorted-neighborhood window 8 with 5
+// keys per entity. Generated by a build of the commit before the
+// block-store collapse (see the header), where the in-memory run used the
+// keyed store and the budgeted run the flat one; both produced these values.
+// A mismatch prints the configuration's line in this format.
+constexpr PinnedPipeline kPinnedPipelines[] = {
+    {"token/WEP", 0x7911d74e08b3a142, 0xfbd7ec7e6b93a959},
+    {"token/CEP", 0x724b51f8b938564d, 0x49c3e94e6ec97b26},
+    {"token/WNP", 0x3f6e5fb78e818503, 0xd2436279f596c379},
+    {"token/CNP", 0x89ce409ee8d60b9d, 0x5c7a6b229e9c037b},
+    {"pis/WEP", 0xbc09d55eca4142ff, 0x2700d9696113cfef},
+    {"pis/CEP", 0xbf1db21914807d9b, 0x46c3e895affa9afb},
+    {"pis/WNP", 0x9c48d3ecb5c25cd7, 0x2087e228a3b3c077},
+    {"pis/CNP", 0x6151480eb5938582, 0x4fbb7bffeaffdcaf},
+    {"attr-cluster/WEP", 0x726e8cc238d2bba6, 0x1d77f89a50c9908b},
+    {"attr-cluster/CEP", 0x730e883b0601b1d0, 0x2b44ee734b2f3170},
+    {"attr-cluster/WNP", 0xea74209881d45697, 0xde7f961caa49b6a4},
+    {"attr-cluster/CNP", 0x575c52dd871d88e8, 0xfdcf8c3fcb9028ec},
+    {"token+pis/WEP", 0xec5061dc27e8db72, 0x9b9bf518ccea93ef},
+    {"token+pis/CEP", 0x07c21cd75a05f1b4, 0xe400a4a85a023496},
+    {"token+pis/WNP", 0xff24f57a01530873, 0x1add5d9022e0051e},
+    {"token+pis/CNP", 0xbee44228dc0a8952, 0xe400a4a85a023496},
+    {"qgram/WEP", 0x19f3b0119b383f26, 0x3f23c58028df7557},
+    {"qgram/CEP", 0xd8cbd9b378af8310, 0x48900ef2038c88f0},
+    {"qgram/WNP", 0xa27dfbc57af434fd, 0x1b7011d3a96aaf54},
+    {"qgram/CNP", 0x044c0994567962a4, 0xe5272d125c2454fb},
+    {"sorted-nbhd/WEP", 0x7053f0688394a9de, 0xbf440bf2931e7fb4},
+    {"sorted-nbhd/CEP", 0x39fd8a45d1f74adc, 0x34298a210ccd2b19},
+    {"sorted-nbhd/WNP", 0xb73d2095f391e718, 0x7d9f96f8634a90ab},
+    {"sorted-nbhd/CNP", 0xa5f48b0e0ec5afd6, 0x307e2e05ccf29fd9},
+    {"WNP/CBS", 0xdef9a352ce0ab5a0, 0x9becf2713d2f85d6},
+    {"WNP/JS", 0x5c51ef0351280aec, 0x7b0df26c3b1f9d09},
+    {"WNP/EJS", 0x6f351f397220081d, 0x19bf25a8844dfd6f},
+    {"WNP/ARCS", 0x66a8e1d942c5e549, 0x4304efbb0f3bd855},
+    {"reciprocal-WNP", 0x1c01c21ac1a25536, 0x198905ff295e8098},
+    {"no-auto-purge", 0x8475a513993a4a9c, 0x8e10d95b6b61174a},
+    {"no-filtering", 0x65da137ce0ca23b2, 0x8ad09d5ea0dfff47},
+    {"dirty", 0xda46ec21b85ff586, 0xaa6c2ce5f54af0cb},
+    {"no-meta-blocking", 0xce3bad3ecf056f48, 0x177a77350c0d8caf},
+};
+
+/// The 33 configurations: every blocker under each pruning scheme (ECBS),
+/// every other weighting scheme under WNP, then one switch at a time off
+/// the default workflow.
+std::vector<std::pair<std::string, WorkflowOptions>> PipelineConfigs() {
+  WorkflowOptions base = SessionOptions();
+  base.sn_options.window_size = 8;
+  base.sn_options.keys_per_entity = 5;
+  std::vector<std::pair<std::string, WorkflowOptions>> configs;
+  for (const BlockerChoice blocker :
+       {BlockerChoice::kToken, BlockerChoice::kPis,
+        BlockerChoice::kAttributeClustering, BlockerChoice::kTokenPlusPis,
+        BlockerChoice::kQGram, BlockerChoice::kSortedNeighborhood}) {
+    for (const PruningScheme pruning :
+         {PruningScheme::kWep, PruningScheme::kCep, PruningScheme::kWnp,
+          PruningScheme::kCnp}) {
+      WorkflowOptions o = base;
+      o.blocker = blocker;
+      o.meta.weighting = WeightingScheme::kEcbs;
+      o.meta.pruning = pruning;
+      configs.emplace_back(std::string(BlockerChoiceName(blocker)) + "/" +
+                               std::string(PruningSchemeName(pruning)),
+                           o);
+    }
+  }
+  for (const WeightingScheme weighting :
+       {WeightingScheme::kCbs, WeightingScheme::kJs, WeightingScheme::kEjs,
+        WeightingScheme::kArcs}) {
+    WorkflowOptions o = base;
+    o.meta.weighting = weighting;
+    configs.emplace_back("WNP/" + std::string(WeightingSchemeName(weighting)),
+                         o);
+  }
+  WorkflowOptions o = base;
+  o.meta.reciprocal = true;
+  configs.emplace_back("reciprocal-WNP", o);
+  o = base;
+  o.auto_purge = false;
+  configs.emplace_back("no-auto-purge", o);
+  o = base;
+  o.filter_ratio = 1.0;
+  configs.emplace_back("no-filtering", o);
+  o = base;
+  o.meta.mode = ResolutionMode::kDirty;
+  o.progressive.mode = ResolutionMode::kDirty;
+  configs.emplace_back("dirty", o);
+  o = base;
+  o.enable_meta_blocking = false;
+  configs.emplace_back("no-meta-blocking", o);
+  return configs;
+}
+
+/// Every match (pair, comparisons_done, similarity bits) in order, then the
+/// comparisons executed.
+uint64_t PipelineMatchDigest(const ResolutionRun& run) {
+  uint64_t h = Fnv1a64("minoan-pipeline-matches");
+  for (const MatchEvent& m : run.matches) {
+    h = HashCombine(h, PairKey(m.a, m.b));
+    h = HashCombine(h, m.comparisons_done);
+    h = HashCombine(h, std::bit_cast<uint64_t>(m.similarity));
+  }
+  return HashCombine(h, run.comparisons_executed);
+}
+
+std::string Hex(uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(GoldenCheckpointTest, StaticPipelineMatchesParentDigests) {
+  const EntityCollection collection = MakeCloud(1203, 300);
+  extmem::MemoryBudgetOptions spill;
+  spill.shuffle_budget_bytes = 16 << 10;
+  const auto configs = PipelineConfigs();
+  ASSERT_EQ(configs.size(), std::size(kPinnedPipelines));
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const auto& [name, base] = configs[i];
+    ASSERT_EQ(name, kPinnedPipelines[i].name);
+    for (const bool budgeted : {false, true}) {
+      WorkflowOptions options = base;
+      if (budgeted) {
+        options.num_threads = 4;
+        options.memory = spill;
+      }
+      const std::string label = name + (budgeted ? " @4t/16k" : " @1t");
+      auto session = ResolutionSession::Open(collection, options);
+      ASSERT_TRUE(session.ok()) << label << ": " << session.status().message();
+      session->Step(400);
+      std::ostringstream checkpoint;
+      ASSERT_TRUE(session->Checkpoint(checkpoint).ok()) << label;
+      session->Step(0);
+      const uint64_t checkpoint_digest =
+          Fnv1a64(CanonicalizeCheckpoint(checkpoint.str()));
+      const uint64_t match_digest =
+          PipelineMatchDigest(session->Report().progressive.run);
+      EXPECT_EQ(checkpoint_digest, kPinnedPipelines[i].checkpoint) << label;
+      EXPECT_EQ(match_digest, kPinnedPipelines[i].matches) << label;
+      if (checkpoint_digest != kPinnedPipelines[i].checkpoint ||
+          match_digest != kPinnedPipelines[i].matches) {
+        std::cout << "    {\"" << name << "\", " << Hex(checkpoint_digest)
+                  << ", " << Hex(match_digest) << "},\n";
+      }
+    }
+  }
 }
 
 }  // namespace

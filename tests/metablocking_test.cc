@@ -47,10 +47,10 @@ struct Fixture {
     a1 = collection.FindByIri("http://a/1");
     b0 = collection.FindByIri("http://b/0");
     b1 = collection.FindByIri("http://b/1");
-    blocks.AddBlock("k1", {a0, b0});
-    blocks.AddBlock("k2", {a0, b0});
-    blocks.AddBlock("k3", {a0, b0, b1});
-    blocks.AddBlock("k4", {a1, b1});
+    blocks.AddBlock({a0, b0});
+    blocks.AddBlock({a0, b0});
+    blocks.AddBlock({a0, b0, b1});
+    blocks.AddBlock({a1, b1});
   }
 };
 

@@ -437,8 +437,8 @@ TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
   obs::Counter& evidence_updates =
       registry.counter("progressive.evidence_updates");
   obs::Counter& discovered = registry.counter("progressive.discovered_pairs");
-  for (obs::Counter* c :
-       {&pops, &requeues, &skips, &comparisons, &evidence_updates, &discovered}) {
+  for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons,
+                           &evidence_updates, &discovered}) {
     c->Reset();
   }
   const uint64_t discovered_before = resolver.discovered_pairs();

@@ -358,8 +358,12 @@ TEST(StreamingPostingsTest, MatchesMaterializedPostings) {
   };
   const auto hash = [](uint32_t key) { return static_cast<uint64_t>(key); };
 
-  const std::vector<KeyedPosting<uint32_t>> reference =
-      BuildShardedPostings<uint32_t>(kEntities, nullptr, emit, hash);
+  std::vector<KeyedPosting<uint32_t>> reference;
+  BuildShardedPostings<uint32_t>(
+      kEntities, nullptr, emit, hash, /*memory=*/nullptr,
+      [&](uint32_t key, std::vector<EntityId>& entities) {
+        reference.push_back({key, entities});
+      });
   ASSERT_GT(reference.size(), 0u);
 
   TempBase base("stream-postings");
@@ -371,8 +375,8 @@ TEST(StreamingPostingsTest, MatchesMaterializedPostings) {
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
     size_t i = 0;
-    StreamShardedPostings<uint32_t>(
-        kEntities, pool.get(), emit, hash, memory,
+    BuildShardedPostings<uint32_t>(
+        kEntities, pool.get(), emit, hash, &memory,
         [&](uint32_t key, std::vector<EntityId>& entities) {
           ASSERT_LT(i, reference.size());
           EXPECT_EQ(key, reference[i].key) << "posting " << i;

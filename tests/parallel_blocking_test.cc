@@ -5,6 +5,7 @@
 // every thread count (1/2/4/7), on a generated LOD corpus large enough to
 // span several fixed-size work chunks.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -17,8 +18,6 @@
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
-#include "mapreduce/engine.h"
-#include "mapreduce/parallel_blocking.h"
 #include "metablocking/blocking_graph.h"
 #include "metablocking/meta_blocking.h"
 #include "metablocking/sharded_prune.h"
@@ -28,8 +27,8 @@
 namespace minoan {
 namespace {
 
-/// True when two block collections are identical: same blocks, same keys,
-/// same entity lists, same order.
+/// True when two block collections are identical: same blocks, same entity
+/// lists, same order.
 ::testing::AssertionResult SameBlocks(const BlockCollection& a,
                                       const BlockCollection& b) {
   if (a.num_blocks() != b.num_blocks()) {
@@ -37,17 +36,10 @@ namespace {
            << "block count mismatch: " << a.num_blocks() << " vs "
            << b.num_blocks();
   }
-  for (size_t i = 0; i < a.num_blocks(); ++i) {
-    if (a.KeyString(a.block(i).key) != b.KeyString(b.block(i).key)) {
+  for (uint32_t i = 0; i < a.num_blocks(); ++i) {
+    if (!std::ranges::equal(a.entities(i), b.entities(i))) {
       return ::testing::AssertionFailure()
-             << "block " << i << " key mismatch: \""
-             << a.KeyString(a.block(i).key) << "\" vs \""
-             << b.KeyString(b.block(i).key) << "\"";
-    }
-    if (a.block(i).entities != b.block(i).entities) {
-      return ::testing::AssertionFailure()
-             << "block " << i << " (\"" << a.KeyString(a.block(i).key)
-             << "\") entity list mismatch";
+             << "block " << i << " entity list mismatch";
     }
   }
   return ::testing::AssertionSuccess();
@@ -152,32 +144,22 @@ TEST_F(ParallelBlockingTest, BlockCleaningIsThreadCountInvariant) {
   ASSERT_GT(raw.num_blocks(), 0u);
 
   BlockCollection seq_purged = raw;
-  const CleaningStats seq_purge_stats = AutoPurge(
-      seq_purged, *collection_, ResolutionMode::kCleanClean);
+  AutoPurge(seq_purged, *collection_, ResolutionMode::kCleanClean);
+  ASSERT_LT(seq_purged.num_blocks(), raw.num_blocks());
   BlockCollection seq_filtered = seq_purged;
-  const CleaningStats seq_filter_stats = FilterBlocks(
-      seq_filtered, 0.8, *collection_, ResolutionMode::kCleanClean);
+  FilterBlocks(seq_filtered, 0.8, *collection_);
   ASSERT_GT(seq_filtered.num_blocks(), 0u);
 
   for (uint32_t threads : {1u, 2u, 4u, 7u}) {
     ThreadPool pool(threads);
     BlockCollection purged = raw;
-    const CleaningStats purge_stats =
-        AutoPurge(purged, *collection_, ResolutionMode::kCleanClean,
-                  /*smoothing=*/1.025, &pool);
+    AutoPurge(purged, *collection_, ResolutionMode::kCleanClean,
+              /*smoothing=*/1.025, &pool);
     EXPECT_TRUE(SameBlocks(seq_purged, purged)) << threads << " threads";
-    EXPECT_EQ(seq_purge_stats.blocks_after, purge_stats.blocks_after);
-    EXPECT_EQ(seq_purge_stats.comparisons_after,
-              purge_stats.comparisons_after);
 
     BlockCollection filtered = purged;
-    const CleaningStats filter_stats =
-        FilterBlocks(filtered, 0.8, *collection_, ResolutionMode::kCleanClean,
-                     &pool);
+    FilterBlocks(filtered, 0.8, *collection_, &pool);
     EXPECT_TRUE(SameBlocks(seq_filtered, filtered)) << threads << " threads";
-    EXPECT_EQ(seq_filter_stats.blocks_after, filter_stats.blocks_after);
-    EXPECT_EQ(seq_filter_stats.comparisons_after,
-              filter_stats.comparisons_after);
   }
 }
 
@@ -189,26 +171,6 @@ TEST_F(ParallelBlockingTest, PoolReuseAcrossBuildsIsSafe) {
   const BlockCollection pis = PisBlocking().Build(*collection_, &pool);
   EXPECT_TRUE(SameBlocks(first, second));
   EXPECT_GT(pis.num_blocks(), 0u);
-}
-
-TEST_F(ParallelBlockingTest, MapReducePisBlockingMatchesSequential) {
-  const BlockCollection sequential = PisBlocking().Build(*collection_);
-  for (uint32_t workers : {1u, 4u}) {
-    mapreduce::Engine engine(workers);
-    const BlockCollection parallel =
-        mapreduce::ParallelPisBlocking(*collection_, engine);
-    EXPECT_TRUE(SameBlocks(sequential, parallel)) << workers << " workers";
-  }
-}
-
-TEST_F(ParallelBlockingTest, MapReduceTokenBlockingMatchesSequential) {
-  const BlockCollection sequential = TokenBlocking().Build(*collection_);
-  for (uint32_t workers : {1u, 4u}) {
-    mapreduce::Engine engine(workers);
-    const BlockCollection parallel =
-        mapreduce::ParallelTokenBlocking(*collection_, engine);
-    EXPECT_TRUE(SameBlocks(sequential, parallel)) << workers << " workers";
-  }
 }
 
 // ---------------------------------------------------------------------------

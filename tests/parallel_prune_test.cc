@@ -11,8 +11,6 @@
 #include "blocking/blocking_method.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
-#include "mapreduce/engine.h"
-#include "mapreduce/parallel_meta_blocking.h"
 #include "metablocking/blocking_graph.h"
 #include "metablocking/meta_blocking.h"
 #include "metablocking/sharded_prune.h"
@@ -120,27 +118,13 @@ TEST_P(ShardedParity, ParallelPruningIsByteIdentical) {
   }
 }
 
-TEST_P(ShardedParity, MapReducePathIsByteIdentical) {
-  MetaBlockingOptions opts;
-  opts.weighting = GetParam().weighting;
-  opts.pruning = GetParam().pruning;
-  opts.reciprocal = GetParam().reciprocal;
-
-  const auto sequential = MetaBlocking(opts).Prune(*blocks_, *collection_);
-  for (uint32_t workers : {1u, 4u}) {
-    mapreduce::Engine engine(workers);
-    const auto parallel = mapreduce::ParallelMetaBlocking(
-        *blocks_, *collection_, opts, engine);
-    EXPECT_TRUE(ByteIdentical(sequential, parallel)) << workers << " workers";
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllPruningSchemes, ShardedParity,
     ::testing::Values(
         // All four pruning schemes × reciprocal, with weighting schemes
         // chosen to stress floating point: ECBS (log products) everywhere,
-        // plus EJS (degree pass) and ARCS (reciprocal sums) spot checks.
+        // plus EJS (degree pass) and ARCS (reciprocal sums) spot checks,
+        // and the integer-count CBS and ratio JS schemes.
         ParityCase{WeightingScheme::kEcbs, PruningScheme::kWep, false},
         ParityCase{WeightingScheme::kEcbs, PruningScheme::kWep, true},
         ParityCase{WeightingScheme::kEcbs, PruningScheme::kCep, false},
@@ -152,7 +136,14 @@ INSTANTIATE_TEST_SUITE_P(
         ParityCase{WeightingScheme::kEjs, PruningScheme::kWnp, false},
         ParityCase{WeightingScheme::kEjs, PruningScheme::kCnp, true},
         ParityCase{WeightingScheme::kArcs, PruningScheme::kWep, false},
-        ParityCase{WeightingScheme::kArcs, PruningScheme::kCnp, false}),
+        ParityCase{WeightingScheme::kArcs, PruningScheme::kCnp, false},
+        ParityCase{WeightingScheme::kCbs, PruningScheme::kWep, false},
+        ParityCase{WeightingScheme::kCbs, PruningScheme::kCep, false},
+        ParityCase{WeightingScheme::kCbs, PruningScheme::kWnp, false},
+        ParityCase{WeightingScheme::kCbs, PruningScheme::kWnp, true},
+        ParityCase{WeightingScheme::kCbs, PruningScheme::kCnp, false},
+        ParityCase{WeightingScheme::kJs, PruningScheme::kWnp, false},
+        ParityCase{WeightingScheme::kJs, PruningScheme::kCnp, true}),
     ParityCaseName);
 
 TEST(ShardedPruneTest, AutoThreadCountMatchesSequential) {

@@ -431,6 +431,14 @@ struct ResolverWorld {
   NeighborGraph& graph() const { return *graph_ptr; }
   SimilarityEvaluator& evaluator() const { return *evaluator_ptr; }
 
+  /// Begin + Step to exhaustion over the candidates under `opts`.
+  ProgressiveResult Run(const ProgressiveOptions& opts) const {
+    ProgressiveResolver resolver(collection(), graph(), evaluator(), opts);
+    resolver.Begin(candidates);
+    resolver.Step(0);
+    return resolver.result();
+  }
+
   static ResolverWorld Make(uint64_t seed, bool periphery_heavy) {
     datagen::LodCloudConfig cfg;
     cfg.seed = seed;
@@ -465,8 +473,7 @@ TEST(ResolverTest, BudgetIsRespected) {
   ResolverWorld w = ResolverWorld::Make(61, false);
   ProgressiveOptions opts;
   opts.matcher.budget = 100;
-  ProgressiveResolver resolver(w.collection(), w.graph(), w.evaluator(), opts);
-  const ProgressiveResult result = resolver.Resolve(w.candidates);
+  const ProgressiveResult result = w.Run(opts);
   EXPECT_EQ(result.run.comparisons_executed, 100u);
   for (const MatchEvent& m : result.run.matches) {
     EXPECT_LE(m.comparisons_done, 100u);
@@ -478,8 +485,7 @@ TEST(ResolverTest, UnlimitedBudgetExecutesAtLeastAllCandidates) {
   ProgressiveOptions opts;
   opts.matcher.budget = 0;
   opts.enable_update_phase = false;
-  ProgressiveResolver resolver(w.collection(), w.graph(), w.evaluator(), opts);
-  const ProgressiveResult result = resolver.Resolve(w.candidates);
+  const ProgressiveResult result = w.Run(opts);
   EXPECT_EQ(result.run.comparisons_executed, w.candidates.size());
 }
 
@@ -487,8 +493,7 @@ TEST(ResolverTest, NoDuplicateComparisons) {
   ResolverWorld w = ResolverWorld::Make(67, true);
   ProgressiveOptions opts;
   opts.matcher.budget = 0;
-  ProgressiveResolver resolver(w.collection(), w.graph(), w.evaluator(), opts);
-  const ProgressiveResult result = resolver.Resolve(w.candidates);
+  const ProgressiveResult result = w.Run(opts);
   std::set<uint64_t> seen;
   for (const MatchEvent& m : result.run.matches) {
     EXPECT_TRUE(seen.insert(PairKey(m.a, m.b)).second)
@@ -500,10 +505,8 @@ TEST(ResolverTest, DeterministicAcrossRuns) {
   ResolverWorld w = ResolverWorld::Make(71, false);
   ProgressiveOptions opts;
   opts.matcher.budget = 500;
-  ProgressiveResolver r1(w.collection(), w.graph(), w.evaluator(), opts);
-  ProgressiveResolver r2(w.collection(), w.graph(), w.evaluator(), opts);
-  const ProgressiveResult a = r1.Resolve(w.candidates);
-  const ProgressiveResult b = r2.Resolve(w.candidates);
+  const ProgressiveResult a = w.Run(opts);
+  const ProgressiveResult b = w.Run(opts);
   ASSERT_EQ(a.run.matches.size(), b.run.matches.size());
   for (size_t i = 0; i < a.run.matches.size(); ++i) {
     EXPECT_EQ(PairKey(a.run.matches[i].a, a.run.matches[i].b),
@@ -524,12 +527,8 @@ TEST(ResolverTest, UpdatePhaseDiscoversBlockingMissedMatches) {
   ProgressiveOptions without = with;
   without.enable_update_phase = false;
 
-  const ProgressiveResult on =
-      ProgressiveResolver(w.collection(), w.graph(), w.evaluator(), with)
-          .Resolve(w.candidates);
-  const ProgressiveResult off =
-      ProgressiveResolver(w.collection(), w.graph(), w.evaluator(), without)
-          .Resolve(w.candidates);
+  const ProgressiveResult on = w.Run(with);
+  const ProgressiveResult off = w.Run(without);
 
   EXPECT_GT(on.discovered_pairs, 0u)
       << "update phase must surface pairs blocking missed";
@@ -552,9 +551,7 @@ TEST(ResolverTest, EvidenceAssistedMatchesAreCountedAndReal) {
   opts.enable_update_phase = true;
   opts.matcher.budget = 0;
   opts.matcher.threshold = 0.3;
-  const ProgressiveResult result =
-      ProgressiveResolver(w.collection(), w.graph(), w.evaluator(), opts)
-          .Resolve(w.candidates);
+  const ProgressiveResult result = w.Run(opts);
   EXPECT_GT(result.evidence_assisted_matches, 0u);
   EXPECT_LE(result.discovered_matches, result.discovered_pairs);
 }
@@ -565,9 +562,7 @@ TEST(ResolverTest, BenefitTraceMonotone) {
     ProgressiveOptions opts;
     opts.benefit = static_cast<BenefitModel>(model);
     opts.matcher.budget = 400;
-    const ProgressiveResult result =
-        ProgressiveResolver(w.collection(), w.graph(), w.evaluator(), opts)
-            .Resolve(w.candidates);
+    const ProgressiveResult result = w.Run(opts);
     ASSERT_EQ(result.benefit_trace.size(), result.run.matches.size());
     for (size_t i = 1; i < result.benefit_trace.size(); ++i) {
       EXPECT_GE(result.benefit_trace[i], result.benefit_trace[i - 1])
@@ -580,9 +575,7 @@ TEST(ResolverTest, ProgressiveBeatsRandomEarly) {
   ResolverWorld w = ResolverWorld::Make(89, false);
   ProgressiveOptions opts;
   opts.matcher.budget = 0;
-  const ProgressiveResult prog =
-      ProgressiveResolver(w.collection(), w.graph(), w.evaluator(), opts)
-          .Resolve(w.candidates);
+  const ProgressiveResult prog = w.Run(opts);
 
   // Random order over the same candidate set, same budget horizon.
   std::vector<Comparison> random_order;
@@ -607,9 +600,7 @@ TEST(ResolverTest, SchedulerOverheadBounded) {
   ResolverWorld w = ResolverWorld::Make(97, false);
   ProgressiveOptions opts;
   opts.matcher.budget = 0;
-  const ProgressiveResult result =
-      ProgressiveResolver(w.collection(), w.graph(), w.evaluator(), opts)
-          .Resolve(w.candidates);
+  const ProgressiveResult result = w.Run(opts);
   // Heap pushes stay within a small multiple of work done (no runaway
   // re-scheduling loops).
   EXPECT_LT(result.scheduler_pushes,

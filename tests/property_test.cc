@@ -69,11 +69,11 @@ TEST_P(SeedSweep, BlockingInvariants) {
 
   BlockCollection blocks = TokenBlocking().Build(*collection);
   // Every block: >= 2 sorted unique entities; aggregate >= distinct.
-  for (const Block& b : blocks.blocks()) {
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    const auto b = blocks.entities(bi);
     EXPECT_GE(b.size(), 2u);
-    EXPECT_TRUE(std::is_sorted(b.entities.begin(), b.entities.end()));
-    EXPECT_EQ(std::adjacent_find(b.entities.begin(), b.entities.end()),
-              b.entities.end());
+    EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+    EXPECT_EQ(std::adjacent_find(b.begin(), b.end()), b.end());
   }
   const uint64_t aggregate =
       blocks.AggregateComparisons(*collection, ResolutionMode::kCleanClean);
@@ -84,7 +84,7 @@ TEST_P(SeedSweep, BlockingInvariants) {
   // Cleaning can only shrink comparisons and never empties the block set.
   BlockCollection cleaned = blocks;
   AutoPurge(cleaned, *collection, ResolutionMode::kCleanClean);
-  FilterBlocks(cleaned, 0.8, *collection, ResolutionMode::kCleanClean);
+  FilterBlocks(cleaned, 0.8, *collection);
   EXPECT_LE(
       cleaned.AggregateComparisons(*collection, ResolutionMode::kCleanClean),
       aggregate);
@@ -198,9 +198,10 @@ TEST_P(SchedulerDominance, BeatsRandomAuc) {
 
   ProgressiveOptions opts;
   opts.benefit = GetParam();
-  const ProgressiveResult prog =
-      ProgressiveResolver(*collection, graph, evaluator, opts)
-          .Resolve(candidates);
+  ProgressiveResolver resolver(*collection, graph, evaluator, opts);
+  resolver.Begin(candidates);
+  resolver.Step(0);
+  const ProgressiveResult& prog = resolver.result();
 
   MatcherOptions mopts;
   BatchMatcher random_matcher(evaluator, mopts);
@@ -255,8 +256,10 @@ TEST(BenefitSpecialization, ModelsImproveTheirOwnMetricOverRandom) {
     ProgressiveOptions opts;
     opts.benefit = model;
     opts.matcher.budget = budget;
-    return ProgressiveResolver(*collection, graph, evaluator, opts)
-        .Resolve(candidates);
+    ProgressiveResolver resolver(*collection, graph, evaluator, opts);
+    resolver.Begin(candidates);
+    resolver.Step(0);
+    return resolver.result();
   };
 
   MatcherOptions mopts;

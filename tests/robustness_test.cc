@@ -1,13 +1,12 @@
 // Robustness and failure-injection tests: random garbage into the parsers,
-// degenerate collections into the pipeline, stress through the MapReduce
-// engine. Nothing here may crash, hang, or violate an invariant.
+// degenerate collections into the pipeline. Nothing here may crash, hang,
+// or violate an invariant.
 
 #include <string>
 
 #include "core/minoan_er.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
-#include "mapreduce/engine.h"
 #include "metablocking/meta_blocking.h"
 #include "progressive/resolver.h"
 #include "rdf/ntriples.h"
@@ -221,9 +220,11 @@ TEST(ResolverRobustnessTest, EmptyCandidates) {
   NeighborGraph graph(c);
   SimilarityEvaluator evaluator(c);
   ProgressiveResolver resolver(c, graph, evaluator, ProgressiveOptions{});
-  const ProgressiveResult result = resolver.Resolve({});
-  EXPECT_EQ(result.run.comparisons_executed, 0u);
-  EXPECT_TRUE(result.run.matches.empty());
+  resolver.Begin({});
+  resolver.Step(0);
+  EXPECT_TRUE(resolver.exhausted());
+  EXPECT_EQ(resolver.result().run.comparisons_executed, 0u);
+  EXPECT_TRUE(resolver.result().run.matches.empty());
 }
 
 TEST(ResolverRobustnessTest, BudgetOfOne) {
@@ -243,61 +244,9 @@ TEST(ResolverRobustnessTest, BudgetOfOne) {
   ProgressiveOptions opts;
   opts.matcher.budget = 1;
   ProgressiveResolver resolver(*c, graph, evaluator, opts);
-  const ProgressiveResult result = resolver.Resolve(candidates);
-  EXPECT_EQ(result.run.comparisons_executed, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// MapReduce engine stress
-// ---------------------------------------------------------------------------
-
-TEST(EngineStressTest, RandomWorkloadsMatchReference) {
-  Rng rng(0xabcd);
-  for (int round = 0; round < 10; ++round) {
-    // Random multiset of keyed values; reference = simple accumulation.
-    const size_t n = 1 + rng.Below(2000);
-    std::vector<std::pair<uint32_t, uint32_t>> records(n);
-    std::map<uint32_t, uint64_t> reference;
-    for (auto& [k, v] : records) {
-      k = static_cast<uint32_t>(rng.Below(50));
-      v = static_cast<uint32_t>(rng.Below(1000));
-      reference[k] += v;
-    }
-    mapreduce::Engine engine(1 + rng.Below(12));
-    auto map_fn = [](const std::pair<uint32_t, uint32_t>& rec,
-                     mapreduce::Emitter<uint32_t, uint32_t>& emitter) {
-      emitter.Emit(rec.first, rec.second);
-    };
-    auto reduce_fn = [](const uint32_t& key, std::span<const uint32_t> vals,
-                        std::vector<std::pair<uint32_t, uint64_t>>& out) {
-      uint64_t total = 0;
-      for (uint32_t v : vals) total += v;
-      out.emplace_back(key, total);
-    };
-    auto result =
-        engine.Run<std::pair<uint32_t, uint32_t>, uint32_t, uint32_t,
-                   std::pair<uint32_t, uint64_t>>(records, map_fn, reduce_fn);
-    std::map<uint32_t, uint64_t> got(result.begin(), result.end());
-    EXPECT_EQ(got, reference) << "round " << round;
-  }
-}
-
-TEST(EngineStressTest, ManySmallJobsOnOneEngine) {
-  mapreduce::Engine engine(8);
-  for (int job = 0; job < 50; ++job) {
-    std::vector<int> inputs(100, job);
-    auto map_fn = [](const int& v, mapreduce::Emitter<int, int>& emitter) {
-      emitter.Emit(0, v);
-    };
-    auto reduce_fn = [](const int&, std::span<const int> vals,
-                        std::vector<int>& out) {
-      out.push_back(static_cast<int>(vals.size()));
-    };
-    auto result =
-        engine.Run<int, int, int, int>(inputs, map_fn, reduce_fn);
-    ASSERT_EQ(result.size(), 1u);
-    EXPECT_EQ(result[0], 100);
-  }
+  resolver.Begin(candidates);
+  resolver.Step(0);
+  EXPECT_EQ(resolver.result().run.comparisons_executed, 1u);
 }
 
 }  // namespace

@@ -156,8 +156,8 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
   obs::Counter& evidence_updates =
       registry.counter("progressive.evidence_updates");
   obs::Counter& discovered = registry.counter("progressive.discovered_pairs");
-  for (obs::Counter* c :
-       {&pops, &requeues, &skips, &comparisons, &evidence_updates, &discovered}) {
+  for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons,
+                           &evidence_updates, &discovered}) {
     c->Reset();
   }
 
