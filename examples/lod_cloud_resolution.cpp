@@ -12,7 +12,6 @@
 // directory first, so the example is runnable out of the box. If the
 // directory contains a ground_truth.tsv, the run is scored against it.
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -24,37 +23,20 @@
 #include "eval/metrics.h"
 #include "kb/stats.h"
 #include "matching/matcher.h"
-#include "rdf/ntriples.h"
 
 using namespace minoan;  // NOLINT
 
 namespace {
 
 Status ResolveDirectory(const std::string& dir, const std::string& out_path) {
-  // --- Load every .nt file as one knowledge base ---------------------------
-  std::vector<std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".nt") {
-      files.push_back(entry.path().string());
-    }
+  // --- Load every RDF file as one knowledge base ---------------------------
+  MINOAN_ASSIGN_OR_RETURN(const EntityCollection collection,
+                          LoadCorpusDirectory(dir));
+  for (uint32_t kb = 0; kb < collection.num_kbs(); ++kb) {
+    std::printf("  loaded %-22s %8llu triples -> KB %u\n",
+                collection.kb(kb).name.c_str(),
+                static_cast<unsigned long long>(collection.kb(kb).triples), kb);
   }
-  if (files.empty()) return Status::NotFound("no .nt files in " + dir);
-  std::sort(files.begin(), files.end());
-
-  rdf::NTriplesParser parser;  // lenient: periphery dumps are dirty
-  EntityCollection collection;
-  for (const std::string& file : files) {
-    rdf::ParseStats stats;
-    MINOAN_ASSIGN_OR_RETURN(std::vector<rdf::Triple> triples,
-                            parser.ParseFile(file, &stats));
-    const std::string name = std::filesystem::path(file).stem().string();
-    MINOAN_ASSIGN_OR_RETURN(uint32_t kb_id,
-                            collection.AddKnowledgeBase(name, triples));
-    std::printf("  loaded %-22s %8llu triples (%llu skipped) -> KB %u\n",
-                name.c_str(), static_cast<unsigned long long>(stats.triples),
-                static_cast<unsigned long long>(stats.skipped), kb_id);
-  }
-  MINOAN_RETURN_IF_ERROR(collection.Finalize());
 
   // --- Cloud shape before resolution --------------------------------------
   const CloudStats before = ComputeCloudStats(collection);
@@ -93,13 +75,9 @@ Status ResolveDirectory(const std::string& dir, const std::string& out_path) {
   // --- Emit discovered links as owl:sameAs ---------------------------------
   std::ofstream out(out_path);
   if (!out) return Status::IoError("cannot write " + out_path);
-  rdf::NTriplesWriter writer(out);
-  for (const MatchEvent& m : links) {
-    writer.Write({rdf::Term::Iri(std::string(collection.EntityIri(m.a))),
-                  rdf::Term::Iri(std::string(rdf::kOwlSameAs)),
-                  rdf::Term::Iri(std::string(collection.EntityIri(m.b)))});
-  }
-  std::printf("\nwrote %zu owl:sameAs links to %s\n", links.size(),
+  const size_t written =
+      WriteSameAsLinks(report.progressive.run.matches, collection, out);
+  std::printf("\nwrote %zu owl:sameAs links to %s\n", written,
               out_path.c_str());
   return Status::Ok();
 }

@@ -9,6 +9,7 @@
 
 #include "matching/matcher.h"
 #include "rdf/turtle.h"
+#include "util/cli_flags.h"
 
 namespace minoan {
 
@@ -20,22 +21,6 @@ std::vector<std::string> SplitWords(const std::string& line) {
   std::string word;
   while (stream >> word) words.push_back(std::move(word));
   return words;
-}
-
-/// Strict decimal parse for script operands; scripts are untrusted input,
-/// so malformed numbers must surface as Status, not exceptions.
-Result<uint64_t> ParseCount(const std::string& word) {
-  if (word.empty() || word.size() > 18) {
-    return Status::InvalidArgument("not a number: " + word);
-  }
-  uint64_t value = 0;
-  for (const char c : word) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("not a number: " + word);
-    }
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  return value;
 }
 
 }  // namespace
@@ -98,7 +83,8 @@ Status OnlineSession::RunCommand(const std::string& line, std::ostream& out) {
     }
     uint32_t count = ~0u;
     if (words.size() >= 3 && words[2] != "all") {
-      MINOAN_ASSIGN_OR_RETURN(const uint64_t parsed, ParseCount(words[2]));
+      MINOAN_ASSIGN_OR_RETURN(const uint64_t parsed,
+                              cli::ParseUint("ingest count", words[2]));
       count = static_cast<uint32_t>(std::min<uint64_t>(parsed, ~0u));
     }
     const uint64_t candidates_before = resolver_.candidate_pairs_created();
@@ -126,7 +112,8 @@ Status OnlineSession::RunCommand(const std::string& line, std::ostream& out) {
 
   if (cmd == "resolve") {
     if (words.size() < 2) return Status::InvalidArgument("resolve needs n");
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t budget, ParseCount(words[1]));
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t budget,
+                            cli::ParseUint("resolve budget", words[1]));
     const online::OnlineStepResult step = resolver_.ResolveBudget(budget);
     std::snprintf(buf, sizeof(buf),
                   "resolve %-13llu compared %llu, +%zu matches (%zu total)%s",
@@ -142,7 +129,8 @@ Status OnlineSession::RunCommand(const std::string& line, std::ostream& out) {
     if (words.size() < 2) return Status::InvalidArgument("query needs an IRI");
     uint32_t k = 5;
     if (words.size() >= 3) {
-      MINOAN_ASSIGN_OR_RETURN(const uint64_t parsed, ParseCount(words[2]));
+      MINOAN_ASSIGN_OR_RETURN(const uint64_t parsed,
+                              cli::ParseUint("query k", words[2]));
       k = static_cast<uint32_t>(std::min<uint64_t>(parsed, ~0u));
     }
     const EntityId id = resolver_.collection().FindByIri(words[1]);

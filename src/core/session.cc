@@ -278,18 +278,12 @@ StepResult ResolutionSession::Step(uint64_t max_comparisons) {
   obs::PhaseSpan span(impl_->trace.get(), "step");
   const Stopwatch watch;
   StepResult out = impl_->resolver->Step(max_comparisons);
-  const double millis = watch.ElapsedMillis();
+  impl_->resolve_millis += watch.ElapsedMillis();
   RecordLoopCounters(out);
-  impl_->resolve_millis += millis;
-  out.wall_millis = millis;
   // Close the quality curve at the true totals of this step (the cadence
   // sampler only fires every N comparisons).
   if (impl_->progress.enabled() && out.comparisons > 0) {
     impl_->progress.Sample(comparisons_spent(), matches_found());
-  }
-  if (obs::MetricsRegistry::Default().enabled()) {
-    out.stats = std::make_shared<const obs::StatsSnapshot>(
-        obs::MetricsRegistry::Default().Snapshot());
   }
   return out;
 }
@@ -307,7 +301,11 @@ uint64_t ResolutionSession::comparisons_spent() const {
 }
 
 uint64_t ResolutionSession::matches_found() const {
-  return impl_->resolver->result().run.matches.size();
+  return matches().size();
+}
+
+const std::vector<MatchEvent>& ResolutionSession::matches() const {
+  return impl_->resolver->result().run.matches;
 }
 
 const WorkflowOptions& ResolutionSession::options() const {

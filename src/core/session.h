@@ -91,6 +91,8 @@ class ResolutionSession {
   uint64_t comparisons_spent() const;
   /// Matches confirmed so far across all Steps.
   uint64_t matches_found() const;
+  /// Those matches, in confirmation order.
+  const std::vector<MatchEvent>& matches() const;
 
   /// Serializes the session (collection fingerprint, options digest, static
   /// phase counters, full loop state) for a later Restore.

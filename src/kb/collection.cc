@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <unordered_map>
 
 #include "rdf/iri.h"
+#include "rdf/turtle.h"
 #include "util/serde.h"
 
 namespace minoan {
@@ -513,6 +515,41 @@ double EntityCollection::TokenIdf(uint32_t token) const {
   }
   return std::log(static_cast<double>(entities_.size()) /
                   static_cast<double>(token_df_[token]));
+}
+
+Result<std::vector<std::string>> ListCorpusFiles(const std::string& dir) {
+  std::vector<std::string> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext == ".nt" || ext == ".ttl" || ext == ".turtle") {
+      files.push_back(entry.path().string());
+    }
+  }
+  if (ec) {
+    return Status::IoError("cannot read corpus directory " + dir + ": " +
+                           ec.message());
+  }
+  if (files.empty()) return Status::NotFound("no .nt/.ttl files in " + dir);
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+Result<EntityCollection> LoadCorpusDirectory(const std::string& dir) {
+  MINOAN_ASSIGN_OR_RETURN(const std::vector<std::string> files,
+                          ListCorpusFiles(dir));
+  EntityCollection collection;
+  for (const std::string& file : files) {
+    MINOAN_ASSIGN_OR_RETURN(const std::vector<rdf::Triple> triples,
+                            rdf::LoadTriples(file));
+    MINOAN_RETURN_IF_ERROR(
+        collection
+            .AddKnowledgeBase(std::filesystem::path(file).stem().string(),
+                              triples)
+            .status());
+  }
+  MINOAN_RETURN_IF_ERROR(collection.Finalize());
+  return collection;
 }
 
 }  // namespace minoan

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "rdf/ntriples.h"
 #include "util/hash.h"
 
 namespace minoan {
@@ -60,6 +61,19 @@ std::vector<MatchEvent> UniqueMappingClustering(
     kept.push_back(m);
   }
   return kept;
+}
+
+size_t WriteSameAsLinks(const std::vector<MatchEvent>& matches,
+                        const EntityCollection& collection, std::ostream& out) {
+  const std::vector<MatchEvent> links =
+      UniqueMappingClustering(matches, collection);
+  rdf::NTriplesWriter writer(out);
+  for (const MatchEvent& m : links) {
+    writer.Write({rdf::Term::Iri(std::string(collection.EntityIri(m.a))),
+                  rdf::Term::Iri(std::string(rdf::kOwlSameAs)),
+                  rdf::Term::Iri(std::string(collection.EntityIri(m.b)))});
+  }
+  return links.size();
 }
 
 }  // namespace minoan

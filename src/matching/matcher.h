@@ -11,6 +11,7 @@
 #define MINOAN_MATCHING_MATCHER_H_
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "blocking/block.h"
@@ -65,6 +66,13 @@ class BatchMatcher {
 /// to the other endpoint's KB. Returns the retained matches.
 std::vector<MatchEvent> UniqueMappingClustering(
     const std::vector<MatchEvent>& matches, const EntityCollection& collection);
+
+/// Writes UniqueMappingClustering(matches) as owl:sameAs N-Triples and
+/// returns the link count. The one links writer: `minoan resolve`'s links
+/// file, the served kLinks reply and the examples all render through it, so
+/// they compare byte for byte.
+size_t WriteSameAsLinks(const std::vector<MatchEvent>& matches,
+                        const EntityCollection& collection, std::ostream& out);
 
 }  // namespace minoan
 

@@ -7,7 +7,6 @@
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/serde.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace minoan {
@@ -116,17 +115,11 @@ StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
   const size_t match_mark = result_.run.matches.size();
   const uint64_t discovered_mark = result_.discovered_pairs;
   const uint64_t budget = options_.matcher.budget;
-  const Stopwatch watch;
   StepResult out = RunScheduledComparisons(
       scheduler_, max_comparisons, options_.evidence.staleness_tolerance,
       /*should_stop=*/
       [&] {
-        if (budget != 0 && result_.run.comparisons_executed >= budget) {
-          return true;
-        }
-        return options_.budget_millis != 0 &&
-               watch.ElapsedMillis() >=
-                   static_cast<double>(options_.budget_millis);
+        return budget != 0 && result_.run.comparisons_executed >= budget;
       },
       /*current_priority=*/[&](uint32_t id) { return Priority(id); },
       /*execute=*/

@@ -60,11 +60,6 @@ struct ProgressiveOptions {
   double benefit_weight = 1.0;
   /// Match decision threshold and comparison budget (0 = unlimited).
   MatcherOptions matcher;
-  /// Optional wall-clock budget in milliseconds (0 = unlimited); whichever
-  /// of the two budgets is hit first ends the run. Comparison counts are
-  /// the reproducible unit; wall time is for latency-bound deployments.
-  /// In step mode, bounds each Step call.
-  uint64_t budget_millis = 0;
   /// Master switch of the update phase (T6 ablation).
   bool enable_update_phase = true;
   /// Evidence-propagation knobs, shared with the online engine.

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "kb/entity.h"
@@ -54,13 +53,6 @@ struct StepResult {
   /// time during this call.
   uint64_t evidence_updates = 0;
   uint64_t discovered_pairs = 0;
-  /// Wall time this call took (filled by the session-level drivers;
-  /// observational, never part of any determinism contract).
-  double wall_millis = 0.0;
-  /// Metrics-registry snapshot taken as the call returned (filled by
-  /// ResolutionSession::Step while the registry is enabled; null
-  /// otherwise). Shared: snapshots are immutable once taken.
-  std::shared_ptr<const obs::StatsSnapshot> stats;
 };
 
 /// Similarity bonus of a slot's accumulated neighbor evidence.

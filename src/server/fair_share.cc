@@ -9,7 +9,11 @@ namespace server {
 FairShare::FairShare(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-void FairShare::Acquire(const std::string& tenant) {
+FairShare::Slot::~Slot() {
+  gate_->Release(vtime_, std::max<uint64_t>(1, cost_));
+}
+
+FairShare::Slot FairShare::Acquire(const std::string& tenant) {
   std::unique_lock<std::mutex> lock(mu_);
 
   // Start-time rule: a tenant whose spend lags every live tenant enters at
@@ -17,21 +21,22 @@ void FairShare::Acquire(const std::string& tenant) {
   // fair share from now on, not a monopolizing refund of its idle past.
   uint64_t floor = std::numeric_limits<uint64_t>::max();
   for (const Waiter& w : waiters_) floor = std::min(floor, w.vtime);
-  auto [it, inserted] = vtime_.try_emplace(tenant, 0);
+  uint64_t& vtime = vtime_.try_emplace(tenant, 0).first->second;
   if (floor != std::numeric_limits<uint64_t>::max()) {
-    it->second = std::max(it->second, floor);
+    vtime = std::max(vtime, floor);
   }
 
-  waiters_.push_back(Waiter{it->second, arrivals_++});
+  waiters_.push_back(Waiter{vtime, arrivals_++});
   auto self = std::prev(waiters_.end());
   AdmitLocked();
   cv_.wait(lock, [&] { return self->admitted; });
   waiters_.erase(self);
+  return Slot(this, &vtime);
 }
 
-void FairShare::Release(const std::string& tenant, uint64_t cost) {
+void FairShare::Release(uint64_t* vtime, uint64_t cost) {
   std::lock_guard<std::mutex> lock(mu_);
-  vtime_[tenant] += cost;
+  *vtime += cost;
   if (in_flight_ > 0) --in_flight_;
   AdmitLocked();
   cv_.notify_all();

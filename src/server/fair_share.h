@@ -6,7 +6,8 @@
 // (executed comparisons) on release. The gate enforces two properties:
 //
 //   1. Bounded concurrency. At most `capacity` installments run at once —
-//      the service's CPU envelope, matched to its thread budget.
+//      the service's CPU envelope. Each runs on the connection thread the
+//      gate admitted; there is no separate worker pool.
 //   2. Tenant fairness. When tenants contend, slots go to the waiting
 //      tenant with the least accumulated cost (virtual time), so a tenant
 //      stepping a million comparisons cannot starve one stepping a
@@ -39,16 +40,33 @@ namespace server {
 
 class FairShare {
  public:
+  /// One held slot. Its destructor releases the slot and charges the cost
+  /// recorded with Charge() — at least 1, so a flat request still advances
+  /// its tenant's virtual time and FIFO cannot regress into starvation. The
+  /// release runs on every exit path, an exception included.
+  class Slot {
+   public:
+    Slot(const Slot&) = delete;
+    Slot& operator=(const Slot&) = delete;
+    ~Slot();
+
+    /// Adds to the cost charged on release (comparisons, or entities).
+    void Charge(uint64_t cost) { cost_ += cost; }
+
+   private:
+    friend class FairShare;
+    Slot(FairShare* gate, uint64_t* vtime) : gate_(gate), vtime_(vtime) {}
+    FairShare* gate_;
+    uint64_t* vtime_;  // the tenant's vtime_ entry (map nodes are stable)
+    uint64_t cost_ = 0;
+  };
+
   /// `capacity` = concurrent installment slots (>= 1).
   explicit FairShare(size_t capacity);
 
   /// Blocks until `tenant` holds a slot. Reentrant across tenants, not
   /// within one thread (a thread must release before acquiring again).
-  void Acquire(const std::string& tenant);
-
-  /// Releases the slot and charges `cost` (comparisons, or 1 for flat
-  /// requests) to the tenant's virtual time.
-  void Release(const std::string& tenant, uint64_t cost);
+  [[nodiscard]] Slot Acquire(const std::string& tenant);
 
   /// Accumulated cost charged to `tenant` (0 when unseen).
   uint64_t TenantCost(std::string_view tenant) const;
@@ -65,6 +83,8 @@ class FairShare {
   /// Admits eligible waiters (slots free, least vtime first) and notifies.
   /// Caller holds mu_.
   void AdmitLocked();
+  /// Frees a slot and charges `cost` to the tenant's vtime (Slot's dtor).
+  void Release(uint64_t* vtime, uint64_t cost);
 
   const size_t capacity_;
   mutable std::mutex mu_;
@@ -72,7 +92,7 @@ class FairShare {
   size_t in_flight_ = 0;
   uint64_t arrivals_ = 0;
   /// Virtual time per tenant: total cost charged so far, floored to the
-  /// minimum active vtime on (re)arrival.
+  /// minimum active vtime on (re)arrival. Entries are never erased.
   std::unordered_map<std::string, uint64_t> vtime_;
   std::list<Waiter> waiters_;
 };

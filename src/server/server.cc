@@ -10,8 +10,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -19,61 +17,16 @@
 #include "obs/metrics.h"
 #include "online/incremental_collection.h"
 #include "rdf/ntriples.h"
-#include "rdf/term.h"
 #include "server/protocol.h"
 #include "server/wire.h"
+#include "util/atomic_file.h"
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 namespace minoan {
 namespace server {
 
 namespace {
-
-obs::Counter& RequestCounter(MessageId id) {
-  static obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  switch (id) {
-    case MessageId::kCreateSession: {
-      static obs::Counter& c = reg.counter("server.requests.create");
-      return c;
-    }
-    case MessageId::kStep: {
-      static obs::Counter& c = reg.counter("server.requests.step");
-      return c;
-    }
-    case MessageId::kMatches: {
-      static obs::Counter& c = reg.counter("server.requests.matches");
-      return c;
-    }
-    case MessageId::kCheckpoint: {
-      static obs::Counter& c = reg.counter("server.requests.checkpoint");
-      return c;
-    }
-    case MessageId::kClose: {
-      static obs::Counter& c = reg.counter("server.requests.close");
-      return c;
-    }
-    case MessageId::kIngest: {
-      static obs::Counter& c = reg.counter("server.requests.ingest");
-      return c;
-    }
-    case MessageId::kResolveBudget: {
-      static obs::Counter& c = reg.counter("server.requests.resolve");
-      return c;
-    }
-    case MessageId::kQuery: {
-      static obs::Counter& c = reg.counter("server.requests.query");
-      return c;
-    }
-    case MessageId::kLinks: {
-      static obs::Counter& c = reg.counter("server.requests.links");
-      return c;
-    }
-    default: {
-      static obs::Counter& c = reg.counter("server.requests.other");
-      return c;
-    }
-  }
-}
 
 obs::Histogram& RequestMicros() {
   static obs::Histogram& h =
@@ -93,80 +46,57 @@ std::string Truncated(const char* what) {
                                       " request body"));
 }
 
-/// Short request-kind name for span labels and event fields.
-const char* MessageKindName(MessageId id) {
-  switch (id) {
-    case MessageId::kCreateSession:
-      return "create";
-    case MessageId::kStep:
-      return "step";
-    case MessageId::kMatches:
-      return "matches";
-    case MessageId::kCheckpoint:
-      return "checkpoint";
-    case MessageId::kClose:
-      return "close";
-    case MessageId::kIngest:
-      return "ingest";
-    case MessageId::kResolveBudget:
-      return "resolve";
-    case MessageId::kQuery:
-      return "query";
-    case MessageId::kLinks:
-      return "links";
-    case MessageId::kStats:
-      return "stats";
-    case MessageId::kPing:
-      return "ping";
-  }
-  return "other";
-}
-
-/// Every session-addressed request body starts with the u64 session id;
-/// peek it (little-endian, same as serde) so the span carries the tag even
-/// though the handler has not parsed the body yet. 0 when not applicable.
-uint64_t PeekSessionId(MessageId id, const std::string& body) {
-  switch (id) {
-    case MessageId::kStep:
-    case MessageId::kResolveBudget:
-    case MessageId::kMatches:
-    case MessageId::kCheckpoint:
-    case MessageId::kClose:
-    case MessageId::kIngest:
-    case MessageId::kQuery:
-    case MessageId::kLinks:
-      break;
-    default:
-      return 0;
-  }
-  if (body.size() < sizeof(uint64_t)) return 0;
-  uint64_t session = 0;
-  std::memcpy(&session, body.data(), sizeof(session));
-  return session;
-}
-
-/// Full-file replace via a sibling temp file + rename, so a concurrent
-/// reader sees either the previous snapshot or the new one — never a torn
-/// mix (rename within one directory is atomic on POSIX).
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open " + tmp + " for writing");
-    out << contents;
-    out.flush();
-    if (!out) return Status::IoError("short write to " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::IoError("rename " + tmp + " -> " + path + ": " +
-                           ec.message());
-  }
-  return Status::Ok();
-}
-
 }  // namespace
+
+/// One row of the message table.
+struct Server::Route {
+  MessageId id;
+  /// Span label ("<kind> rid=… sid=…") and slow-request event field.
+  const char* kind;
+  /// Request counter, registered on the first request that bumps it.
+  const char* counter;
+  /// The body starts with the u64 session id, peeked for the span label
+  /// before the handler parses it.
+  bool session_first;
+  /// Null for ids outside the protocol.
+  std::string (Server::*handle)(std::istream& body, RequestContext& ctx);
+};
+
+/// The message table: one row per wire message drives dispatch, request
+/// counters, span labels and session-id peeking. Ids outside the protocol
+/// get kUnknown (counted as server.requests.other, answered Unimplemented).
+const Server::Route& Server::RouteFor(uint16_t id) {
+  static constexpr Route kUnknown{MessageId{0}, "other",
+                                  "server.requests.other", false, nullptr};
+  static constexpr Route kRoutes[] = {
+      {MessageId::kCreateSession, "create", "server.requests.create", false,
+       &Server::HandleCreateSession},
+      {MessageId::kStep, "step", "server.requests.step", true,
+       &Server::HandleStep},
+      {MessageId::kMatches, "matches", "server.requests.matches", true,
+       &Server::HandleMatches},
+      {MessageId::kCheckpoint, "checkpoint", "server.requests.checkpoint",
+       true, &Server::HandleCheckpoint},
+      {MessageId::kClose, "close", "server.requests.close", true,
+       &Server::HandleClose},
+      {MessageId::kIngest, "ingest", "server.requests.ingest", true,
+       &Server::HandleIngest},
+      {MessageId::kResolveBudget, "resolve", "server.requests.resolve", true,
+       &Server::HandleResolveBudget},
+      {MessageId::kQuery, "query", "server.requests.query", true,
+       &Server::HandleQuery},
+      {MessageId::kLinks, "links", "server.requests.links", true,
+       &Server::HandleLinks},
+      {MessageId::kStats, "stats", "server.requests.other", false,
+       &Server::HandleStats},
+      {MessageId::kPing, "ping", "server.requests.other", false,
+       &Server::HandlePing},
+  };
+  for (const Route& route : kRoutes) {
+    if (static_cast<uint16_t>(route.id) == id) return route;
+  }
+  return kUnknown;
+}
 
 /// One tenant's metric bundle. The dual-write handles mirror the process
 /// server.comparisons / server.matches counters into the tenant's scoped
@@ -203,7 +133,6 @@ Server::Server(ServerOptions options)
                                         options.max_sessions,
                                         options.evict_after_seconds}),
       fair_share_(ResolveThreadCount(options.num_threads)),
-      pool_(ResolveThreadCount(options.num_threads)),
       events_(obs::EventLog::Options{options.max_events,
                                      obs::Severity::kInfo}) {
   if (options_.enable_trace || !options_.trace_path.empty()) {
@@ -308,9 +237,10 @@ void Server::Shutdown() {
   // drained; losing a telemetry write must not fail shutdown.
   (void)ExportSnapshots();
   if (!options_.trace_path.empty() && trace_ != nullptr) {
-    std::ostringstream json;
-    trace_->WriteChromeTrace(json);
-    (void)WriteFileAtomic(options_.trace_path, json.str());
+    (void)WriteFileAtomic(options_.trace_path, [&](std::ostream& out) {
+      trace_->WriteChromeTrace(out);
+      return Status::Ok();
+    });
   }
   std::lock_guard<std::mutex> lock(conn_mu_);
   shut_down_ = true;
@@ -387,16 +317,24 @@ void Server::HandleConnection(int fd) {
     }
     if (!WriteFrame(fd, frame.id, response).ok()) break;
   }
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    std::erase(conn_fds_, fd);
+  }
   ::close(fd);
 }
 
 std::string Server::Dispatch(const Frame& frame) {
   const auto start = std::chrono::steady_clock::now();
-  const auto id = static_cast<MessageId>(frame.id);
-  RequestCounter(id).Increment();
+  const Route& route = RouteFor(frame.id);
+  obs::MetricsRegistry::Default().counter(route.counter).Increment();
   RequestContext ctx;
   ctx.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  ctx.session_id = PeekSessionId(id, frame.body);
+  if (route.session_first && frame.body.size() >= sizeof(uint64_t)) {
+    // Little-endian, as serde writes it: the span carries the session tag
+    // even though the handler has not parsed the body yet.
+    std::memcpy(&ctx.session_id, frame.body.data(), sizeof(uint64_t));
+  }
   std::istringstream body(frame.body);
   std::string response;
   {
@@ -405,53 +343,29 @@ std::string Server::Dispatch(const Frame& frame) {
     // request's wall time and the counters it advanced.
     std::optional<obs::PhaseSpan> span;
     if (trace_ != nullptr) {
-      std::string name = MessageKindName(id);
+      std::string name = route.kind;
       name += " rid=" + std::to_string(ctx.request_id);
       if (ctx.session_id != 0) {
         name += " sid=" + std::to_string(ctx.session_id);
       }
       span.emplace(trace_.get(), std::move(name));
     }
-    switch (id) {
-      case MessageId::kCreateSession:
-        response = HandleCreateSession(body, ctx);
-        break;
-      case MessageId::kStep:
-        response = HandleStep(body, /*online=*/false, ctx);
-        break;
-      case MessageId::kResolveBudget:
-        response = HandleStep(body, /*online=*/true, ctx);
-        break;
-      case MessageId::kMatches:
-        response = HandleMatches(body, ctx);
-        break;
-      case MessageId::kCheckpoint:
-        response = HandleCheckpoint(body, ctx);
-        break;
-      case MessageId::kClose:
-        response = HandleClose(body, ctx);
-        break;
-      case MessageId::kIngest:
-        response = HandleIngest(body, ctx);
-        break;
-      case MessageId::kQuery:
-        response = HandleQuery(body, ctx);
-        break;
-      case MessageId::kLinks:
-        response = HandleLinks(body, ctx);
-        break;
-      case MessageId::kStats:
-        response = HandleStats(body);
-        break;
-      case MessageId::kPing: {
-        std::ostringstream out;
-        WriteStatusPrefix(out, Status::Ok());
-        response = out.str();
-        break;
+    if (route.handle == nullptr) {
+      response = ErrorBody(Status::Unimplemented(
+          "unknown message id " + std::to_string(frame.id)));
+    } else {
+      // A throw (bad_alloc on a huge document or synthetic source, a
+      // system_error spawning a session's pool) fails this request only;
+      // RunInstallment's slot has already been released by then.
+      try {
+        response = (this->*route.handle)(body, ctx);
+      } catch (const std::exception& e) {
+        response = ErrorBody(Status::Internal(std::string(route.kind) +
+                                              " request failed: " + e.what()));
+      } catch (...) {
+        response = ErrorBody(
+            Status::Internal(std::string(route.kind) + " request failed"));
       }
-      default:
-        response = ErrorBody(Status::Unimplemented(
-            "unknown message id " + std::to_string(frame.id)));
     }
   }
   const uint64_t micros = static_cast<uint64_t>(
@@ -467,7 +381,7 @@ std::string Server::Dispatch(const Frame& frame) {
   if (options_.slow_request_millis > 0 &&
       static_cast<double>(micros) > options_.slow_request_millis * 1000.0) {
     events_.Log(obs::Severity::kWarn, "slow_request",
-                {{"request", MessageKindName(id)}, {"tenant", ctx.tenant}},
+                {{"request", route.kind}, {"tenant", ctx.tenant}},
                 {{"request_id", ctx.request_id},
                  {"session", ctx.session_id},
                  {"micros", micros}});
@@ -486,25 +400,14 @@ Server::TenantStats& Server::TenantFor(const std::string& tenant) {
 
 void Server::RunInstallment(const std::string& tenant,
                             const std::function<uint64_t()>& fn) {
-  fair_share_.Acquire(tenant);
-  const uint64_t spill_before = SpillBytesCounter().Value();
   uint64_t cost = 0;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  pool_.Submit([&] {
-    cost = fn();
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-    cv.notify_one();
-  });
+  uint64_t spill_before = 0;
   {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
+    FairShare::Slot slot = fair_share_.Acquire(tenant);
+    spill_before = SpillBytesCounter().Value();
+    cost = fn();
+    slot.Charge(cost);
   }
-  // Flat requests charge at least 1 so vtime advances and FIFO cannot
-  // regress into starvation.
-  fair_share_.Release(tenant, std::max<uint64_t>(1, cost));
   TenantStats& stats = TenantFor(tenant);
   // The dual write lands in the process server.comparisons counter AND the
   // tenant shadow, so the per-tenant sum reconciles exactly.
@@ -573,8 +476,17 @@ std::string Server::HandleCreateSession(std::istream& body,
   return out.str();
 }
 
-std::string Server::HandleStep(std::istream& body, bool online,
-                               RequestContext& ctx) {
+std::string Server::HandleStep(std::istream& body, RequestContext& ctx) {
+  return StepInstallments(body, /*online=*/false, ctx);
+}
+
+std::string Server::HandleResolveBudget(std::istream& body,
+                                        RequestContext& ctx) {
+  return StepInstallments(body, /*online=*/true, ctx);
+}
+
+std::string Server::StepInstallments(std::istream& body, bool online,
+                                     RequestContext& ctx) {
   uint64_t session = 0;
   uint64_t budget = 0;
   if (!serde::ReadU64(body, session) || !serde::ReadU64(body, budget)) {
@@ -655,10 +567,7 @@ std::string Server::HandleMatches(std::istream& body, RequestContext& ctx) {
   auto lease = sessions_.Acquire(session);
   if (!lease.ok()) return ErrorBody(lease.status());
   ctx.tenant = lease->spec().tenant;
-  const std::vector<MatchEvent>& matches =
-      lease->online() != nullptr
-          ? lease->online()->run().matches
-          : lease->batch()->Report().progressive.run.matches;
+  const std::vector<MatchEvent>& matches = lease->matches();
   const size_t begin = std::min<size_t>(since, matches.size());
   std::ostringstream out;
   WriteStatusPrefix(out, Status::Ok());
@@ -781,28 +690,23 @@ std::string Server::HandleLinks(std::istream& body, RequestContext& ctx) {
   auto lease = sessions_.Acquire(session);
   if (!lease.ok()) return ErrorBody(lease.status());
   ctx.tenant = lease->spec().tenant;
-  const EntityCollection& collection = lease->collection();
-  const std::vector<MatchEvent>& matches =
-      lease->online() != nullptr
-          ? lease->online()->run().matches
-          : lease->batch()->Report().progressive.run.matches;
-  // Same clustering + rendering as the CLI's discovered-links file, so a
-  // served run diffs byte-for-byte against `minoan resolve`.
-  const auto links = UniqueMappingClustering(matches, collection);
+  // The CLI's links writer, so a served run diffs byte-for-byte against
+  // `minoan resolve`.
   std::ostringstream text;
-  rdf::NTriplesWriter writer(text);
-  for (const MatchEvent& m : links) {
-    writer.Write({rdf::Term::Iri(std::string(collection.EntityIri(m.a))),
-                  rdf::Term::Iri(std::string(rdf::kOwlSameAs)),
-                  rdf::Term::Iri(std::string(collection.EntityIri(m.b)))});
-  }
+  WriteSameAsLinks(lease->matches(), lease->collection(), text);
   std::ostringstream out;
   WriteStatusPrefix(out, Status::Ok());
   serde::WriteString(out, text.str());
   return out.str();
 }
 
-std::string Server::HandleStats(std::istream& body) {
+std::string Server::HandlePing(std::istream&, RequestContext&) {
+  std::ostringstream out;
+  WriteStatusPrefix(out, Status::Ok());
+  return out.str();
+}
+
+std::string Server::HandleStats(std::istream& body, RequestContext&) {
   uint8_t version = 0;
   const bool full = serde::ReadU8(body, version);
   if (full && version != kStatsBodyV2) {
@@ -889,16 +793,21 @@ obs::StatsReport Server::BuildStatsReport() const {
 }
 
 Status Server::ExportSnapshots() const {
+  // Through the one atomic writer: a scraper reading a rolling snapshot
+  // never sees a torn file.
   if (!options_.stats_path.empty()) {
-    std::ostringstream json;
-    obs::WriteStatsJson(json, BuildStatsReport());
-    MINOAN_RETURN_IF_ERROR(WriteFileAtomic(options_.stats_path, json.str()));
+    MINOAN_RETURN_IF_ERROR(
+        WriteFileAtomic(options_.stats_path, [&](std::ostream& out) {
+          obs::WriteStatsJson(out, BuildStatsReport());
+          return Status::Ok();
+        }).status());
   }
   if (!options_.event_log_path.empty()) {
-    std::ostringstream jsonl;
-    events_.WriteJsonl(jsonl);
     MINOAN_RETURN_IF_ERROR(
-        WriteFileAtomic(options_.event_log_path, jsonl.str()));
+        WriteFileAtomic(options_.event_log_path, [&](std::ostream& out) {
+          events_.WriteJsonl(out);
+          return Status::Ok();
+        }).status());
   }
   return Status::Ok();
 }

@@ -12,11 +12,14 @@
 //     a background sweeper thread runs the idle scan;
 //   - a FairShare gate in front of every expensive request: Step and
 //     ResolveBudget bodies are sliced into `installment`-sized
-//     sub-budgets, each admitted separately and run on the shared
-//     ThreadPool, so a tenant stepping millions of comparisons
-//     interleaves with — never starves — a tenant stepping thousands.
-//     Slicing is invisible in the results: Step(n/2) twice is
-//     byte-identical to Step(n) (the session contract).
+//     sub-budgets, each admitted separately and run on the connection
+//     thread the gate admitted, so a tenant stepping millions of
+//     comparisons interleaves with — never starves — a tenant stepping
+//     thousands. Slicing is invisible in the results: Step(n/2) twice is
+//     byte-identical to Step(n) (the session contract);
+//   - one message table (server.cc) naming, per wire message, its span
+//     label, its request counter, whether its body starts with the
+//     session id, and its handler.
 //
 // Determinism: for a fixed corpus, options, and request sequence per
 // session, every reply is byte-identical regardless of thread count,
@@ -66,7 +69,6 @@
 #include "server/session_manager.h"
 #include "server/wire.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace minoan {
 namespace server {
@@ -81,8 +83,8 @@ struct ServerOptions {
   double evict_after_seconds = 0;
   /// Checkpoint directory for evicted sessions.
   std::string state_dir = "/tmp/minoan-serve";
-  /// Fair-share slots AND workers of the shared installment pool
-  /// (0 = hardware concurrency).
+  /// Fair-share slots: how many installments run at once, each on the
+  /// connection thread it was admitted on (0 = hardware concurrency).
   uint32_t num_threads = 1;
   /// Comparisons per admitted installment: the fairness quantum. Smaller =
   /// tighter interleaving, more gate traffic.
@@ -160,37 +162,45 @@ class Server {
     std::string tenant;
   };
   struct TenantStats;
+  struct Route;
+  /// The message table's row for `id` (a shared fallback row for unknown
+  /// ids).
+  static const Route& RouteFor(uint16_t id);
 
   void AcceptLoop();
   void SweeperLoop();
   void ExporterLoop();
   void HandleConnection(int fd);
   /// Decodes one request frame and produces the response body. Never
-  /// throws; internal errors become error responses.
+  /// throws: what a handler throws becomes a kInternal error response.
   std::string Dispatch(const Frame& frame);
 
   std::string HandleCreateSession(std::istream& body, RequestContext& ctx);
-  std::string HandleStep(std::istream& body, bool online, RequestContext& ctx);
+  std::string HandleStep(std::istream& body, RequestContext& ctx);
+  std::string HandleResolveBudget(std::istream& body, RequestContext& ctx);
+  std::string StepInstallments(std::istream& body, bool online,
+                               RequestContext& ctx);
   std::string HandleMatches(std::istream& body, RequestContext& ctx);
   std::string HandleCheckpoint(std::istream& body, RequestContext& ctx);
   std::string HandleClose(std::istream& body, RequestContext& ctx);
   std::string HandleIngest(std::istream& body, RequestContext& ctx);
   std::string HandleQuery(std::istream& body, RequestContext& ctx);
   std::string HandleLinks(std::istream& body, RequestContext& ctx);
-  std::string HandleStats(std::istream& body);
+  std::string HandleStats(std::istream& body, RequestContext& ctx);
+  std::string HandlePing(std::istream& body, RequestContext& ctx);
 
   /// The tenant's scoped-metric bundle, created on first use.
   TenantStats& TenantFor(const std::string& tenant);
 
-  /// Runs `fn` as one fair-share installment on the shared pool, charging
-  /// `tenant` the cost fn reports.
+  /// Runs `fn` as one fair-share installment on the calling thread once
+  /// the gate admits `tenant`, charging it the cost fn reports. The slot is
+  /// released on every exit path; what fn throws propagates to Dispatch.
   void RunInstallment(const std::string& tenant,
                       const std::function<uint64_t()>& fn);
 
   const ServerOptions options_;
   SessionManager sessions_;
   FairShare fair_share_;
-  ThreadPool pool_;
 
   std::unique_ptr<obs::TraceRecorder> trace_;
   obs::EventLog events_;
@@ -206,6 +216,8 @@ class Server {
   std::thread exporter_thread_;
   std::mutex conn_mu_;
   std::vector<std::thread> conn_threads_;
+  /// Open connection descriptors: a handler erases its fd under conn_mu_
+  /// before closing it, so Shutdown never touches a recycled number.
   std::vector<int> conn_fds_;
   std::condition_variable shutdown_cv_;
   bool shut_down_ = false;

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <vector>
 
 #include "datagen/lod_generator.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "rdf/turtle.h"
-#include "util/thread_pool.h"
+#include "util/atomic_file.h"
+#include "util/cli_flags.h"
 
 namespace minoan {
 namespace server {
@@ -69,41 +70,13 @@ online::OnlineOptions OnlineOptionsFor(const SessionSpec& spec) {
 
 Result<EntityCollection> LoadCorpus(const std::string& source) {
   if (source.rfind("dir:", 0) == 0) {
-    const std::string dir = source.substr(4);
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      const std::string ext = entry.path().extension().string();
-      if (ext == ".nt" || ext == ".ttl" || ext == ".turtle") {
-        files.push_back(entry.path().string());
-      }
-    }
-    if (ec) {
-      return Status::IoError("cannot read corpus directory " + dir + ": " +
-                             ec.message());
-    }
-    if (files.empty()) {
-      return Status::NotFound("no .nt/.ttl files in " + dir);
-    }
-    // Sorted order + file-stem KB names: exactly what the CLI's directory
-    // loader does, so a served session and `minoan resolve DIR` run over
-    // the identical collection (the byte-parity contract of kLinks).
-    std::sort(files.begin(), files.end());
-    EntityCollection collection;
-    for (const std::string& file : files) {
-      MINOAN_ASSIGN_OR_RETURN(std::vector<rdf::Triple> triples,
-                              rdf::LoadTriples(file));
-      MINOAN_RETURN_IF_ERROR(
-          collection
-              .AddKnowledgeBase(std::filesystem::path(file).stem().string(),
-                                triples)
-              .status());
-    }
-    MINOAN_RETURN_IF_ERROR(collection.Finalize());
-    return collection;
+    // The CLI's loader, so a served session and `minoan resolve DIR` run
+    // over the identical collection (the byte-parity contract of kLinks).
+    return LoadCorpusDirectory(source.substr(4));
   }
   if (source.rfind("synthetic:", 0) == 0) {
-    // synthetic:<seed>:<entities>:<kbs>:<center>
+    // synthetic:<seed>:<entities>:<kbs>:<center>; the seed is a u64, the
+    // three counts are u32 — a larger value is an error, not a wrap.
     uint64_t fields[4] = {0, 0, 0, 0};
     size_t pos = 10;
     for (int i = 0; i < 4; ++i) {
@@ -112,12 +85,11 @@ Result<EntityCollection> LoadCorpus(const std::string& source) {
         return Status::InvalidArgument(
             "synthetic source needs seed:entities:kbs:center, got " + source);
       }
-      const auto [ptr, ec] =
-          std::from_chars(source.data() + pos, source.data() + end, fields[i]);
-      if (ec != std::errc() || ptr != source.data() + end) {
-        return Status::InvalidArgument("bad synthetic source field in " +
-                                       source);
-      }
+      MINOAN_ASSIGN_OR_RETURN(
+          fields[i],
+          cli::ParseUint("synthetic source field",
+                         std::string_view(source).substr(pos, end - pos),
+                         i == 0 ? UINT64_MAX : UINT32_MAX));
       pos = end + 1;
     }
     datagen::LodCloudConfig config;
@@ -177,6 +149,10 @@ ResolutionSession* SessionManager::Lease::batch() {
 }
 online::OnlineResolver* SessionManager::Lease::online() {
   return entry_->online.get();
+}
+const std::vector<MatchEvent>& SessionManager::Lease::matches() const {
+  return entry_->online != nullptr ? entry_->online->run().matches
+                                   : entry_->batch->matches();
 }
 const EntityCollection& SessionManager::Lease::collection() const {
   return entry_->online != nullptr ? entry_->online->collection()
@@ -302,20 +278,19 @@ Status SessionManager::EvictEntry(Entry& entry) {
   return status;
 }
 
-Status SessionManager::EvictEntryImpl(Entry& entry, uint64_t& bytes) {
-  std::ofstream out(entry.ckpt_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot write checkpoint " + entry.ckpt_path);
-  }
-  MINOAN_RETURN_IF_ERROR(entry.batch != nullptr ? entry.batch->Checkpoint(out)
-                                                : entry.online->SaveState(out));
-  out.flush();
-  if (!out) {
-    return Status::IoError("short write to checkpoint " + entry.ckpt_path);
-  }
-  bytes = static_cast<uint64_t>(out.tellp());
+Result<uint64_t> SessionManager::WriteCheckpoint(const Entry& entry) {
+  MINOAN_ASSIGN_OR_RETURN(
+      const uint64_t bytes,
+      WriteFileAtomic(entry.ckpt_path, [&](std::ostream& out) {
+        return entry.batch != nullptr ? entry.batch->Checkpoint(out)
+                                      : entry.online->SaveState(out);
+      }));
   CheckpointBytes().Record(bytes);
-  out.close();
+  return bytes;
+}
+
+Status SessionManager::EvictEntryImpl(Entry& entry, uint64_t& bytes) {
+  MINOAN_ASSIGN_OR_RETURN(bytes, WriteCheckpoint(entry));
   entry.batch.reset();
   entry.online.reset();
   entry.corpus.reset();
@@ -332,23 +307,18 @@ Result<uint64_t> SessionManager::Create(const SessionSpec& spec) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     entry->id = next_id_++;
-    entry->lru_seq = ++lru_clock_;
     entry->ckpt_path = CheckpointPath(entry->id);
-    sessions_.emplace(entry->id, entry);
   }
+  // The entry becomes visible only once built, so a failed or throwing
+  // build leaves nothing behind for Acquire or the eviction scans.
+  MINOAN_RETURN_IF_ERROR(Materialize(*entry));
   entry->idle_since_ns.store(SteadyNowNs(), std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> entry_lock(entry->mu);
-    if (Status st = Materialize(*entry); !st.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      sessions_.erase(entry->id);
-      return st;
-    }
-  }
   live_.fetch_add(1, std::memory_order_relaxed);
   LiveGauge().Add(1);
   CreatedCounter().Increment();
   std::lock_guard<std::mutex> lock(mu_);
+  entry->lru_seq = ++lru_clock_;
+  sessions_.emplace(entry->id, entry);
   EnforceCapLocked();
   return entry->id;
 }
@@ -379,20 +349,7 @@ Result<SessionManager::Lease> SessionManager::Acquire(uint64_t id) {
 
 Result<uint64_t> SessionManager::Checkpoint(uint64_t id) {
   MINOAN_ASSIGN_OR_RETURN(Lease lease, Acquire(id));
-  Entry& entry = *lease.entry_;
-  std::ofstream out(entry.ckpt_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IoError("cannot write checkpoint " + entry.ckpt_path);
-  }
-  MINOAN_RETURN_IF_ERROR(entry.batch != nullptr ? entry.batch->Checkpoint(out)
-                                                : entry.online->SaveState(out));
-  out.flush();
-  if (!out) {
-    return Status::IoError("short write to checkpoint " + entry.ckpt_path);
-  }
-  const auto bytes = static_cast<uint64_t>(out.tellp());
-  CheckpointBytes().Record(bytes);
-  return bytes;
+  return WriteCheckpoint(*lease.entry_);
 }
 
 Status SessionManager::Evict(uint64_t id) {

@@ -47,6 +47,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "core/session.h"
 #include "kb/collection.h"
@@ -108,6 +109,8 @@ class SessionManager {
     /// The session's corpus (batch: the shared loaded collection; online:
     /// the engine's live collection).
     const EntityCollection& collection() const;
+    /// The session's cumulative match log, by reference.
+    const std::vector<MatchEvent>& matches() const;
 
    private:
     friend class SessionManager;
@@ -166,6 +169,9 @@ class SessionManager {
   /// outcome (session_evicted / checkpoint_failed) lands in the event log.
   Status EvictEntry(Entry& entry);
   Status EvictEntryImpl(Entry& entry, uint64_t& bytes);
+  /// Atomically replaces `entry`'s checkpoint file with its live state and
+  /// returns the bytes written. Entry lock held.
+  Result<uint64_t> WriteCheckpoint(const Entry& entry);
   /// Evicts LRU live sessions until `live_` <= cap. Manager lock held by
   /// caller; takes entry locks (skipping busy entries).
   void EnforceCapLocked();
@@ -185,8 +191,9 @@ class SessionManager {
       corpus_cache_;
 };
 
-/// Builds a collection from a SessionSpec source string ("dir:..." or
-/// "synthetic:..."). Exposed for the CLI and tests.
+/// Builds a collection from a SessionSpec source string: "dir:<path>" goes
+/// through LoadCorpusDirectory (kb/collection.h), "synthetic:..." through
+/// the datagen cloud. Exposed for tests.
 Result<EntityCollection> LoadCorpus(const std::string& source);
 
 }  // namespace server

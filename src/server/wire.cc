@@ -1,5 +1,6 @@
 #include "server/wire.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -32,10 +33,13 @@ Status ReadExact(int fd, char* buf, size_t len) {
 Status WriteAll(int fd, std::string_view data) {
   size_t done = 0;
   while (done < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    // MSG_NOSIGNAL: a peer that hung up mid-reply is an EPIPE for this
+    // connection, not a SIGPIPE that kills the whole daemon.
+    const ssize_t n =
+        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError(std::string("write: ") + std::strerror(errno));
+      return Status::IoError(std::string("send: ") + std::strerror(errno));
     }
     done += static_cast<size_t>(n);
   }

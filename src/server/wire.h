@@ -32,7 +32,8 @@ struct Frame {
 /// kIoError when it ends mid-buffer or the read fails.
 Status ReadExact(int fd, char* buf, size_t len);
 
-/// Writes all of `data` to `fd`, retrying on EINTR / short writes.
+/// Writes all of `data` to socket `fd`, retrying on EINTR / short writes.
+/// A peer that hung up is an IoError, never a SIGPIPE.
 Status WriteAll(int fd, std::string_view data);
 
 /// Reads one whole frame. kNotFound = clean EOF at a frame boundary;

@@ -6,9 +6,47 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace minoan {
 namespace cli {
+
+namespace {
+
+std::string FormatBound(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
+
+}  // namespace
+
+Result<uint64_t> ParseUint(std::string_view what, std::string_view text,
+                           uint64_t max) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) {
+    return Status::InvalidArgument(std::string(what) +
+                                   " must be an integer in [0, " +
+                                   std::to_string(max) + "], got \"" +
+                                   std::string(text) + "\"");
+  }
+  return v;
+}
+
+Result<double> ParseDouble(std::string_view what, std::string_view text,
+                           double min, double max) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(v >= min && v <= max)) {
+    return Status::InvalidArgument(
+        std::string(what) + " must be a number in [" + FormatBound(min) +
+        ", " + FormatBound(max) + "], got \"" + std::string(text) + "\"");
+  }
+  return v;
+}
 
 Flags::Flags(int argc, char** argv, int first) {
   for (int i = first; i < argc; ++i) {
@@ -41,30 +79,26 @@ std::string Flags::Get(const std::string& name,
 double Flags::GetDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
+  const Result<double> v = ParseDouble(name, it->second);
+  if (!v.ok()) {
     std::fprintf(stderr, "error: --%s expects a number, got \"%s\"\n",
                  name.c_str(), it->second.c_str());
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 uint64_t Flags::GetInt(const std::string& name, uint64_t fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  uint64_t v = 0;
-  const char* begin = it->second.data();
-  const char* end = begin + it->second.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc() || ptr != end) {
+  const Result<uint64_t> v = ParseUint(name, it->second);
+  if (!v.ok()) {
     std::fprintf(stderr,
                  "error: --%s expects a non-negative integer, got \"%s\"\n",
                  name.c_str(), it->second.c_str());
     std::exit(2);
   }
-  return v;
+  return *v;
 }
 
 uint64_t Flags::GetByteSize(const std::string& name, uint64_t fallback) const {

@@ -12,19 +12,38 @@
 // they never throw. Verbs reject flags they do not understand through
 // UnknownFlags(): a typo like `--theshold` must exit 2 with a message, not
 // be silently ignored while the run proceeds with defaults.
+//
+// ParseUint / ParseDouble are the strict number parsers underneath, shared
+// with every untrusted operand (script commands, corpus source strings):
+// the whole string must be the number and the number must be in range, or
+// the caller gets an InvalidArgument — never a silent 0, wrap or clamp.
 
 #ifndef MINOAN_UTIL_CLI_FLAGS_H_
 #define MINOAN_UTIL_CLI_FLAGS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace minoan {
 namespace cli {
+
+/// A decimal integer in [0, max]: digits only — no sign, no whitespace, no
+/// trailing bytes. `what` names the value in the error message.
+Result<uint64_t> ParseUint(std::string_view what, std::string_view text,
+                           uint64_t max = std::numeric_limits<uint64_t>::max());
+
+/// A decimal floating-point number in [min, max] (NaN never is), with no
+/// leading or trailing bytes.
+Result<double> ParseDouble(std::string_view what, std::string_view text,
+                           double min = -HUGE_VAL, double max = HUGE_VAL);
 
 class Flags {
  public:

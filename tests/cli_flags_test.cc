@@ -1,6 +1,7 @@
 // Tests for the shared CLI flag parser: grammar, numeric accessors'
 // exit(2)-on-garbage contract, and unknown-flag detection.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,31 @@ TEST(CliFlagsTest, MalformedNumbersExitWithCodeTwo) {
               ::testing::ExitedWithCode(2), "non-negative integer");
   EXPECT_EXIT(Parse({"--mem", "64q"}).GetByteSize("mem", 0),
               ::testing::ExitedWithCode(2), "byte size");
+}
+
+TEST(CliFlagsTest, ParseUintIsWholeStringAndRangeChecked) {
+  EXPECT_EQ(*ParseUint("n", "0"), 0u);
+  EXPECT_EQ(*ParseUint("n", "1024", 1024), 1024u);
+  EXPECT_EQ(*ParseUint("n", "18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "12x", "-5", "+5", " 5", "5 ", "0x10",
+                          "1.5", "18446744073709551616"}) {
+    const Result<uint64_t> v = ParseUint("step budget", bad);
+    ASSERT_FALSE(v.ok()) << bad;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(v.status().message().find("step budget"), std::string::npos);
+  }
+  EXPECT_FALSE(ParseUint("port", "65536", 65535).ok());
+  EXPECT_FALSE(ParseUint("entities", "4294967301", UINT32_MAX).ok());
+}
+
+TEST(CliFlagsTest, ParseDoubleIsWholeStringAndRangeChecked) {
+  EXPECT_DOUBLE_EQ(*ParseDouble("t", "0.35", 0, 1), 0.35);
+  EXPECT_DOUBLE_EQ(*ParseDouble("t", "1", 0, 1), 1.0);
+  EXPECT_DOUBLE_EQ(*ParseDouble("t", "-2.5e3"), -2500.0);
+  for (const char* bad : {"", "abc", "0.5x", " 0.5", "nan", "1.5", "-0.1"}) {
+    EXPECT_FALSE(ParseDouble("threshold", bad, 0, 1).ok()) << bad;
+  }
+  EXPECT_FALSE(ParseDouble("t", "nan").ok());
 }
 
 TEST(CliFlagsTest, UnknownFlagsAreReportedSorted) {

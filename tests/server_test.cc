@@ -9,10 +9,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <new>
 #include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -414,6 +416,64 @@ TEST(ServerTest, MalformedFramesAreRejectedWithoutCrashing) {
   (*server)->Shutdown();
 }
 
+TEST(ServerTest, SyntheticSourceFieldsAreRangeChecked) {
+  // Entities, KBs and center KBs are u32: a larger value is rejected, not
+  // wrapped (4294967301 would otherwise build a 5-entity cloud).
+  for (const char* source :
+       {"synthetic:1:4294967301:6:2", "synthetic:1:600:4294967296:2",
+        "synthetic:18446744073709551616:600:6:2", "synthetic:1:-5:6:2",
+        "synthetic:1:600:6:2x", "synthetic:1:600:6"}) {
+    const auto collection = LoadCorpus(source);
+    ASSERT_FALSE(collection.ok()) << source;
+    EXPECT_EQ(collection.status().code(), StatusCode::kInvalidArgument)
+        << source;
+  }
+  EXPECT_TRUE(LoadCorpus("synthetic:18446744073709551615:40:2:1").ok());
+}
+
+/// How many descriptors this process has open (the listing's own
+/// descriptor included, so two counts compare like for like).
+size_t OpenFdCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ServerTest, ShutdownLeavesRecycledDescriptorsAlone) {
+  ServerOptions options;
+  options.state_dir = FreshStateDir("fds");
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const size_t baseline = OpenFdCount();
+  {
+    auto client = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE((*client)->Ping().ok());
+  }
+  // Wait until the server closed its side too: both numbers are free.
+  for (int i = 0; i < 500 && OpenFdCount() > baseline; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(OpenFdCount(), baseline);
+  // The lowest free numbers: the pair reuses the two just freed, one of
+  // which the server's connection handler had.
+  int pair[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  (*server)->Shutdown();
+  for (const auto& [from, to] : {std::pair{0, 1}, std::pair{1, 0}}) {
+    char byte = 'x';
+    EXPECT_EQ(::send(pair[from], &byte, 1, MSG_NOSIGNAL), 1);
+    byte = 0;
+    EXPECT_EQ(::recv(pair[to], &byte, 1, MSG_DONTWAIT), 1);
+    EXPECT_EQ(byte, 'x');
+  }
+  ::close(pair[0]);
+  ::close(pair[1]);
+}
+
 TEST(ServerTest, ServerSideErrorsLeaveTheConnectionUsable) {
   ServerOptions options;
   options.state_dir = FreshStateDir("errors");
@@ -714,14 +774,33 @@ TEST(ObsParityTest, ServedResultsUnaffectedByObservabilityPlane4Threads) {
 
 TEST(FairShareTest, ChargesAndAdmitsByVirtualTime) {
   FairShare gate(1);
-  gate.Acquire("heavy");
-  gate.Release("heavy", 1000);
+  {
+    FairShare::Slot slot = gate.Acquire("heavy");
+    slot.Charge(1000);
+  }
   EXPECT_EQ(gate.TenantCost("heavy"), 1000u);
   // Uncontended re-acquire works and keeps accumulating.
-  gate.Acquire("heavy");
-  gate.Release("heavy", 50);
+  {
+    FairShare::Slot slot = gate.Acquire("heavy");
+    slot.Charge(50);
+  }
   EXPECT_EQ(gate.TenantCost("heavy"), 1050u);
   EXPECT_EQ(gate.TenantCost("light"), 0u);
+}
+
+TEST(FairShareTest, ThrowingScopeReleasesItsSlot) {
+  FairShare gate(1);
+  EXPECT_THROW(
+      {
+        FairShare::Slot slot = gate.Acquire("crashy");
+        throw std::bad_alloc();
+      },
+      std::bad_alloc);
+  // Charged the minimum of 1, and the only slot is free again: this
+  // Acquire returns at once instead of waiting on a slot nobody holds.
+  EXPECT_EQ(gate.TenantCost("crashy"), 1u);
+  FairShare::Slot next = gate.Acquire("next");
+  next.Charge(5);
 }
 
 TEST(FairShareTest, ManyTenantsDrainWithoutDeadlock) {
@@ -732,8 +811,8 @@ TEST(FairShareTest, ManyTenantsDrainWithoutDeadlock) {
     tenants.emplace_back([&gate, &done, t] {
       const std::string name = "tenant-" + std::to_string(t);
       for (int i = 0; i < 25; ++i) {
-        gate.Acquire(name);
-        gate.Release(name, 10);
+        FairShare::Slot slot = gate.Acquire(name);
+        slot.Charge(10);
         done.fetch_add(1);
       }
     });

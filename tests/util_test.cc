@@ -1,8 +1,10 @@
 // Unit tests for the util module: Status/Result, RNG, interner, hashing,
-// TopK, tables, and the thread pool.
+// TopK, tables, the thread pool, and the atomic file writer.
 
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/atomic_file.h"
 #include "util/hash.h"
 #include "util/interner.h"
 #include "util/logging.h"
@@ -620,6 +623,57 @@ TEST(LoggingTest, FilteredStatementDoesNotEvaluateOperands) {
   MINOAN_LOG(kError) << expensive();
   EXPECT_EQ(evaluations, 1);
   EXPECT_EQ(capture.records().size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// WriteFileAtomic
+// ---------------------------------------------------------------------------
+
+std::string ReadWhole(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(AtomicFileTest, ReplacesTheFileAndReportsItsSize) {
+  const std::string path = ::testing::TempDir() + "minoan-atomic-ok.bin";
+  auto written = WriteFileAtomic(path, [](std::ostream& out) {
+    out << "first";
+    return Status::Ok();
+  });
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_EQ(*written, 5u);
+  written = WriteFileAtomic(path, [](std::ostream& out) {
+    out << "second!";
+    return Status::Ok();
+  });
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(*written, 7u);
+  EXPECT_EQ(ReadWhole(path), "second!");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
+}
+
+TEST(AtomicFileTest, FailedWriteKeepsThePreviousFileAndNoTemp) {
+  const std::string path = ::testing::TempDir() + "minoan-atomic-fail.bin";
+  ASSERT_TRUE(WriteFileAtomic(path, [](std::ostream& out) {
+                out << "kept";
+                return Status::Ok();
+              }).ok());
+  const auto failed = WriteFileAtomic(path, [](std::ostream& out) {
+    out << "torn half";
+    return Status::IoError("writer gave up");
+  });
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ReadWhole(path), "kept");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // An unwritable location fails cleanly too.
+  EXPECT_FALSE(WriteFileAtomic(::testing::TempDir() + "no-such-dir/x.bin",
+                               [](std::ostream&) { return Status::Ok(); })
+                   .ok());
+  std::filesystem::remove(path);
 }
 
 }  // namespace

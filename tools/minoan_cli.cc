@@ -73,14 +73,11 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -102,10 +99,9 @@
 #include "kb/stats.h"
 #include "matching/matcher.h"
 #include "obs/report.h"
-#include "rdf/ntriples.h"
-#include "rdf/turtle.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "util/atomic_file.h"
 #include "util/cli_flags.h"
 #include "util/table.h"
 
@@ -143,40 +139,31 @@ int Fail(const Status& status) {
   return 1;
 }
 
-Result<std::vector<std::string>> ListRdfFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string ext = entry.path().extension().string();
-    if (ext == ".nt" || ext == ".ttl" || ext == ".turtle") {
-      files.push_back(entry.path().string());
-    }
-  }
-  if (ec) {
-    return Status::IoError("cannot read directory " + dir + ": " +
-                           ec.message());
-  }
-  if (files.empty()) {
-    return Status::NotFound("no .nt/.ttl files in " + dir);
-  }
-  std::sort(files.begin(), files.end());
-  return files;
+/// A malformed flag value: its message, exit code 2.
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "error: %s\n", status.message().c_str());
+  return 2;
 }
 
-Result<EntityCollection> LoadDirectory(const std::string& dir) {
-  MINOAN_ASSIGN_OR_RETURN(std::vector<std::string> files, ListRdfFiles(dir));
-  EntityCollection collection;
-  for (const std::string& file : files) {
-    MINOAN_ASSIGN_OR_RETURN(std::vector<rdf::Triple> triples,
-                            rdf::LoadTriples(file));
-    const std::string name = std::filesystem::path(file).stem().string();
-    MINOAN_ASSIGN_OR_RETURN(uint32_t kb,
-                            collection.AddKnowledgeBase(name, triples));
-    std::printf("  %-26s %8zu triples -> KB %u\n", name.c_str(),
-                triples.size(), kb);
+/// Loads DIR through the shared corpus loader and lists its KBs.
+Result<EntityCollection> LoadAndListCorpus(const std::string& dir) {
+  MINOAN_ASSIGN_OR_RETURN(EntityCollection collection,
+                          LoadCorpusDirectory(dir));
+  for (uint32_t kb = 0; kb < collection.num_kbs(); ++kb) {
+    std::printf("  %-26s %8llu triples -> KB %u\n",
+                collection.kb(kb).name.c_str(),
+                static_cast<unsigned long long>(collection.kb(kb).triples), kb);
   }
-  MINOAN_RETURN_IF_ERROR(collection.Finalize());
   return collection;
+}
+
+/// --threads N: worker count (0 = hardware concurrency). Deterministic: the
+/// resolution result is identical for every value.
+Result<uint32_t> ParseThreads(const std::string& verb, const Flags& flags) {
+  MINOAN_ASSIGN_OR_RETURN(
+      const uint64_t threads,
+      cli::ParseUint(verb + ": --threads", flags.Get("threads", "1"), 1024));
+  return static_cast<uint32_t>(threads);
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -215,7 +202,7 @@ int CmdStats(const Flags& flags) {
     std::fprintf(stderr, "stats requires a directory\n");
     return 2;
   }
-  auto collection = LoadDirectory(flags.positional()[0]);
+  auto collection = LoadAndListCorpus(flags.positional()[0]);
   if (!collection.ok()) return Fail(collection.status());
   const CloudStats stats = ComputeCloudStats(*collection);
   Table summary({"metric", "value"});
@@ -262,8 +249,10 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
   WorkflowOptions options;
   options.progressive.matcher.threshold = flags.GetDouble("threshold", 0.35);
   options.progressive.matcher.budget = flags.GetInt("budget", 0);
-  options.progressive.benefit =
-      ParseBenefit(flags.Get("benefit", "coverage"));
+  // --benefit defaults to the library's model, the one a served batch
+  // session runs, so `minoan resolve DIR` and a served session over DIR
+  // write the same links.
+  options.progressive.benefit = ParseBenefit(flags.Get("benefit", "quantity"));
   options.use_same_as_seeds = flags.Has("seeds");
   options.filter_ratio =
       flags.GetDouble("filter-ratio", options.filter_ratio);
@@ -299,20 +288,7 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
     return Status::InvalidArgument(
         verb + ": --spill-dir has no effect without --memory-budget");
   }
-  // --threads N: workflow-wide worker count (0 = hardware concurrency).
-  // Deterministic: the resolution result is identical for every value.
-  const std::string threads_arg = flags.Get("threads", "1");
-  uint64_t threads = 0;
-  const auto [end, ec] = std::from_chars(
-      threads_arg.data(), threads_arg.data() + threads_arg.size(), threads);
-  if (ec != std::errc() || end != threads_arg.data() + threads_arg.size() ||
-      threads > 1024) {
-    return Status::InvalidArgument(verb +
-                                   ": --threads must be an integer in "
-                                   "[0, 1024], got \"" +
-                                   threads_arg + "\"");
-  }
-  options.num_threads = static_cast<uint32_t>(threads);
+  MINOAN_ASSIGN_OR_RETURN(options.num_threads, ParseThreads(verb, flags));
   // --pin-threads: pin pool workers to cores (Linux; no-op elsewhere).
   // A cache-placement hint only — results are identical either way.
   options.pin_threads = flags.Has("pin-threads");
@@ -396,17 +372,11 @@ int ReportAndWriteLinks(const std::string& dir, const Flags& flags,
   }
 
   const std::string out = flags.Get("out", "discovered_links.nt");
-  const auto links =
-      UniqueMappingClustering(report.progressive.run.matches, collection);
   std::ofstream stream(out);
   if (!stream) return Fail(Status::IoError("cannot write " + out));
-  rdf::NTriplesWriter writer(stream);
-  for (const MatchEvent& m : links) {
-    writer.Write({rdf::Term::Iri(std::string(collection.EntityIri(m.a))),
-                  rdf::Term::Iri(std::string(rdf::kOwlSameAs)),
-                  rdf::Term::Iri(std::string(collection.EntityIri(m.b)))});
-  }
-  std::printf("wrote %zu links to %s\n", links.size(), out.c_str());
+  const size_t links =
+      WriteSameAsLinks(report.progressive.run.matches, collection, stream);
+  std::printf("wrote %zu links to %s\n", links, out.c_str());
   return 0;
 }
 
@@ -419,7 +389,7 @@ int CmdResolve(const Flags& flags) {
   const std::string dir = flags.positional()[0];
   auto options = ParseWorkflowOptions("resolve", flags);
   if (!options.ok()) return Fail(options.status());
-  auto collection = LoadDirectory(dir);
+  auto collection = LoadAndListCorpus(dir);
   if (!collection.ok()) return Fail(collection.status());
 
   StreamingObserver streamer(*collection);
@@ -473,7 +443,7 @@ int CmdSession(const Flags& flags) {
   }
   auto options = ParseWorkflowOptions("session " + verb, flags);
   if (!options.ok()) return Fail(options.status());
-  auto collection = LoadDirectory(dir);
+  auto collection = LoadAndListCorpus(dir);
   if (!collection.ok()) return Fail(collection.status());
 
   StreamingObserver streamer(*collection);
@@ -505,10 +475,9 @@ int CmdSession(const Flags& flags) {
                                            : "workflow budget consumed");
     return ReportAndWriteLinks(dir, flags, *collection, session->Report());
   }
-  std::ofstream out(state_path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(Status::IoError("cannot write " + state_path));
-  if (Status st = session->Checkpoint(out); !st.ok()) return Fail(st);
-  out.close();
+  const Result<uint64_t> saved = WriteFileAtomic(
+      state_path, [&](std::ostream& out) { return session->Checkpoint(out); });
+  if (!saved.ok()) return Fail(saved.status());
   std::printf("session state saved to %s — continue with:\n"
               "  minoan session resume %s --state %s\n",
               state_path.c_str(), dir.c_str(), state_path.c_str());
@@ -532,19 +501,13 @@ int CmdOnline(const Flags& flags) {
   options.blocking.use_pis_keys = flags.Has("pis");
   options.use_same_as_seeds = flags.Has("seeds");
   options.benefit = ParseBenefit(flags.Get("benefit", "quantity"));
-  // --threads N: warm-start scoring workers (0 = hardware concurrency).
-  // Deterministic: the resolution result is identical for every value.
-  const uint64_t online_threads = flags.GetInt("threads", 1);
-  if (online_threads > 1024) {
-    std::fprintf(stderr,
-                 "error: online: --threads must be in [0, 1024], got %llu\n",
-                 static_cast<unsigned long long>(online_threads));
-    return 2;
-  }
-  options.num_threads = static_cast<uint32_t>(online_threads);
+  // --threads N: warm-start scoring workers.
+  const Result<uint32_t> threads = ParseThreads("online", flags);
+  if (!threads.ok()) return UsageError(threads.status());
+  options.num_threads = *threads;
   OnlineSession session(options);
 
-  auto files = ListRdfFiles(dir);
+  auto files = ListCorpusFiles(dir);
   if (!files.ok()) return Fail(files.status());
   for (const std::string& file : *files) {
     auto source = session.AddSourceFile(file);
@@ -600,28 +563,16 @@ int CmdServe(const Flags& flags) {
     return 2;
   }
   options.host = listen.substr(0, colon);
-  const uint64_t port = [&]() -> uint64_t {
-    uint64_t v = 0;
-    const std::string p = listen.substr(colon + 1);
-    const auto [ptr, ec] = std::from_chars(p.data(), p.data() + p.size(), v);
-    return (ec == std::errc() && ptr == p.data() + p.size() && v <= 65535)
-               ? v
-               : uint64_t{65536};
-  }();
-  if (port > 65535) {
-    std::fprintf(stderr, "error: --listen port must be in [0, 65535]\n");
-    return 2;
-  }
-  options.port = static_cast<uint16_t>(port);
+  const Result<uint64_t> port =
+      cli::ParseUint("--listen port", listen.substr(colon + 1), 65535);
+  if (!port.ok()) return UsageError(port.status());
+  options.port = static_cast<uint16_t>(*port);
   options.max_sessions = flags.GetInt("max-sessions", 64);
   options.evict_after_seconds = flags.GetDouble("evict-after", 0);
   options.state_dir = flags.Get("state-dir", "/tmp/minoan-serve");
-  const uint64_t threads = flags.GetInt("threads", 1);
-  if (threads > 1024) {
-    std::fprintf(stderr, "error: serve: --threads must be in [0, 1024]\n");
-    return 2;
-  }
-  options.num_threads = static_cast<uint32_t>(threads);
+  const Result<uint32_t> threads = ParseThreads("serve", flags);
+  if (!threads.ok()) return UsageError(threads.status());
+  options.num_threads = *threads;
   options.installment = flags.GetInt("installment", 2048);
   // The observability plane: the server owns every export (rolling +
   // shutdown snapshots, trace, event log), so the files carry the
@@ -673,11 +624,11 @@ int CmdServe(const Flags& flags) {
   return 0;
 }
 
-/// Executes one `minoan connect` script command against the server.
-/// Returns non-zero to stop the script (the exit code).
-int RunConnectCommand(server::Client& client,
-                      std::map<std::string, uint64_t>& sessions,
-                      const std::vector<std::string>& tokens) {
+/// Executes one `minoan connect` script command against the server. A
+/// non-OK status stops the script.
+Status RunConnectCommand(server::Client& client,
+                         std::map<std::string, uint64_t>& sessions,
+                         const std::vector<std::string>& tokens) {
   const auto session_of = [&](const std::string& name) -> Result<uint64_t> {
     const auto it = sessions.find(name);
     if (it == sessions.end()) {
@@ -690,9 +641,9 @@ int RunConnectCommand(server::Client& client,
   if (cmd == "create") {
     // create <name> <batch|online> <source|-> <threshold> [tenant] [seeds]
     if (tokens.size() < 5) {
-      return Fail(Status::InvalidArgument(
+      return Status::InvalidArgument(
           "create needs: create <name> <batch|online> <source|-> "
-          "<threshold> [tenant] [seeds]"));
+          "<threshold> [tenant] [seeds]");
     }
     const std::string& name = tokens[1];
     server::SessionKind kind;
@@ -701,137 +652,130 @@ int RunConnectCommand(server::Client& client,
     } else if (tokens[2] == "online") {
       kind = server::SessionKind::kOnline;
     } else {
-      return Fail(Status::InvalidArgument("session kind must be batch or "
-                                          "online, got " + tokens[2]));
+      return Status::InvalidArgument("session kind must be batch or online, "
+                                     "got " + tokens[2]);
     }
     const std::string source = tokens[3] == "-" ? "" : tokens[3];
-    const double threshold = std::strtod(tokens[4].c_str(), nullptr);
+    MINOAN_ASSIGN_OR_RETURN(
+        const double threshold,
+        cli::ParseDouble("create threshold", tokens[4], 0, 1));
     const std::string tenant = tokens.size() > 5 ? tokens[5] : name;
     const bool seeds = tokens.size() > 6 && tokens[6] == "seeds";
-    auto id = client.CreateSession(tenant, kind, source, threshold, seeds);
-    if (!id.ok()) return Fail(id.status());
-    sessions[name] = *id;
+    MINOAN_ASSIGN_OR_RETURN(
+        const uint64_t id,
+        client.CreateSession(tenant, kind, source, threshold, seeds));
+    sessions[name] = id;
     std::printf("created %s = session %llu\n", name.c_str(),
-                static_cast<unsigned long long>(*id));
-    return 0;
+                static_cast<unsigned long long>(id));
+    return Status::Ok();
   }
   if (cmd == "step" || cmd == "resolve") {
     if (tokens.size() < 3) {
-      return Fail(Status::InvalidArgument(cmd + " needs: " + cmd +
-                                          " <name> <budget>"));
+      return Status::InvalidArgument(cmd + " needs: " + cmd +
+                                     " <name> <budget>");
     }
-    auto id = session_of(tokens[1]);
-    if (!id.ok()) return Fail(id.status());
-    const uint64_t budget = std::strtoull(tokens[2].c_str(), nullptr, 10);
-    auto reply = cmd == "step" ? client.Step(*id, budget)
-                               : client.ResolveBudget(*id, budget);
-    if (!reply.ok()) return Fail(reply.status());
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t budget,
+                            cli::ParseUint(cmd + " budget", tokens[2]));
+    MINOAN_ASSIGN_OR_RETURN(const server::StepReply reply,
+                            cmd == "step" ? client.Step(id, budget)
+                                          : client.ResolveBudget(id, budget));
     std::printf("%s: +%llu comparisons, +%llu matches "
                 "(total %llu/%llu)%s\n",
                 tokens[1].c_str(),
-                static_cast<unsigned long long>(reply->comparisons),
-                static_cast<unsigned long long>(reply->matches),
-                static_cast<unsigned long long>(reply->total_comparisons),
-                static_cast<unsigned long long>(reply->total_matches),
-                reply->finished ? ", finished" : "");
-    return 0;
+                static_cast<unsigned long long>(reply.comparisons),
+                static_cast<unsigned long long>(reply.matches),
+                static_cast<unsigned long long>(reply.total_comparisons),
+                static_cast<unsigned long long>(reply.total_matches),
+                reply.finished ? ", finished" : "");
+    return Status::Ok();
   }
   if (cmd == "matches") {
     if (tokens.size() < 2) {
-      return Fail(Status::InvalidArgument("matches needs: matches <name>"));
+      return Status::InvalidArgument("matches needs: matches <name>");
     }
-    auto id = session_of(tokens[1]);
-    if (!id.ok()) return Fail(id.status());
-    auto matches = client.Matches(*id);
-    if (!matches.ok()) return Fail(matches.status());
-    std::printf("%s: %zu matches\n", tokens[1].c_str(), matches->size());
-    for (const MatchEvent& m : *matches) {
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
+    MINOAN_ASSIGN_OR_RETURN(const std::vector<MatchEvent> matches,
+                            client.Matches(id));
+    std::printf("%s: %zu matches\n", tokens[1].c_str(), matches.size());
+    for (const MatchEvent& m : matches) {
       std::printf("match %u %u %.6f @%llu\n", m.a, m.b, m.similarity,
                   static_cast<unsigned long long>(m.comparisons_done));
     }
-    return 0;
+    return Status::Ok();
   }
   if (cmd == "links") {
     // links <name> [file] — '-'/absent = stdout.
     if (tokens.size() < 2) {
-      return Fail(Status::InvalidArgument("links needs: links <name> "
-                                          "[file]"));
+      return Status::InvalidArgument("links needs: links <name> [file]");
     }
-    auto id = session_of(tokens[1]);
-    if (!id.ok()) return Fail(id.status());
-    auto text = client.Links(*id);
-    if (!text.ok()) return Fail(text.status());
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
+    MINOAN_ASSIGN_OR_RETURN(const std::string text, client.Links(id));
     if (tokens.size() > 2 && tokens[2] != "-") {
       std::ofstream out(tokens[2]);
-      if (!out) return Fail(Status::IoError("cannot write " + tokens[2]));
-      out << *text;
+      if (!out) return Status::IoError("cannot write " + tokens[2]);
+      out << text;
       std::printf("%s: wrote links to %s\n", tokens[1].c_str(),
                   tokens[2].c_str());
     } else {
-      std::fputs(text->c_str(), stdout);
+      std::fputs(text.c_str(), stdout);
     }
-    return 0;
+    return Status::Ok();
   }
   if (cmd == "checkpoint") {
     if (tokens.size() < 2) {
-      return Fail(Status::InvalidArgument("checkpoint needs: checkpoint "
-                                          "<name>"));
+      return Status::InvalidArgument("checkpoint needs: checkpoint <name>");
     }
-    auto id = session_of(tokens[1]);
-    if (!id.ok()) return Fail(id.status());
-    auto bytes = client.Checkpoint(*id);
-    if (!bytes.ok()) return Fail(bytes.status());
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t bytes, client.Checkpoint(id));
     std::printf("%s: checkpointed %llu bytes\n", tokens[1].c_str(),
-                static_cast<unsigned long long>(*bytes));
-    return 0;
+                static_cast<unsigned long long>(bytes));
+    return Status::Ok();
   }
   if (cmd == "close") {
     if (tokens.size() < 2) {
-      return Fail(Status::InvalidArgument("close needs: close <name>"));
+      return Status::InvalidArgument("close needs: close <name>");
     }
-    auto id = session_of(tokens[1]);
-    if (!id.ok()) return Fail(id.status());
-    if (Status st = client.Close(*id); !st.ok()) return Fail(st);
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
+    MINOAN_RETURN_IF_ERROR(client.Close(id));
     sessions.erase(tokens[1]);
     std::printf("closed %s\n", tokens[1].c_str());
-    return 0;
+    return Status::Ok();
   }
   if (cmd == "ingest") {
     // ingest <name> <kb> <file> — sends the client-local N-Triples file.
     if (tokens.size() < 4) {
-      return Fail(Status::InvalidArgument("ingest needs: ingest <name> "
-                                          "<kb> <file>"));
+      return Status::InvalidArgument("ingest needs: ingest <name> <kb> <file>");
     }
-    auto id = session_of(tokens[1]);
-    if (!id.ok()) return Fail(id.status());
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
     std::ifstream in(tokens[3]);
-    if (!in) return Fail(Status::IoError("cannot read " + tokens[3]));
+    if (!in) return Status::IoError("cannot read " + tokens[3]);
     std::ostringstream document;
     document << in.rdbuf();
-    auto ids = client.Ingest(*id, tokens[2], document.str());
-    if (!ids.ok()) return Fail(ids.status());
+    MINOAN_ASSIGN_OR_RETURN(const std::vector<EntityId> ids,
+                            client.Ingest(id, tokens[2], document.str()));
     std::printf("%s: ingested %zu entities into %s\n", tokens[1].c_str(),
-                ids->size(), tokens[2].c_str());
-    return 0;
+                ids.size(), tokens[2].c_str());
+    return Status::Ok();
   }
   if (cmd == "query") {
     if (tokens.size() < 4) {
-      return Fail(Status::InvalidArgument("query needs: query <name> "
-                                          "<entity> <k>"));
+      return Status::InvalidArgument("query needs: query <name> <entity> <k>");
     }
-    auto id = session_of(tokens[1]);
-    if (!id.ok()) return Fail(id.status());
-    const auto entity =
-        static_cast<EntityId>(std::strtoul(tokens[2].c_str(), nullptr, 10));
-    const auto k =
-        static_cast<uint32_t>(std::strtoul(tokens[3].c_str(), nullptr, 10));
-    auto candidates = client.Query(*id, entity, k);
-    if (!candidates.ok()) return Fail(candidates.status());
-    for (const auto& c : *candidates) {
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
+    MINOAN_ASSIGN_OR_RETURN(
+        const uint64_t entity,
+        cli::ParseUint("query entity", tokens[2], UINT32_MAX));
+    MINOAN_ASSIGN_OR_RETURN(const uint64_t k,
+                            cli::ParseUint("query k", tokens[3], UINT32_MAX));
+    MINOAN_ASSIGN_OR_RETURN(const auto candidates,
+                            client.Query(id, static_cast<EntityId>(entity),
+                                         static_cast<uint32_t>(k)));
+    for (const auto& c : candidates) {
       std::printf("candidate %u %.6f%s\n", c.id, c.similarity,
                   c.matched ? " matched" : "");
     }
-    return 0;
+    return Status::Ok();
   }
   if (cmd == "stats") {
     // stats [--full]: --full asks for the kStats v2 body (whole registry +
@@ -839,27 +783,25 @@ int RunConnectCommand(server::Client& client,
     const bool full =
         tokens.size() > 1 && (tokens[1] == "--full" || tokens[1] == "full");
     if (!full) {
-      auto stats = client.Stats();
-      if (!stats.ok()) return Fail(stats.status());
+      MINOAN_ASSIGN_OR_RETURN(const auto stats, client.Stats());
       std::printf("sessions: %llu live / %llu total\n",
-                  static_cast<unsigned long long>(stats->live_sessions),
-                  static_cast<unsigned long long>(stats->total_sessions));
-      return 0;
+                  static_cast<unsigned long long>(stats.live_sessions),
+                  static_cast<unsigned long long>(stats.total_sessions));
+      return Status::Ok();
     }
-    auto stats = client.StatsFull();
-    if (!stats.ok()) return Fail(stats.status());
+    MINOAN_ASSIGN_OR_RETURN(const auto stats, client.StatsFull());
     std::printf("sessions: %llu live / %llu total\n",
-                static_cast<unsigned long long>(stats->live_sessions),
-                static_cast<unsigned long long>(stats->total_sessions));
-    for (const auto& [name, value] : stats->counters) {
+                static_cast<unsigned long long>(stats.live_sessions),
+                static_cast<unsigned long long>(stats.total_sessions));
+    for (const auto& [name, value] : stats.counters) {
       std::printf("counter %s = %llu\n", name.c_str(),
                   static_cast<unsigned long long>(value));
     }
-    for (const auto& [name, value] : stats->gauges) {
+    for (const auto& [name, value] : stats.gauges) {
       std::printf("gauge %s = %lld\n", name.c_str(),
                   static_cast<long long>(value));
     }
-    for (const auto& [name, h] : stats->histograms) {
+    for (const auto& [name, h] : stats.histograms) {
       std::printf(
           "histogram %s count=%llu mean=%.1f p50=%.1f p95=%.1f p99=%.1f\n",
           name.c_str(), static_cast<unsigned long long>(h.count),
@@ -868,7 +810,7 @@ int RunConnectCommand(server::Client& client,
                       : 0.0,
           h.p50, h.p95, h.p99);
     }
-    for (const auto& t : stats->tenants) {
+    for (const auto& t : stats.tenants) {
       std::printf(
           "tenant %s: sessions=%llu requests=%llu comparisons=%llu "
           "matches=%llu spill_bytes=%llu request_micros p50=%.1f p95=%.1f "
@@ -880,23 +822,25 @@ int RunConnectCommand(server::Client& client,
           static_cast<unsigned long long>(t.spill_bytes),
           t.p50_request_micros, t.p95_request_micros, t.p99_request_micros);
     }
-    return 0;
+    return Status::Ok();
   }
   if (cmd == "ping") {
-    if (Status st = client.Ping(); !st.ok()) return Fail(st);
+    MINOAN_RETURN_IF_ERROR(client.Ping());
     std::printf("pong\n");
-    return 0;
+    return Status::Ok();
   }
   if (cmd == "sleep") {
     // Lets a smoke script idle past --evict-after to exercise eviction.
     if (tokens.size() < 2) {
-      return Fail(Status::InvalidArgument("sleep needs: sleep <seconds>"));
+      return Status::InvalidArgument("sleep needs: sleep <seconds>");
     }
-    const double seconds = std::strtod(tokens[1].c_str(), nullptr);
+    MINOAN_ASSIGN_OR_RETURN(
+        const double seconds,
+        cli::ParseDouble("sleep seconds", tokens[1], 0, 86400));
     std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    return 0;
+    return Status::Ok();
   }
-  return Fail(Status::InvalidArgument("unknown connect command: " + cmd));
+  return Status::InvalidArgument("unknown connect command: " + cmd);
 }
 
 int CmdConnect(const Flags& flags) {
@@ -926,8 +870,8 @@ int CmdConnect(const Flags& flags) {
     std::string token;
     while (tokenizer >> token) tokens.push_back(token);
     if (tokens.empty() || tokens[0][0] == '#') continue;
-    if (int rc = RunConnectCommand(**client, sessions, tokens); rc != 0) {
-      return rc;
+    if (Status st = RunConnectCommand(**client, sessions, tokens); !st.ok()) {
+      return Fail(st);
     }
   }
   return 0;
