@@ -15,7 +15,7 @@
 
 #include "bench_common.h"
 #include "blocking/block_cleaning.h"
-#include "core/minoan_er.h"
+#include "core/session.h"
 #include "eval/metrics.h"
 #include "eval/progressive_metrics.h"
 #include "progressive/resolver.h"
@@ -111,13 +111,15 @@ int main(int argc, char** argv) {
       WorkflowOptions opts;
       opts.filter_ratio = ratio;
       opts.progressive.matcher.threshold = 0.35;
-      auto report = MinoanEr(opts).Run(*w.collection);
-      if (!report.ok()) continue;
+      auto session = ResolutionSession::Open(*w.collection, opts);
+      if (!session.ok()) continue;
+      session->Step(0);
+      const ResolutionReport report = session->Report();
       const MatchingMetrics m =
-          EvaluateMatches(report->progressive.run.matches, *w.truth);
+          EvaluateMatches(report.progressive.run.matches, *w.truth);
       t.AddRow()
           .Cell(ratio, 1)
-          .Cell(report->comparisons_after_meta)
+          .Cell(report.comparisons_after_meta)
           .Cell(m.recall, 4)
           .Cell(m.precision, 4);
     }
@@ -131,15 +133,17 @@ int main(int argc, char** argv) {
       WorkflowOptions opts;
       opts.use_same_as_seeds = seeds;
       opts.progressive.matcher.threshold = 0.35;
-      auto report = MinoanEr(opts).Run(*w.collection);
-      if (!report.ok()) continue;
+      auto session = ResolutionSession::Open(*w.collection, opts);
+      if (!session.ok()) continue;
+      session->Step(0);
+      const ResolutionReport report = session->Report();
       const MatchingMetrics m =
-          EvaluateMatches(report->progressive.run.matches, *w.truth);
+          EvaluateMatches(report.progressive.run.matches, *w.truth);
       t.AddRow()
           .Cell(seeds ? "on" : "off")
           .Cell(m.recall, 4)
           .Cell(m.precision, 4)
-          .Cell(report->progressive.discovered_pairs);
+          .Cell(report.progressive.discovered_pairs);
     }
     t.Print(std::cout);
     std::printf("   (with seeds, recall counts only matches found by THIS "

@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/minoan_er.h"
+#include "core/session.h"
 #include "eval/metrics.h"
 #include "eval/progressive_metrics.h"
 #include "util/table.h"
@@ -30,39 +30,40 @@ int main(int argc, char** argv) {
 
   WorkflowOptions opts;
   opts.progressive.matcher.threshold = 0.35;
-  MinoanEr er(opts);
-  auto report = er.Run(*w.collection);
-  if (!report.ok()) {
+  auto session = ResolutionSession::Open(*w.collection, opts);
+  if (!session.ok()) {
     std::fprintf(stderr, "pipeline failed: %s\n",
-                 report.status().ToString().c_str());
+                 session.status().ToString().c_str());
     return 1;
   }
+  session->Step(0);
+  const ResolutionReport report = session->Report();
 
   Table phases({"phase", "wall_ms", "output"});
-  for (const PhaseStats& p : report->phases) {
+  for (const PhaseStats& p : report.phases) {
     phases.AddRow().Cell(p.name).Cell(p.millis, 2).Cell(p.output_cardinality);
   }
   phases.Print(std::cout);
 
   const MatchingMetrics m =
-      EvaluateMatches(report->progressive.run.matches, *w.truth);
+      EvaluateMatches(report.progressive.run.matches, *w.truth);
   const QualityAspects q = EvaluateQualityAspects(
-      report->progressive.run, *w.truth, *w.collection, *w.graph);
+      report.progressive.run, *w.truth, *w.collection, *w.graph);
 
   std::printf("\n");
   Table outcome({"metric", "value"});
   outcome.AddRow().Cell("aggregate comparisons (blocking)")
-      .Cell(report->comparisons_before_meta);
+      .Cell(report.comparisons_before_meta);
   outcome.AddRow().Cell("retained comparisons (meta-blocking)")
-      .Cell(report->comparisons_after_meta);
+      .Cell(report.comparisons_after_meta);
   outcome.AddRow().Cell("comparisons executed")
-      .Cell(report->progressive.run.comparisons_executed);
+      .Cell(report.progressive.run.comparisons_executed);
   outcome.AddRow().Cell("matches found")
-      .Cell(static_cast<uint64_t>(report->progressive.run.matches.size()));
+      .Cell(static_cast<uint64_t>(report.progressive.run.matches.size()));
   outcome.AddRow().Cell("pairs discovered by update phase")
-      .Cell(report->progressive.discovered_pairs);
+      .Cell(report.progressive.discovered_pairs);
   outcome.AddRow().Cell("evidence-assisted matches")
-      .Cell(report->progressive.evidence_assisted_matches);
+      .Cell(report.progressive.evidence_assisted_matches);
   outcome.AddRow().Cell("precision").Cell(m.precision, 4);
   outcome.AddRow().Cell("recall").Cell(m.recall, 4);
   outcome.AddRow().Cell("F1").Cell(m.f1, 4);

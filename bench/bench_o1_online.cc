@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/minoan_er.h"
+#include "core/session.h"
 #include "online/online_resolver.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -137,12 +137,13 @@ int main(int argc, char** argv) {
   }
   WorkflowOptions workflow;
   workflow.progressive.matcher.threshold = 0.3;
-  auto report = MinoanEr(workflow).Run(*batch_collection);
-  if (!report.ok()) {
+  auto session = ResolutionSession::Open(*batch_collection, workflow);
+  if (!session.ok()) {
     std::fprintf(stderr, "pipeline: %s\n",
-                 report.status().ToString().c_str());
+                 session.status().ToString().c_str());
     return 1;
   }
+  session->Step(0);
   const double batch_ms = batch_watch.ElapsedMillis();
   const double speedup = absorb_ms > 0.0 ? batch_ms / absorb_ms : 0.0;
 

@@ -17,7 +17,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/minoan_er.h"
+#include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -49,8 +49,10 @@ Status ResolveDirectory(const std::string& dir, const std::string& out_path) {
   // --- Resolve --------------------------------------------------------------
   WorkflowOptions options;
   options.progressive.matcher.threshold = 0.35;
-  MinoanEr er(options);
-  MINOAN_ASSIGN_OR_RETURN(ResolutionReport report, er.Run(collection));
+  MINOAN_ASSIGN_OR_RETURN(ResolutionSession session,
+                          ResolutionSession::Open(collection, options));
+  session.Step(0);  // the whole budget in one step
+  const ResolutionReport report = session.Report();
   std::cout << report.Summary() << "\n";
 
   // Clean-clean post-processing: at most one partner per entity per KB.

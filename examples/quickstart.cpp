@@ -4,8 +4,7 @@
 //      synthetic LOD-cloud generator; see lod_cloud_resolution.cpp for
 //      loading real N-Triples files).
 //   2. Open a ResolutionSession and spend the comparison budget in steps
-//      (Step(0) once is the classic one-shot run; MinoanEr::Run is sugar
-//      for exactly that).
+//      (Step(0) once is the classic one-shot run).
 //   3. Inspect the report: per-phase stats, matches, quality.
 //
 // Build & run:  ./build/examples/quickstart

@@ -4,8 +4,6 @@
 #include <memory>
 #include <sstream>
 
-#include "core/session.h"
-#include "util/logging.h"
 #include "util/table.h"
 
 namespace minoan {
@@ -136,21 +134,6 @@ std::unique_ptr<BlockingMethod> MakeWorkflowBlocker(
   }
   blocker->set_memory_budget(options.memory);
   return blocker;
-}
-
-Result<ResolutionReport> MinoanEr::Run(
-    const EntityCollection& collection) const {
-  // The one-shot workflow is a degenerate session: open, spend the whole
-  // budget in one step, assemble the report.
-  MINOAN_ASSIGN_OR_RETURN(ResolutionSession session,
-                          ResolutionSession::Open(collection, options_));
-  session.Step(0);
-  ResolutionReport report = session.Report();
-  MINOAN_LOG(kInfo) << "MinoanER run: " << report.progressive.run.matches.size()
-                    << " matches in "
-                    << report.progressive.run.comparisons_executed
-                    << " comparisons";
-  return report;
 }
 
 std::string ResolutionReport::Summary() const {

@@ -1,12 +1,13 @@
 // Copyright 2026 The MinoanER Authors.
-// The MinoanER facade: the end-to-end pipeline of Figure 1.
+// The workflow vocabulary of the end-to-end pipeline of Figure 1.
 //
 //   Blocking → (block cleaning) → Meta-blocking → Scheduling → Entity
 //   Matching → Update → … until the cost budget is consumed.
 //
-// One call to MinoanEr::Run executes the whole workflow over a finalized
-// EntityCollection and returns a ResolutionReport with per-phase counters,
-// timings, and the full progressive run (for evaluation).
+// WorkflowOptions configures the whole workflow and ResolutionReport is what
+// a run produces: per-phase counters, timings, and the full progressive run
+// (for evaluation). ResolutionSession (core/session.h) drives it; the whole
+// workflow in one go is Open + Step(0) + Report.
 
 #ifndef MINOAN_CORE_MINOAN_ER_H_
 #define MINOAN_CORE_MINOAN_ER_H_
@@ -41,6 +42,7 @@ enum class BlockerChoice {
   kQGram = 4,
   kSortedNeighborhood = 5,
 };
+inline constexpr uint32_t kNumBlockerChoices = 6;
 
 std::string_view BlockerChoiceName(BlockerChoice choice);
 
@@ -148,24 +150,6 @@ struct ResolutionReport {
 
   /// Pretty-prints the per-phase summary.
   std::string Summary() const;
-};
-
-/// The one-shot pipeline driver: a thin wrapper over ResolutionSession
-/// (Open + Step to exhaustion + Report). Reusable across collections;
-/// stateless between runs. For budgeted stepping, streaming output, or
-/// checkpoint/restore, use ResolutionSession (core/session.h) directly.
-class MinoanEr {
- public:
-  explicit MinoanEr(WorkflowOptions options) : options_(options) {}
-  MinoanEr() : options_{} {}
-
-  /// Runs the full workflow. The collection must be finalized.
-  Result<ResolutionReport> Run(const EntityCollection& collection) const;
-
-  const WorkflowOptions& options() const { return options_; }
-
- private:
-  WorkflowOptions options_;
 };
 
 }  // namespace minoan

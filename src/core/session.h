@@ -15,8 +15,8 @@
 // Open runs the static phases once (blocking → cleaning → meta-blocking →
 // graph/evaluator construction, sharing one thread pool) and hands back a
 // session whose Step spends comparisons incrementally, with the invariant
-// that Step(n/2) twice is byte-identical to Step(n) once and to the legacy
-// one-shot MinoanEr::Run. Checkpoint/Restore serialize the dynamic loop
+// that Step(n/2) twice is byte-identical to Step(n) once; Step(0) once runs
+// the whole workflow. Checkpoint/Restore serialize the dynamic loop
 // state so a budgeted run survives process restarts; a MatchObserver streams
 // phase progress and confirmed matches as they happen.
 
@@ -98,8 +98,9 @@ class ResolutionSession {
   /// phase counters, full loop state) for a later Restore.
   Status Checkpoint(std::ostream& out) const;
 
-  /// Assembles the same ResolutionReport the one-shot MinoanEr::Run returns
-  /// for the work done so far. Callable at any point of the run.
+  /// Assembles the ResolutionReport of the work done so far: after Step(0)
+  /// it is the report of the whole workflow. Callable at any point of the
+  /// run.
   ResolutionReport Report() const;
 
   /// Everything this session observed so far: per-phase wall times, the

@@ -517,6 +517,9 @@ double EntityCollection::TokenIdf(uint32_t token) const {
                   static_cast<double>(token_df_[token]));
 }
 
+namespace {
+
+/// The .nt/.ttl/.turtle files of `dir`, sorted by path.
 Result<std::vector<std::string>> ListCorpusFiles(const std::string& dir) {
   std::vector<std::string> files;
   std::error_code ec;
@@ -534,6 +537,8 @@ Result<std::vector<std::string>> ListCorpusFiles(const std::string& dir) {
   std::sort(files.begin(), files.end());
   return files;
 }
+
+}  // namespace
 
 Result<EntityCollection> LoadCorpusDirectory(const std::string& dir) {
   MINOAN_ASSIGN_OR_RETURN(const std::vector<std::string> files,

@@ -217,14 +217,11 @@ class EntityCollection {
   std::vector<uint32_t> tokenize_scratch_;
 };
 
-/// The .nt/.ttl/.turtle files of `dir`, sorted by path. NotFound when
-/// there are none.
-Result<std::vector<std::string>> ListCorpusFiles(const std::string& dir);
-
-/// The one corpus-directory loader: each ListCorpusFiles file, in that
-/// order, becomes one KB named after its file stem, then the collection is
-/// finalized. The CLI, served "dir:" sources and the examples all load
-/// through it, so they resolve over byte-identical collections.
+/// The one corpus-directory loader: each .nt/.ttl/.turtle file of `dir`,
+/// sorted by path, becomes one KB named after its file stem, then the
+/// collection is finalized (NotFound when there is no such file). The CLI,
+/// served "dir:" sources and the examples all load through it, so they
+/// resolve over byte-identical collections.
 Result<EntityCollection> LoadCorpusDirectory(const std::string& dir);
 
 }  // namespace minoan

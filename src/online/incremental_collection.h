@@ -28,7 +28,8 @@ namespace online {
 
 /// Splits a triple list into per-subject entity bundles, first appearance
 /// first — the order a stream delivers complete descriptions in. Shared by
-/// OnlineSession, benches, and tests so grouping semantics cannot diverge.
+/// the server's Ingest, benches, and tests so grouping semantics cannot
+/// diverge.
 std::vector<std::vector<rdf::Triple>> GroupBySubject(
     const std::vector<rdf::Triple>& triples);
 

@@ -6,8 +6,8 @@
 // failure (torn connection, unframeable reply) poisons the client — every
 // later call fails fast with the same kIoError — while a server-side error
 // (unknown session, bad argument) is just that call's Status and the
-// connection stays usable. Used by `minoan connect`, the lifecycle tests,
-// and the CI smoke script.
+// connection stays usable. Used by the script interpreter (script.h) that
+// `minoan connect` runs, and by the lifecycle tests.
 
 #ifndef MINOAN_SERVER_CLIENT_H_
 #define MINOAN_SERVER_CLIENT_H_

@@ -8,6 +8,12 @@ namespace minoan {
 Result<uint64_t> WriteFileAtomic(
     const std::string& path,
     const std::function<Status(std::ostream&)>& write) {
+  // Renaming over a device or FIFO (say /dev/null) would replace the
+  // special file itself.
+  std::error_code type_ec;
+  if (std::filesystem::is_other(std::filesystem::status(path, type_ec))) {
+    return Status::InvalidArgument(path + " is not a regular file");
+  }
   const std::string tmp = path + ".tmp";
   const auto written = [&]() -> Result<uint64_t> {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

@@ -17,7 +17,8 @@ namespace minoan {
 /// bytes written. The bytes go to a sibling temp file that is renamed over
 /// `path` once all of them landed (atomic on POSIX), so a reader sees the
 /// old file or the new one, never a torn mix. On any failure the temp file
-/// is removed and `path` is untouched. No fsync: not durable on power loss.
+/// is removed and `path` is untouched. A `path` that names a device, FIFO
+/// or socket is refused. No fsync: not durable on power loss.
 Result<uint64_t> WriteFileAtomic(
     const std::string& path, const std::function<Status(std::ostream&)>& write);
 

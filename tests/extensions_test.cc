@@ -5,7 +5,7 @@
 #include <set>
 
 #include "blocking/blocking_method.h"
-#include "core/minoan_er.h"
+#include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "eval/cluster_metrics.h"
 #include "eval/ground_truth.h"
@@ -178,13 +178,15 @@ TEST(SeededResolveTest, PipelineFlagUsesSameAsLinks) {
   with.progressive.matcher.threshold = 0.3;
   WorkflowOptions without = with;
   without.use_same_as_seeds = false;
-  auto r_with = MinoanEr(with).Run(*w.collection);
-  auto r_without = MinoanEr(without).Run(*w.collection);
-  ASSERT_TRUE(r_with.ok());
-  ASSERT_TRUE(r_without.ok());
+  auto s_with = ResolutionSession::Open(*w.collection, with);
+  auto s_without = ResolutionSession::Open(*w.collection, without);
+  ASSERT_TRUE(s_with.ok());
+  ASSERT_TRUE(s_without.ok());
+  s_with->Step(0);
+  s_without->Step(0);
   // With seeds, the update phase fires before matching: discovered pairs
   // must appear even at comparison 0.
-  EXPECT_GT(r_with->progressive.discovered_pairs, 0u);
+  EXPECT_GT(s_with->Report().progressive.discovered_pairs, 0u);
 }
 
 TEST(SeededResolveTest, BeginDropsThePreviousRunsSeeds) {
@@ -218,10 +220,11 @@ TEST(BCubedTest, PipelineRunScoresReasonably) {
   SeedWorld w = MakeSeedWorld();
   WorkflowOptions opts;
   opts.progressive.matcher.threshold = 0.35;
-  auto report = MinoanEr(opts).Run(*w.collection);
-  ASSERT_TRUE(report.ok());
+  auto session = ResolutionSession::Open(*w.collection, opts);
+  ASSERT_TRUE(session.ok());
+  session->Step(0);
   const ClusterMetrics m =
-      EvaluateClusters(report->progressive.run, *w.truth);
+      EvaluateClusters(session->Report().progressive.run, *w.truth);
   EXPECT_GT(m.bcubed_precision, 0.9);
   EXPECT_GT(m.bcubed_recall, 0.3);
   EXPECT_GT(m.clusters, 0u);

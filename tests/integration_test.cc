@@ -1,10 +1,11 @@
-// Integration tests: the full MinoanEr pipeline (Figure 1) over generated
+// Integration tests: the full MinoanER pipeline (Figure 1) over generated
 // LOD clouds, exercising blocking -> cleaning -> meta-blocking ->
-// progressive resolution end to end, plus file-based ingestion.
+// progressive resolution end to end, plus file-based ingestion. Each test
+// drives a ResolutionSession directly; Step(0) runs the whole budget.
 
 #include <filesystem>
 
-#include "core/minoan_er.h"
+#include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -44,23 +45,23 @@ struct World {
 
 TEST(PipelineTest, RunsEndToEndWithDefaults) {
   World w = World::Make(MediumConfig(201));
-  MinoanEr er;
-  auto report = er.Run(*w.collection);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_GT(report->blocks_built, 0u);
-  EXPECT_GT(report->blocks_after_cleaning, 0u);
-  EXPECT_GT(report->comparisons_after_meta, 0u);
-  EXPECT_GT(report->progressive.run.matches.size(), 0u);
-  EXPECT_FALSE(report->Summary().empty());
-  EXPECT_EQ(report->phases.size(), 5u);
+  auto session = ResolutionSession::Open(*w.collection, WorkflowOptions{});
+  ASSERT_TRUE(session.ok()) << session.status();
+  session->Step(0);
+  const ResolutionReport report = session->Report();
+  EXPECT_GT(report.blocks_built, 0u);
+  EXPECT_GT(report.blocks_after_cleaning, 0u);
+  EXPECT_GT(report.comparisons_after_meta, 0u);
+  EXPECT_GT(report.progressive.run.matches.size(), 0u);
+  EXPECT_FALSE(report.Summary().empty());
+  EXPECT_EQ(report.phases.size(), 5u);
 }
 
 TEST(PipelineTest, RejectsUnfinalizedCollection) {
   EntityCollection unfinalized;
-  MinoanEr er;
-  auto report = er.Run(unfinalized);
-  ASSERT_FALSE(report.ok());
-  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  auto session = ResolutionSession::Open(unfinalized, WorkflowOptions{});
+  ASSERT_FALSE(session.ok());
+  EXPECT_EQ(session.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(PipelineTest, AchievesGoodQualityOnCenterHeavyCloud) {
@@ -69,11 +70,10 @@ TEST(PipelineTest, AchievesGoodQualityOnCenterHeavyCloud) {
   World w = World::Make(cfg);
   WorkflowOptions opts;
   opts.progressive.matcher.threshold = 0.4;
-  MinoanEr er(opts);
-  auto report = er.Run(*w.collection);
-  ASSERT_TRUE(report.ok());
-  const MatchingMetrics m =
-      EvaluateMatches(report->progressive.run.matches, *w.truth);
+  auto session = ResolutionSession::Open(*w.collection, opts);
+  ASSERT_TRUE(session.ok());
+  session->Step(0);
+  const MatchingMetrics m = EvaluateMatches(session->matches(), *w.truth);
   EXPECT_GT(m.recall, 0.6) << "highly similar data should mostly resolve";
   EXPECT_GT(m.precision, 0.8);
 }
@@ -90,27 +90,27 @@ TEST(PipelineTest, UpdatePhaseLiftsPeripheryRecall) {
   WorkflowOptions off = on;
   off.progressive.enable_update_phase = false;
 
-  auto r_on = MinoanEr(on).Run(*w.collection);
-  auto r_off = MinoanEr(off).Run(*w.collection);
-  ASSERT_TRUE(r_on.ok());
-  ASSERT_TRUE(r_off.ok());
-  const MatchingMetrics m_on =
-      EvaluateMatches(r_on->progressive.run.matches, *w.truth);
-  const MatchingMetrics m_off =
-      EvaluateMatches(r_off->progressive.run.matches, *w.truth);
+  auto s_on = ResolutionSession::Open(*w.collection, on);
+  auto s_off = ResolutionSession::Open(*w.collection, off);
+  ASSERT_TRUE(s_on.ok());
+  ASSERT_TRUE(s_off.ok());
+  s_on->Step(0);
+  s_off->Step(0);
+  const MatchingMetrics m_on = EvaluateMatches(s_on->matches(), *w.truth);
+  const MatchingMetrics m_off = EvaluateMatches(s_off->matches(), *w.truth);
   EXPECT_GT(m_on.recall, m_off.recall)
       << "neighbor evidence must recover blocking-missed matches";
-  EXPECT_GT(r_on->progressive.discovered_pairs, 0u);
+  EXPECT_GT(s_on->Report().progressive.discovered_pairs, 0u);
 }
 
 TEST(PipelineTest, BudgetLimitsWork) {
   World w = World::Make(MediumConfig(211));
   WorkflowOptions opts;
   opts.progressive.matcher.budget = 50;
-  MinoanEr er(opts);
-  auto report = er.Run(*w.collection);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->progressive.run.comparisons_executed, 50u);
+  auto session = ResolutionSession::Open(*w.collection, opts);
+  ASSERT_TRUE(session.ok());
+  session->Step(0);
+  EXPECT_EQ(session->comparisons_spent(), 50u);
 }
 
 TEST(PipelineTest, MetaBlockingReducesComparisons) {
@@ -118,25 +118,26 @@ TEST(PipelineTest, MetaBlockingReducesComparisons) {
   WorkflowOptions with;
   WorkflowOptions without;
   without.enable_meta_blocking = false;
-  auto r_with = MinoanEr(with).Run(*w.collection);
-  auto r_without = MinoanEr(without).Run(*w.collection);
-  ASSERT_TRUE(r_with.ok());
-  ASSERT_TRUE(r_without.ok());
-  EXPECT_LT(r_with->comparisons_after_meta,
-            r_without->comparisons_after_meta);
+  auto s_with = ResolutionSession::Open(*w.collection, with);
+  auto s_without = ResolutionSession::Open(*w.collection, without);
+  ASSERT_TRUE(s_with.ok());
+  ASSERT_TRUE(s_without.ok());
+  EXPECT_LT(s_with->Report().comparisons_after_meta,
+            s_without->Report().comparisons_after_meta);
 }
 
 TEST(PipelineTest, DeterministicReports) {
   World w = World::Make(MediumConfig(217));
-  MinoanEr er;
-  auto a = er.Run(*w.collection);
-  auto b = er.Run(*w.collection);
+  auto a = ResolutionSession::Open(*w.collection, WorkflowOptions{});
+  auto b = ResolutionSession::Open(*w.collection, WorkflowOptions{});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->blocks_built, b->blocks_built);
-  EXPECT_EQ(a->comparisons_after_meta, b->comparisons_after_meta);
-  ASSERT_EQ(a->progressive.run.matches.size(),
-            b->progressive.run.matches.size());
+  a->Step(0);
+  b->Step(0);
+  EXPECT_EQ(a->Report().blocks_built, b->Report().blocks_built);
+  EXPECT_EQ(a->Report().comparisons_after_meta,
+            b->Report().comparisons_after_meta);
+  ASSERT_EQ(a->matches().size(), b->matches().size());
 }
 
 TEST(PipelineTest, AllBlockerChoicesRun) {
@@ -146,10 +147,10 @@ TEST(PipelineTest, AllBlockerChoicesRun) {
         BlockerChoice::kAttributeClustering, BlockerChoice::kTokenPlusPis}) {
     WorkflowOptions opts;
     opts.blocker = choice;
-    MinoanEr er(opts);
-    auto report = er.Run(*w.collection);
-    ASSERT_TRUE(report.ok()) << BlockerChoiceName(choice);
-    EXPECT_GT(report->blocks_built, 0u) << BlockerChoiceName(choice);
+    auto session = ResolutionSession::Open(*w.collection, opts);
+    ASSERT_TRUE(session.ok()) << BlockerChoiceName(choice);
+    session->Step(0);
+    EXPECT_GT(session->Report().blocks_built, 0u) << BlockerChoiceName(choice);
   }
 }
 
@@ -172,11 +173,10 @@ TEST(PipelineTest, FileBasedRoundTrip) {
   auto truth = GroundTruth::FromTsv(dir + "/ground_truth.tsv", collection);
   ASSERT_TRUE(truth.ok());
 
-  MinoanEr er;
-  auto report = er.Run(collection);
-  ASSERT_TRUE(report.ok());
-  const MatchingMetrics m =
-      EvaluateMatches(report->progressive.run.matches, *truth);
+  auto session = ResolutionSession::Open(collection, WorkflowOptions{});
+  ASSERT_TRUE(session.ok());
+  session->Step(0);
+  const MatchingMetrics m = EvaluateMatches(session->matches(), *truth);
   EXPECT_GT(m.recall, 0.3);
   EXPECT_GT(m.precision, 0.6);
 }
@@ -188,11 +188,11 @@ TEST(PipelineTest, BenefitModelsAllProduceProgress) {
     WorkflowOptions opts;
     opts.progressive.benefit = static_cast<BenefitModel>(model);
     opts.progressive.matcher.budget = 2000;
-    MinoanEr er(opts);
-    auto report = er.Run(*w.collection);
-    ASSERT_TRUE(report.ok());
+    auto session = ResolutionSession::Open(*w.collection, opts);
+    ASSERT_TRUE(session.ok());
+    session->Step(0);
     const QualityAspects q = EvaluateQualityAspects(
-        report->progressive.run, *w.truth, *w.collection, graph);
+        session->Report().progressive.run, *w.truth, *w.collection, graph);
     EXPECT_GT(q.entity_coverage, 0.0)
         << BenefitModelName(opts.progressive.benefit);
   }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "blocking/blocking_method.h"
-#include "core/online_session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
@@ -918,57 +917,6 @@ TEST(OnlineResolverTest, RestoreRejectsMismatchesAndTruncation) {
                                             in);
     EXPECT_FALSE(restored.ok()) << "fraction " << fraction;
   }
-}
-
-// ---------------------------------------------------------------------------
-// OnlineSession script replay
-// ---------------------------------------------------------------------------
-
-TEST(OnlineSessionTest, ScriptReplayIsDeterministic) {
-  const datagen::LodCloud cloud = SmallCloud();
-  const std::string script_text =
-      "# replayed twice, byte-identical output expected\n"
-      "ingest " + cloud.kbs[0].name + " 20\n"
-      "ingest " + cloud.kbs[1].name + " all\n"
-      "resolve 50\n"
-      "stats\n"
-      "ingest * all\n"
-      "resolve 100\n"
-      "stats\n";
-
-  auto run_once = [&]() {
-    online::OnlineOptions options;
-    options.matcher.threshold = 0.3;
-    OnlineSession session(options);
-    for (const datagen::GeneratedKb& kb : cloud.kbs) {
-      EXPECT_TRUE(session.AddSource(kb.name, kb.triples).ok());
-    }
-    std::istringstream in(script_text);
-    std::ostringstream out;
-    EXPECT_TRUE(session.RunScript(in, out).ok());
-    return out.str();
-  };
-
-  const std::string first = run_once();
-  const std::string second = run_once();
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-  // The interleaving actually resolved something.
-  EXPECT_NE(first.find("matches"), std::string::npos);
-}
-
-TEST(OnlineSessionTest, UnknownCommandsAndSourcesAreErrors) {
-  OnlineSession session;
-  std::istringstream bad_cmd("frobnicate 3\n");
-  std::ostringstream out;
-  EXPECT_FALSE(session.RunScript(bad_cmd, out).ok());
-  std::istringstream bad_src("ingest nosuch 1\n");
-  EXPECT_FALSE(session.RunScript(bad_src, out).ok());
-  // Malformed numbers are Status errors, never exceptions.
-  std::istringstream bad_num("resolve ten\n");
-  EXPECT_FALSE(session.RunScript(bad_num, out).ok());
-  std::istringstream neg_num("resolve -5\n");
-  EXPECT_FALSE(session.RunScript(neg_num, out).ok());
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include "baseline/schedulers.h"
 #include "blocking/block_cleaning.h"
 #include "blocking/blocking_method.h"
-#include "core/minoan_er.h"
+#include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -132,10 +132,10 @@ TEST_P(BudgetMonotonicity, MoreBudgetNeverHurts) {
   WorkflowOptions opts;
   opts.progressive.benefit = GetParam().model;
   opts.progressive.matcher.budget = 0;  // run to completion once
-  MinoanEr er(opts);
-  auto report = er.Run(*collection);
-  ASSERT_TRUE(report.ok());
-  const ResolutionRun& full = report->progressive.run;
+  auto session = ResolutionSession::Open(*collection, opts);
+  ASSERT_TRUE(session.ok());
+  session->Step(0);
+  const ResolutionRun full = session->Report().progressive.run;
 
   double prev_recall = -1.0;
   double prev_coverage = -1.0;

@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "core/minoan_er.h"
+#include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
 #include "metablocking/meta_blocking.h"
@@ -146,18 +146,18 @@ EntityCollection FromDoc(const std::string& doc, int kbs = 1) {
 
 TEST(PipelineRobustnessTest, EmptyCollection) {
   EntityCollection c = FromDoc("");
-  MinoanEr er;
-  auto report = er.Run(c);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->progressive.run.matches.size(), 0u);
+  auto session = ResolutionSession::Open(c, WorkflowOptions{});
+  ASSERT_TRUE(session.ok());
+  session->Step(0);
+  EXPECT_EQ(session->matches().size(), 0u);
 }
 
 TEST(PipelineRobustnessTest, SingleEntity) {
   EntityCollection c = FromDoc("<http://x/only> <http://x/p> \"alone\" .");
-  MinoanEr er;
-  auto report = er.Run(c);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->progressive.run.matches.size(), 0u);
+  auto session = ResolutionSession::Open(c, WorkflowOptions{});
+  ASSERT_TRUE(session.ok());
+  session->Step(0);
+  EXPECT_EQ(session->matches().size(), 0u);
 }
 
 TEST(PipelineRobustnessTest, IdenticalKbs) {
@@ -170,11 +170,11 @@ TEST(PipelineRobustnessTest, IdenticalKbs) {
   EntityCollection c = FromDoc(doc, /*kbs=*/2);
   WorkflowOptions opts;
   opts.progressive.matcher.threshold = 0.5;
-  MinoanEr er(opts);
-  auto report = er.Run(c);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->progressive.run.matches.size(), 3u);
-  for (const MatchEvent& m : report->progressive.run.matches) {
+  auto session = ResolutionSession::Open(c, opts);
+  ASSERT_TRUE(session.ok());
+  session->Step(0);
+  EXPECT_EQ(session->matches().size(), 3u);
+  for (const MatchEvent& m : session->matches()) {
     EXPECT_NEAR(m.similarity, 1.0, 1e-9);
   }
 }
@@ -186,9 +186,9 @@ TEST(PipelineRobustnessTest, EntitiesWithoutTokens) {
 <http://x/2> <http://x/p> "b" .
 )";
   EntityCollection c = FromDoc(doc);
-  MinoanEr er;
-  auto report = er.Run(c);
-  ASSERT_TRUE(report.ok());  // nothing to block on; must not crash
+  auto session = ResolutionSession::Open(c, WorkflowOptions{});
+  ASSERT_TRUE(session.ok());  // nothing to block on; must not crash
+  session->Step(0);
 }
 
 TEST(PipelineRobustnessTest, SelfReferentialSameAsIgnored) {

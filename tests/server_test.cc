@@ -24,10 +24,12 @@
 
 #include "checkpoint_canon.h"
 #include "core/session.h"
+#include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "server/client.h"
 #include "server/protocol.h"
+#include "server/script.h"
 #include "server/server.h"
 #include "server/session_manager.h"
 #include "util/serde.h"
@@ -498,6 +500,88 @@ TEST(ServerTest, ServerSideErrorsLeaveTheConnectionUsable) {
   auto step = (*client)->Step(*session, 0);
   EXPECT_TRUE(step.ok()) << step.status().ToString();
   EXPECT_TRUE((*client)->Ping().ok());
+  (*server)->Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// The script interpreter (`minoan connect`)
+// ---------------------------------------------------------------------------
+
+/// Runs `script` against a fresh client of `port`; returns the status and
+/// everything the script printed.
+std::pair<Status, std::string> RunScriptText(uint16_t port,
+                                             const std::string& script) {
+  auto client = Client::Connect("127.0.0.1", port);
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  std::istringstream in(script);
+  std::ostringstream out;
+  const Status status = RunScript(**client, in, out);
+  return {status, out.str()};
+}
+
+TEST(ScriptTest, ScriptReplayIsDeterministic) {
+  datagen::LodCloudConfig config;
+  config.seed = 99;
+  config.num_real_entities = 100;
+  config.num_kbs = 3;
+  config.center_kbs = 2;
+  auto cloud = datagen::GenerateLodCloud(config);
+  ASSERT_TRUE(cloud.ok());
+  const std::string dir = FreshStateDir("script-cloud");
+  ASSERT_TRUE(cloud->WriteTo(dir).ok());
+  const auto ingest = [&](const datagen::GeneratedKb& kb) {
+    return "ingest cold " + kb.name + " " + dir + "/" + kb.name + ".nt\n";
+  };
+  // A cold online session: stream two KBs, resolve, stream the third,
+  // resolve again, then read everything back.
+  const std::string script = "# replayed on two servers\n"
+                             "create cold online - 0.3\n" +
+                             ingest(cloud->kbs[0]) + ingest(cloud->kbs[1]) +
+                             "resolve cold 50\n" + ingest(cloud->kbs[2]) +
+                             "resolve cold 100\n"
+                             "query cold 0 5\n"
+                             "matches cold\n"
+                             "links cold\n";
+
+  const auto run_once = [&](const char* tag) {
+    ServerOptions options;
+    options.state_dir = FreshStateDir(tag);
+    auto server = Server::Start(options);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    auto [status, out] = RunScriptText((*server)->port(), script);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    (*server)->Shutdown();
+    return out;
+  };
+  const std::string first = run_once("script-a");
+  const std::string second = run_once("script-b");
+  EXPECT_EQ(first, second);
+  // The interleaving actually resolved something.
+  EXPECT_NE(first.find("\nmatch "), std::string::npos) << first;
+  EXPECT_NE(first.find("owl#sameAs"), std::string::npos) << first;
+}
+
+TEST(ScriptTest, BadCommandsFailAndPrintNothing) {
+  ServerOptions options;
+  options.state_dir = FreshStateDir("script-errors");
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const uint16_t port = (*server)->port();
+  for (const std::string bad :
+       {"frobnicate 3", "step nosuch 5", "create x online - abc"}) {
+    auto [status, out] = RunScriptText(port, bad + "\n");
+    EXPECT_FALSE(status.ok()) << bad;
+    EXPECT_EQ(out, "") << bad;
+  }
+  // Malformed numbers are Status errors, never exceptions, wraps or zeros:
+  // only the create line before them prints.
+  for (const std::string bad : {"resolve x ten", "resolve x -5"}) {
+    auto [status, out] =
+        RunScriptText(port, "create x online - 0.3\n" + bad + "\n");
+    EXPECT_FALSE(status.ok()) << bad;
+    EXPECT_EQ(out.rfind("created x = session ", 0), 0u) << out;
+    EXPECT_EQ(out.find('\n'), out.size() - 1) << out;
+  }
   (*server)->Shutdown();
 }
 

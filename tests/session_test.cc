@@ -3,7 +3,7 @@
 // observer callback ordering, and options validation.
 //
 // The central invariants, per the Session contract:
-//   * Step(n/2) twice ≡ Step(n) once ≡ MinoanEr::Run — byte-for-byte on
+//   * Step(n/2) twice ≡ Step(n) once ≡ Step(0) once — byte-for-byte on
 //     match sequence, report counters, and benefit trace;
 //   * checkpoint → restore → step reproduces the uninterrupted run exactly.
 
@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/minoan_er.h"
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
@@ -99,19 +98,20 @@ void ExpectSameReport(const ResolutionReport& a, const ResolutionReport& b) {
 // Step-split parity
 // ---------------------------------------------------------------------------
 
-TEST(SessionTest, OneShotStepEqualsLegacyRun) {
+TEST(SessionTest, OneShotStepIsReproducible) {
   const EntityCollection collection = MakeCloud(311);
   const WorkflowOptions options = DefaultOptions();
 
-  auto legacy = MinoanEr(options).Run(collection);
-  ASSERT_TRUE(legacy.ok());
+  auto one_step = ResolutionSession::Open(collection, options);
+  ASSERT_TRUE(one_step.ok());
+  one_step->Step(0);
 
   auto session = ResolutionSession::Open(collection, options);
   ASSERT_TRUE(session.ok());
   const StepResult step = session->Step(0);
   EXPECT_TRUE(step.exhausted);
   EXPECT_TRUE(session->exhausted());
-  ExpectSameReport(*legacy, session->Report());
+  ExpectSameReport(one_step->Report(), session->Report());
 }
 
 TEST(SessionTest, StepSplitParity) {
@@ -204,13 +204,14 @@ TEST(SessionTest, StepSplitParityWithSeeds) {
   WorkflowOptions options = DefaultOptions();
   options.use_same_as_seeds = true;
 
-  auto legacy = MinoanEr(options).Run(collection);
-  ASSERT_TRUE(legacy.ok());
+  auto one_step = ResolutionSession::Open(collection, options);
+  ASSERT_TRUE(one_step.ok());
+  one_step->Step(0);
 
   auto split = ResolutionSession::Open(collection, options);
   ASSERT_TRUE(split.ok());
   while (!split->exhausted()) split->Step(61);
-  ExpectSameReport(*legacy, split->Report());
+  ExpectSameReport(one_step->Report(), split->Report());
 }
 
 TEST(SessionTest, OverallBudgetCapsStepping) {
@@ -231,9 +232,10 @@ TEST(SessionTest, OverallBudgetCapsStepping) {
   EXPECT_TRUE(session->finished())
       << "budget consumption must terminate while(!finished()) loops";
 
-  auto legacy = MinoanEr(options).Run(collection);
-  ASSERT_TRUE(legacy.ok());
-  ExpectSameReport(*legacy, session->Report());
+  auto one_step = ResolutionSession::Open(collection, options);
+  ASSERT_TRUE(one_step.ok());
+  one_step->Step(0);
+  ExpectSameReport(one_step->Report(), session->Report());
 }
 
 TEST(SessionTest, SteppingPastExhaustionIsANoOp) {

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include "gtest/gtest.h"
 #include "util/atomic_file.h"
 #include "util/hash.h"
@@ -673,6 +675,21 @@ TEST(AtomicFileTest, FailedWriteKeepsThePreviousFileAndNoTemp) {
   EXPECT_FALSE(WriteFileAtomic(::testing::TempDir() + "no-such-dir/x.bin",
                                [](std::ostream&) { return Status::Ok(); })
                    .ok());
+  std::filesystem::remove(path);
+}
+
+TEST(AtomicFileTest, RefusesToReplaceASpecialFile) {
+  const std::string path = ::testing::TempDir() + "minoan-atomic-fifo";
+  std::filesystem::remove(path);
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  const auto written = WriteFileAtomic(path, [](std::ostream& out) {
+    out << "links";
+    return Status::Ok();
+  });
+  ASSERT_FALSE(written.ok());
+  EXPECT_NE(written.status().message().find(path), std::string::npos);
+  EXPECT_TRUE(std::filesystem::is_fifo(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
 }
 

@@ -40,13 +40,6 @@
 //       the queue drains, at which point the final report prints. The match
 //       sequence is byte-identical to one uninterrupted run.
 //
-//   minoan online DIR [--script FILE] [--threshold F] [--pis] [--seeds]
-//                 [--threads N] [--benefit NAME]
-//       Serves the KBs in DIR through the online incremental engine,
-//       replaying an ingest/resolve/query command script (see
-//       core/online_session.h for the grammar). Without --script, every
-//       source is ingested, the queue is fully resolved, and stats print.
-//
 //   minoan serve [--listen HOST:PORT] [--max-sessions N]
 //                [--evict-after SECONDS] [--state-dir DIR] [--threads N]
 //                [--installment N] [--metrics-out FILE]
@@ -63,34 +56,34 @@
 //       evictions, and restores; --slow-request-millis sets the slowness
 //       threshold (default 250).
 //
-//   minoan connect --port N [--host H] [--script FILE]
-//       Interactive (or scripted) client for a running server. The `stats`
-//       command prints the legacy live/total session counts; `stats --full`
-//       fetches the v2 body and renders the whole registry snapshot plus
+//   minoan connect [--port N [--host H]] [--script FILE]
+//       Runs a command script (or stdin) against the resolution service;
+//       the grammar is in server/script.h. With --port it talks to a
+//       running `minoan serve`. Without, it starts a server in this process
+//       (127.0.0.1, an ephemeral port, the ServerOptions defaults and a
+//       private temporary state dir removed on exit), so one script prints
+//       the same bytes either way. `stats` prints the live/total session
+//       counts; `stats --full` renders the whole registry snapshot plus
 //       the per-tenant table.
 //
 // All subcommands are deterministic for a fixed seed.
 
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/minoan_er.h"
-#include "core/online_session.h"
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "eval/cluster_metrics.h"
@@ -100,6 +93,7 @@
 #include "matching/matcher.h"
 #include "obs/report.h"
 #include "server/client.h"
+#include "server/script.h"
 #include "server/server.h"
 #include "util/atomic_file.h"
 #include "util/cli_flags.h"
@@ -157,13 +151,16 @@ Result<EntityCollection> LoadAndListCorpus(const std::string& dir) {
   return collection;
 }
 
-/// --threads N: worker count (0 = hardware concurrency). Deterministic: the
-/// resolution result is identical for every value.
-Result<uint32_t> ParseThreads(const std::string& verb, const Flags& flags) {
+/// --NAME N: a whole number in [0, max], `fallback` when absent. Callers
+/// turn an error into exit code 2.
+Result<uint32_t> UintFlag(const std::string& verb, const Flags& flags,
+                          const std::string& name, uint32_t fallback,
+                          uint32_t max = UINT32_MAX) {
   MINOAN_ASSIGN_OR_RETURN(
-      const uint64_t threads,
-      cli::ParseUint(verb + ": --threads", flags.Get("threads", "1"), 1024));
-  return static_cast<uint32_t>(threads);
+      const uint64_t value,
+      cli::ParseUint(verb + ": --" + name,
+                     flags.Get(name, std::to_string(fallback)), max));
+  return static_cast<uint32_t>(value);
 }
 
 int CmdGenerate(const Flags& flags) {
@@ -177,12 +174,18 @@ int CmdGenerate(const Flags& flags) {
     std::fprintf(stderr, "generate requires --out DIR\n");
     return 2;
   }
+  const Result<uint32_t> entities =
+      UintFlag("generate", flags, "entities", 2000);
+  const Result<uint32_t> kbs = UintFlag("generate", flags, "kbs", 6);
+  const Result<uint32_t> center = UintFlag("generate", flags, "center", 2);
+  for (const Result<uint32_t>* count : {&entities, &kbs, &center}) {
+    if (!count->ok()) return UsageError(count->status());
+  }
   datagen::LodCloudConfig config;
   config.seed = flags.GetInt("seed", 42);
-  config.num_real_entities =
-      static_cast<uint32_t>(flags.GetInt("entities", 2000));
-  config.num_kbs = static_cast<uint32_t>(flags.GetInt("kbs", 6));
-  config.center_kbs = static_cast<uint32_t>(flags.GetInt("center", 2));
+  config.num_real_entities = *entities;
+  config.num_kbs = *kbs;
+  config.center_kbs = *center;
   config.periphery_token_overlap =
       flags.GetDouble("periphery-overlap", config.periphery_token_overlap);
   config.same_as_rate = flags.GetDouble("sameas-rate", config.same_as_rate);
@@ -235,15 +238,32 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
-BenefitModel ParseBenefit(const std::string& name) {
+Result<BenefitModel> ParseBenefit(const std::string& verb,
+                                  const std::string& name) {
   if (name == "quantity") return BenefitModel::kQuantity;
   if (name == "attr") return BenefitModel::kAttributeCompleteness;
+  if (name == "coverage") return BenefitModel::kEntityCoverage;
   if (name == "relationship") return BenefitModel::kRelationshipCompleteness;
-  return BenefitModel::kEntityCoverage;
+  return Status::InvalidArgument(
+      verb + ": --benefit must be one of quantity|attr|coverage|relationship, "
+             "got \"" + name + "\"");
 }
 
-/// Workflow options shared by `resolve` and `session`; exits via non-OK
-/// Status on invalid flag values (specific message, non-zero exit code).
+/// The blocker whose BlockerChoiceName is `name`.
+Result<BlockerChoice> ParseBlocker(const std::string& verb,
+                                   const std::string& name) {
+  std::string names;
+  for (uint32_t i = 0; i < kNumBlockerChoices; ++i) {
+    const auto choice = static_cast<BlockerChoice>(i);
+    if (BlockerChoiceName(choice) == name) return choice;
+    names += (i > 0 ? "|" : "") + std::string(BlockerChoiceName(choice));
+  }
+  return Status::InvalidArgument(verb + ": --blocker must be one of " + names +
+                                 ", got \"" + name + "\"");
+}
+
+/// Workflow options shared by `resolve` and `session`. An invalid flag value
+/// is a non-OK Status with a specific message; callers exit 2.
 Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
                                              const Flags& flags) {
   WorkflowOptions options;
@@ -252,33 +272,16 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
   // --benefit defaults to the library's model, the one a served batch
   // session runs, so `minoan resolve DIR` and a served session over DIR
   // write the same links.
-  options.progressive.benefit = ParseBenefit(flags.Get("benefit", "quantity"));
+  MINOAN_ASSIGN_OR_RETURN(options.progressive.benefit,
+                          ParseBenefit(verb, flags.Get("benefit", "quantity")));
   options.use_same_as_seeds = flags.Has("seeds");
   options.filter_ratio =
       flags.GetDouble("filter-ratio", options.filter_ratio);
   // --blocker NAME: which blocking method starts the workflow. Every choice
   // runs under --memory-budget with byte-identical output to its in-memory
   // run (the character-level methods included).
-  const std::string blocker = flags.Get("blocker", "token+pis");
-  if (blocker == "token") {
-    options.blocker = BlockerChoice::kToken;
-  } else if (blocker == "pis") {
-    options.blocker = BlockerChoice::kPis;
-  } else if (blocker == "attr-cluster") {
-    options.blocker = BlockerChoice::kAttributeClustering;
-  } else if (blocker == "token+pis") {
-    options.blocker = BlockerChoice::kTokenPlusPis;
-  } else if (blocker == "qgram") {
-    options.blocker = BlockerChoice::kQGram;
-  } else if (blocker == "sorted-nbhd") {
-    options.blocker = BlockerChoice::kSortedNeighborhood;
-  } else {
-    return Status::InvalidArgument(
-        verb +
-        ": --blocker must be one of token|pis|attr-cluster|token+pis|"
-        "qgram|sorted-nbhd, got \"" +
-        blocker + "\"");
-  }
+  MINOAN_ASSIGN_OR_RETURN(
+      options.blocker, ParseBlocker(verb, flags.Get("blocker", "token+pis")));
   // --memory-budget N[k|m|g]: cap on the in-RAM shuffle state (blocking
   // postings + vote shards); overflow spills sorted runs under --spill-dir.
   // Deterministic: the resolution result is byte-identical either way.
@@ -288,7 +291,10 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
     return Status::InvalidArgument(
         verb + ": --spill-dir has no effect without --memory-budget");
   }
-  MINOAN_ASSIGN_OR_RETURN(options.num_threads, ParseThreads(verb, flags));
+  // --threads N: worker count (0 = hardware concurrency). Deterministic:
+  // the resolution result is identical for every value.
+  MINOAN_ASSIGN_OR_RETURN(options.num_threads,
+                          UintFlag(verb, flags, "threads", 1, 1024));
   // --pin-threads: pin pool workers to cores (Linux; no-op elsewhere).
   // A cache-placement hint only — results are identical either way.
   options.pin_threads = flags.Has("pin-threads");
@@ -309,16 +315,22 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
 int WriteObsOutputs(const Flags& flags, const ResolutionSession& session) {
   const std::string metrics_path = flags.Get("metrics-out", "");
   if (!metrics_path.empty()) {
-    std::ofstream out(metrics_path);
-    if (!out) return Fail(Status::IoError("cannot write " + metrics_path));
-    session.WriteStatsJson(out);
+    const Result<uint64_t> written =
+        WriteFileAtomic(metrics_path, [&](std::ostream& out) {
+          session.WriteStatsJson(out);
+          return Status::Ok();
+        });
+    if (!written.ok()) return Fail(written.status());
     std::printf("wrote run stats to %s\n", metrics_path.c_str());
   }
   const std::string trace_path = flags.Get("trace-out", "");
   if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) return Fail(Status::IoError("cannot write " + trace_path));
-    session.WriteTraceJson(out);
+    const Result<uint64_t> written =
+        WriteFileAtomic(trace_path, [&](std::ostream& out) {
+          session.WriteTraceJson(out);
+          return Status::Ok();
+        });
+    if (!written.ok()) return Fail(written.status());
     std::printf("wrote phase trace to %s (open in chrome://tracing or "
                 "ui.perfetto.dev)\n",
                 trace_path.c_str());
@@ -372,10 +384,14 @@ int ReportAndWriteLinks(const std::string& dir, const Flags& flags,
   }
 
   const std::string out = flags.Get("out", "discovered_links.nt");
-  std::ofstream stream(out);
-  if (!stream) return Fail(Status::IoError("cannot write " + out));
-  const size_t links =
-      WriteSameAsLinks(report.progressive.run.matches, collection, stream);
+  size_t links = 0;
+  const Result<uint64_t> written =
+      WriteFileAtomic(out, [&](std::ostream& stream) {
+        links = WriteSameAsLinks(report.progressive.run.matches, collection,
+                                 stream);
+        return Status::Ok();
+      });
+  if (!written.ok()) return Fail(written.status());
   std::printf("wrote %zu links to %s\n", links, out.c_str());
   return 0;
 }
@@ -388,7 +404,7 @@ int CmdResolve(const Flags& flags) {
   }
   const std::string dir = flags.positional()[0];
   auto options = ParseWorkflowOptions("resolve", flags);
-  if (!options.ok()) return Fail(options.status());
+  if (!options.ok()) return UsageError(options.status());
   auto collection = LoadAndListCorpus(dir);
   if (!collection.ok()) return Fail(collection.status());
 
@@ -442,7 +458,7 @@ int CmdSession(const Flags& flags) {
     return 2;
   }
   auto options = ParseWorkflowOptions("session " + verb, flags);
-  if (!options.ok()) return Fail(options.status());
+  if (!options.ok()) return UsageError(options.status());
   auto collection = LoadAndListCorpus(dir);
   if (!collection.ok()) return Fail(collection.status());
 
@@ -484,59 +500,6 @@ int CmdSession(const Flags& flags) {
   return 0;
 }
 
-int CmdOnline(const Flags& flags) {
-  if (!CheckFlags("online", flags,
-                  {"script", "threshold", "pis", "seeds", "threads",
-                   "benefit"})) {
-    return 2;
-  }
-  if (flags.positional().empty()) {
-    std::fprintf(stderr, "online requires a directory\n");
-    return 2;
-  }
-  const std::string dir = flags.positional()[0];
-
-  online::OnlineOptions options;
-  options.matcher.threshold = flags.GetDouble("threshold", 0.35);
-  options.blocking.use_pis_keys = flags.Has("pis");
-  options.use_same_as_seeds = flags.Has("seeds");
-  options.benefit = ParseBenefit(flags.Get("benefit", "quantity"));
-  // --threads N: warm-start scoring workers.
-  const Result<uint32_t> threads = ParseThreads("online", flags);
-  if (!threads.ok()) return UsageError(threads.status());
-  options.num_threads = *threads;
-  OnlineSession session(options);
-
-  auto files = ListCorpusFiles(dir);
-  if (!files.ok()) return Fail(files.status());
-  for (const std::string& file : *files) {
-    auto source = session.AddSourceFile(file);
-    if (!source.ok()) return Fail(source.status());
-    std::printf("source %-26s %6zu entities queued\n",
-                session.source_name(*source).c_str(),
-                session.PendingEntities(*source));
-  }
-
-  const std::string script_path = flags.Get("script", "");
-  Status status;
-  if (script_path.empty()) {
-    // Default serve loop: stream everything, resolve the whole queue.
-    std::istringstream script(
-        "ingest * all\n"
-        "resolve 1000000000\n"
-        "stats\n");
-    status = session.RunScript(script, std::cout);
-  } else {
-    std::ifstream script(script_path);
-    if (!script) {
-      return Fail(Status::IoError("cannot read " + script_path));
-    }
-    status = session.RunScript(script, std::cout);
-  }
-  if (!status.ok()) return Fail(status);
-  return 0;
-}
-
 /// Self-pipe for signal-driven shutdown: the handler only writes a byte;
 /// the serve loop blocks reading the other end.
 int g_shutdown_pipe[2] = {-1, -1};
@@ -570,7 +533,8 @@ int CmdServe(const Flags& flags) {
   options.max_sessions = flags.GetInt("max-sessions", 64);
   options.evict_after_seconds = flags.GetDouble("evict-after", 0);
   options.state_dir = flags.Get("state-dir", "/tmp/minoan-serve");
-  const Result<uint32_t> threads = ParseThreads("serve", flags);
+  const Result<uint32_t> threads =
+      UintFlag("serve", flags, "threads", 1, 1024);
   if (!threads.ok()) return UsageError(threads.status());
   options.num_threads = *threads;
   options.installment = flags.GetInt("installment", 2048);
@@ -624,236 +588,49 @@ int CmdServe(const Flags& flags) {
   return 0;
 }
 
-/// Executes one `minoan connect` script command against the server. A
-/// non-OK status stops the script.
-Status RunConnectCommand(server::Client& client,
-                         std::map<std::string, uint64_t>& sessions,
-                         const std::vector<std::string>& tokens) {
-  const auto session_of = [&](const std::string& name) -> Result<uint64_t> {
-    const auto it = sessions.find(name);
-    if (it == sessions.end()) {
-      return Status::NotFound("no session handle '" + name +
-                              "' (create one first)");
-    }
-    return it->second;
+/// Connects to HOST:PORT and runs the script there.
+Status RunScriptAt(const std::string& host, uint16_t port,
+                   std::istream& script) {
+  MINOAN_ASSIGN_OR_RETURN(const auto client,
+                          server::Client::Connect(host, port));
+  return server::RunScript(*client, script, std::cout);
+}
+
+/// Runs the script against a server started in this process: 127.0.0.1:0,
+/// the ServerOptions defaults, and a private state dir removed on exit.
+Status RunScriptInProcess(std::istream& script) {
+  std::error_code ec;
+  std::string state_dir =
+      (std::filesystem::temp_directory_path(ec) / "minoan-connect-XXXXXX")
+          .string();
+  if (ec || mkdtemp(state_dir.data()) == nullptr) {
+    return Status::IoError("cannot create a state dir like " + state_dir);
+  }
+  // Removes the dir on every exit path, after the server below shut down.
+  const auto remove_dir = [](const std::string* dir) {
+    std::error_code ignored;
+    std::filesystem::remove_all(*dir, ignored);
   };
-  const std::string& cmd = tokens[0];
-  if (cmd == "create") {
-    // create <name> <batch|online> <source|-> <threshold> [tenant] [seeds]
-    if (tokens.size() < 5) {
-      return Status::InvalidArgument(
-          "create needs: create <name> <batch|online> <source|-> "
-          "<threshold> [tenant] [seeds]");
-    }
-    const std::string& name = tokens[1];
-    server::SessionKind kind;
-    if (tokens[2] == "batch") {
-      kind = server::SessionKind::kBatch;
-    } else if (tokens[2] == "online") {
-      kind = server::SessionKind::kOnline;
-    } else {
-      return Status::InvalidArgument("session kind must be batch or online, "
-                                     "got " + tokens[2]);
-    }
-    const std::string source = tokens[3] == "-" ? "" : tokens[3];
-    MINOAN_ASSIGN_OR_RETURN(
-        const double threshold,
-        cli::ParseDouble("create threshold", tokens[4], 0, 1));
-    const std::string tenant = tokens.size() > 5 ? tokens[5] : name;
-    const bool seeds = tokens.size() > 6 && tokens[6] == "seeds";
-    MINOAN_ASSIGN_OR_RETURN(
-        const uint64_t id,
-        client.CreateSession(tenant, kind, source, threshold, seeds));
-    sessions[name] = id;
-    std::printf("created %s = session %llu\n", name.c_str(),
-                static_cast<unsigned long long>(id));
-    return Status::Ok();
-  }
-  if (cmd == "step" || cmd == "resolve") {
-    if (tokens.size() < 3) {
-      return Status::InvalidArgument(cmd + " needs: " + cmd +
-                                     " <name> <budget>");
-    }
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t budget,
-                            cli::ParseUint(cmd + " budget", tokens[2]));
-    MINOAN_ASSIGN_OR_RETURN(const server::StepReply reply,
-                            cmd == "step" ? client.Step(id, budget)
-                                          : client.ResolveBudget(id, budget));
-    std::printf("%s: +%llu comparisons, +%llu matches "
-                "(total %llu/%llu)%s\n",
-                tokens[1].c_str(),
-                static_cast<unsigned long long>(reply.comparisons),
-                static_cast<unsigned long long>(reply.matches),
-                static_cast<unsigned long long>(reply.total_comparisons),
-                static_cast<unsigned long long>(reply.total_matches),
-                reply.finished ? ", finished" : "");
-    return Status::Ok();
-  }
-  if (cmd == "matches") {
-    if (tokens.size() < 2) {
-      return Status::InvalidArgument("matches needs: matches <name>");
-    }
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
-    MINOAN_ASSIGN_OR_RETURN(const std::vector<MatchEvent> matches,
-                            client.Matches(id));
-    std::printf("%s: %zu matches\n", tokens[1].c_str(), matches.size());
-    for (const MatchEvent& m : matches) {
-      std::printf("match %u %u %.6f @%llu\n", m.a, m.b, m.similarity,
-                  static_cast<unsigned long long>(m.comparisons_done));
-    }
-    return Status::Ok();
-  }
-  if (cmd == "links") {
-    // links <name> [file] — '-'/absent = stdout.
-    if (tokens.size() < 2) {
-      return Status::InvalidArgument("links needs: links <name> [file]");
-    }
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
-    MINOAN_ASSIGN_OR_RETURN(const std::string text, client.Links(id));
-    if (tokens.size() > 2 && tokens[2] != "-") {
-      std::ofstream out(tokens[2]);
-      if (!out) return Status::IoError("cannot write " + tokens[2]);
-      out << text;
-      std::printf("%s: wrote links to %s\n", tokens[1].c_str(),
-                  tokens[2].c_str());
-    } else {
-      std::fputs(text.c_str(), stdout);
-    }
-    return Status::Ok();
-  }
-  if (cmd == "checkpoint") {
-    if (tokens.size() < 2) {
-      return Status::InvalidArgument("checkpoint needs: checkpoint <name>");
-    }
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t bytes, client.Checkpoint(id));
-    std::printf("%s: checkpointed %llu bytes\n", tokens[1].c_str(),
-                static_cast<unsigned long long>(bytes));
-    return Status::Ok();
-  }
-  if (cmd == "close") {
-    if (tokens.size() < 2) {
-      return Status::InvalidArgument("close needs: close <name>");
-    }
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
-    MINOAN_RETURN_IF_ERROR(client.Close(id));
-    sessions.erase(tokens[1]);
-    std::printf("closed %s\n", tokens[1].c_str());
-    return Status::Ok();
-  }
-  if (cmd == "ingest") {
-    // ingest <name> <kb> <file> — sends the client-local N-Triples file.
-    if (tokens.size() < 4) {
-      return Status::InvalidArgument("ingest needs: ingest <name> <kb> <file>");
-    }
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
-    std::ifstream in(tokens[3]);
-    if (!in) return Status::IoError("cannot read " + tokens[3]);
-    std::ostringstream document;
-    document << in.rdbuf();
-    MINOAN_ASSIGN_OR_RETURN(const std::vector<EntityId> ids,
-                            client.Ingest(id, tokens[2], document.str()));
-    std::printf("%s: ingested %zu entities into %s\n", tokens[1].c_str(),
-                ids.size(), tokens[2].c_str());
-    return Status::Ok();
-  }
-  if (cmd == "query") {
-    if (tokens.size() < 4) {
-      return Status::InvalidArgument("query needs: query <name> <entity> <k>");
-    }
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t id, session_of(tokens[1]));
-    MINOAN_ASSIGN_OR_RETURN(
-        const uint64_t entity,
-        cli::ParseUint("query entity", tokens[2], UINT32_MAX));
-    MINOAN_ASSIGN_OR_RETURN(const uint64_t k,
-                            cli::ParseUint("query k", tokens[3], UINT32_MAX));
-    MINOAN_ASSIGN_OR_RETURN(const auto candidates,
-                            client.Query(id, static_cast<EntityId>(entity),
-                                         static_cast<uint32_t>(k)));
-    for (const auto& c : candidates) {
-      std::printf("candidate %u %.6f%s\n", c.id, c.similarity,
-                  c.matched ? " matched" : "");
-    }
-    return Status::Ok();
-  }
-  if (cmd == "stats") {
-    // stats [--full]: --full asks for the kStats v2 body (whole registry +
-    // per-tenant breakdown); bare stats stays the legacy two-number reply.
-    const bool full =
-        tokens.size() > 1 && (tokens[1] == "--full" || tokens[1] == "full");
-    if (!full) {
-      MINOAN_ASSIGN_OR_RETURN(const auto stats, client.Stats());
-      std::printf("sessions: %llu live / %llu total\n",
-                  static_cast<unsigned long long>(stats.live_sessions),
-                  static_cast<unsigned long long>(stats.total_sessions));
-      return Status::Ok();
-    }
-    MINOAN_ASSIGN_OR_RETURN(const auto stats, client.StatsFull());
-    std::printf("sessions: %llu live / %llu total\n",
-                static_cast<unsigned long long>(stats.live_sessions),
-                static_cast<unsigned long long>(stats.total_sessions));
-    for (const auto& [name, value] : stats.counters) {
-      std::printf("counter %s = %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
-    }
-    for (const auto& [name, value] : stats.gauges) {
-      std::printf("gauge %s = %lld\n", name.c_str(),
-                  static_cast<long long>(value));
-    }
-    for (const auto& [name, h] : stats.histograms) {
-      std::printf(
-          "histogram %s count=%llu mean=%.1f p50=%.1f p95=%.1f p99=%.1f\n",
-          name.c_str(), static_cast<unsigned long long>(h.count),
-          h.count > 0 ? static_cast<double>(h.sum) /
-                            static_cast<double>(h.count)
-                      : 0.0,
-          h.p50, h.p95, h.p99);
-    }
-    for (const auto& t : stats.tenants) {
-      std::printf(
-          "tenant %s: sessions=%llu requests=%llu comparisons=%llu "
-          "matches=%llu spill_bytes=%llu request_micros p50=%.1f p95=%.1f "
-          "p99=%.1f\n",
-          t.tenant.c_str(), static_cast<unsigned long long>(t.sessions),
-          static_cast<unsigned long long>(t.requests),
-          static_cast<unsigned long long>(t.comparisons),
-          static_cast<unsigned long long>(t.matches),
-          static_cast<unsigned long long>(t.spill_bytes),
-          t.p50_request_micros, t.p95_request_micros, t.p99_request_micros);
-    }
-    return Status::Ok();
-  }
-  if (cmd == "ping") {
-    MINOAN_RETURN_IF_ERROR(client.Ping());
-    std::printf("pong\n");
-    return Status::Ok();
-  }
-  if (cmd == "sleep") {
-    // Lets a smoke script idle past --evict-after to exercise eviction.
-    if (tokens.size() < 2) {
-      return Status::InvalidArgument("sleep needs: sleep <seconds>");
-    }
-    MINOAN_ASSIGN_OR_RETURN(
-        const double seconds,
-        cli::ParseDouble("sleep seconds", tokens[1], 0, 86400));
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    return Status::Ok();
-  }
-  return Status::InvalidArgument("unknown connect command: " + cmd);
+  const std::unique_ptr<const std::string, decltype(remove_dir)> cleanup(
+      &state_dir, remove_dir);
+  server::ServerOptions options;
+  options.state_dir = state_dir;
+  MINOAN_ASSIGN_OR_RETURN(const auto server, server::Server::Start(options));
+  return RunScriptAt(options.host, server->port(), script);
 }
 
 int CmdConnect(const Flags& flags) {
   if (!CheckFlags("connect", flags, {"host", "port", "script"})) return 2;
-  const std::string host = flags.Get("host", "127.0.0.1");
+  const bool served = flags.Has("port");
+  if (flags.Has("host") && !served) {
+    std::fprintf(stderr, "connect: --host needs --port\n");
+    return 2;
+  }
   const uint64_t port = flags.GetInt("port", 0);
-  if (port == 0 || port > 65535) {
+  if (served && (port == 0 || port > 65535)) {
     std::fprintf(stderr, "connect requires --port (1..65535)\n");
     return 2;
   }
-  auto client = server::Client::Connect(host, static_cast<uint16_t>(port));
-  if (!client.ok()) return Fail(client.status());
-
   std::ifstream file;
   const std::string script_path = flags.Get("script", "");
   if (!script_path.empty()) {
@@ -861,19 +638,11 @@ int CmdConnect(const Flags& flags) {
     if (!file) return Fail(Status::IoError("cannot read " + script_path));
   }
   std::istream& in = script_path.empty() ? std::cin : file;
-
-  std::map<std::string, uint64_t> sessions;
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream tokenizer(line);
-    std::vector<std::string> tokens;
-    std::string token;
-    while (tokenizer >> token) tokens.push_back(token);
-    if (tokens.empty() || tokens[0][0] == '#') continue;
-    if (Status st = RunConnectCommand(**client, sessions, tokens); !st.ok()) {
-      return Fail(st);
-    }
-  }
+  const Status status =
+      served ? RunScriptAt(flags.Get("host", "127.0.0.1"),
+                           static_cast<uint16_t>(port), in)
+             : RunScriptInProcess(in);
+  if (!status.ok()) return Fail(status);
   return 0;
 }
 
@@ -892,15 +661,13 @@ void Usage() {
                "--metrics-out FILE --trace-out FILE --progress-every N]\n"
                "  session checkpoint|resume DIR --state FILE "
                "[--step-budget N + resolve options]\n"
-               "  online DIR [--script FILE --threshold F --pis --seeds "
-               "--threads N --benefit "
-               "quantity|attr|coverage|relationship]\n"
                "  serve [--listen HOST:PORT --max-sessions N "
                "--evict-after SECONDS --state-dir DIR --threads N "
                "--installment N --metrics-out FILE --stats-every SECS "
                "--trace-out FILE --event-log FILE --slow-request-millis MS]\n"
-               "  connect --port N [--host H --script FILE] "
-               "(stats --full prints the per-tenant breakdown)\n");
+               "  connect [--port N [--host H]] [--script FILE] "
+               "(no --port: an in-process server; "
+               "stats --full prints the per-tenant breakdown)\n");
 }
 
 }  // namespace
@@ -915,7 +682,6 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "stats") == 0) return CmdStats(flags);
   if (std::strcmp(argv[1], "resolve") == 0) return CmdResolve(flags);
   if (std::strcmp(argv[1], "session") == 0) return CmdSession(flags);
-  if (std::strcmp(argv[1], "online") == 0) return CmdOnline(flags);
   if (std::strcmp(argv[1], "serve") == 0) return CmdServe(flags);
   if (std::strcmp(argv[1], "connect") == 0) return CmdConnect(flags);
   Usage();
