@@ -20,8 +20,12 @@
 //                           then all known candidates are ranked by current
 //                           similarity. Idempotent between mutations.
 //
-// Priorities, neighbor-evidence propagation, and the staleness rule follow
-// ProgressiveResolver; likelihoods come from the incremental block index's
+// The online engine is a driver of the one progressive engine
+// (ProgressiveResolver, progressive/resolver.h), as the batch
+// ResolutionSession is: priorities, matching, neighbor-evidence
+// propagation, seeds, the staleness rule and the stepping loop are the
+// engine's. The driver supplies what differs — an OnlineSource over the
+// growable corpus, and likelihoods from the incremental block index's
 // key-set Jaccard instead of a global meta-blocking pass, since a global
 // pruning graph is unavailable under insertions.
 
@@ -32,8 +36,8 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "matching/matcher.h"
@@ -42,7 +46,7 @@
 #include "online/incremental_collection.h"
 #include "progressive/benefit.h"
 #include "progressive/evidence_options.h"
-#include "progressive/scheduler.h"
+#include "progressive/resolver.h"
 #include "progressive/state.h"
 #include "progressive/step_core.h"
 #include "util/status.h"
@@ -86,6 +90,53 @@ struct QueryCandidate {
   bool matched;
 };
 
+/// The online engine's ResolutionSource: neighbors from an undirected
+/// adjacency over relation edges that grows with every ingest, similarity
+/// from profile views built at the collection's current idf, and every new
+/// pair slot registered with both entities as query partners.
+class OnlineSource final : public ResolutionSource {
+ public:
+  OnlineSource(const EntityCollection& collection,
+               SimilarityOptions similarity)
+      : collection_(&collection), similarity_(similarity) {}
+
+  std::span<const EntityId> Neighbors(EntityId e) const override;
+  double Similarity(EntityId a, EntityId b) override;
+  void OnSlotCreated(uint64_t pair) override;
+
+  /// Covers every entity of the collection and adds `id`'s relation edges.
+  void AddEntity(EntityId id);
+
+  /// Entities `e` (below partner_lists()) shares a known pair with, in
+  /// first-seen order.
+  const std::vector<EntityId>& partners(EntityId e) const {
+    return partners_[e];
+  }
+  size_t partner_lists() const { return partners_.size(); }
+
+  /// Entity e's view with the current vocabulary, its weights written to
+  /// `weights`.
+  ProfileView View(EntityId e, std::vector<double>& weights) const;
+  /// Profile similarity of view `a` (which must not point into the
+  /// source's own scratch weights) and entity b.
+  double SimilarityTo(const ProfileView& a, EntityId b);
+
+  /// The adjacency and partner lists, verbatim: the update phase truncates
+  /// to the first max_neighbors_per_side entries and Query drains partners
+  /// in order, so insertion order is part of the state.
+  void Save(std::ostream& out) const;
+  bool Load(std::istream& in, uint32_t num_entities);
+
+ private:
+  const EntityCollection* collection_;
+  SimilarityOptions similarity_;
+  std::vector<std::vector<EntityId>> neighbors_;
+  std::vector<std::vector<EntityId>> partners_;
+  /// Scratch weights behind the two profile views of the pair compared.
+  std::vector<double> weights_a_;
+  std::vector<double> weights_b_;
+};
+
 class OnlineResolver {
  public:
   explicit OnlineResolver(OnlineOptions options = {});
@@ -114,8 +165,8 @@ class OnlineResolver {
   static Result<std::unique_ptr<OnlineResolver>> Restore(
       OnlineOptions options, std::istream& in);
 
-  /// Pinned: state_ holds the addresses of coll_'s collection and
-  /// neighbors_, so a compiler-generated move would leave it dangling.
+  /// Pinned: engine_ holds the addresses of coll_'s collection and
+  /// source_, so a compiler-generated move would leave it dangling.
   OnlineResolver(const OnlineResolver&) = delete;
   OnlineResolver& operator=(const OnlineResolver&) = delete;
   OnlineResolver(OnlineResolver&&) = delete;
@@ -141,7 +192,8 @@ class OnlineResolver {
   /// (postings + watermarks + emitted pairs), per-pair state, schedule,
   /// neighbor/partner adjacencies, the cluster-merge log, and the run
   /// record — in the fixed little-endian util/serde.h format, for a later
-  /// Restore.
+  /// Restore. The engine's benefit trace and discovered-match count are not
+  /// part of the format; a restored engine restarts both from empty.
   Status SaveState(std::ostream& out) const;
 
   /// Restores a SaveState stream into this engine, replacing its dynamic
@@ -155,100 +207,50 @@ class OnlineResolver {
 
   const EntityCollection& collection() const { return coll_.collection(); }
   /// Cumulative run record (comparisons from ResolveBudget AND Query).
-  const ResolutionRun& run() const { return run_; }
-  size_t pending_comparisons() const { return scheduler_.live_size(); }
-  uint64_t discovered_pairs() const { return discovered_pairs_; }
+  const ResolutionRun& run() const { return engine_.result().run; }
+  size_t pending_comparisons() const {
+    return engine_.scheduler().live_size();
+  }
+  uint64_t discovered_pairs() const {
+    return engine_.result().discovered_pairs;
+  }
   uint64_t evidence_assisted_matches() const {
-    return evidence_assisted_matches_;
+    return engine_.result().evidence_assisted_matches;
   }
   uint64_t candidate_pairs_created() const {
     return index_.num_pairs_emitted();
   }
-  ResolutionState& state() { return *state_; }
+  ResolutionState& state() { return engine_.state(); }
   const OnlineOptions& options() const { return options_; }
 
  private:
-  /// Restore path: adopts `warm` without indexing or scoring anything —
-  /// LoadState fills every structure from the stream instead.
+  /// Builds the members only, with no run begun: adopts `warm` without
+  /// indexing or scoring anything (the restore path, where LoadState fills
+  /// every structure from the stream instead).
   struct RestoreTag {};
   OnlineResolver(OnlineOptions options, EntityCollection&& warm, RestoreTag);
-  /// Self-contained restore path: starts from an empty store; LoadState
-  /// reads the embedded (v2) collection along with the dynamic state.
+  /// The same over an empty store; LoadState reads the embedded (v2)
+  /// collection along with the dynamic state.
   OnlineResolver(OnlineOptions options, RestoreTag);
 
-  void IndexEntity(EntityId id);
-  /// Scores the pairs IndexEntity deferred during warm-start bulk indexing
-  /// and primes the schedule with them. Safe to fan out: the state is
-  /// pristine (no match recorded before the seeds consume below), so
-  /// priorities are pure reads; scores land in a per-index array, and pop
-  /// order depends only on (priority, pair) — the schedule is identical to
-  /// interleaved sequential pushes for every thread count.
-  void FlushDeferredScores();
+  /// Indexes entity `id` and schedules the candidate pairs it creates —
+  /// or, when `deferred` is given (warm-start bulk indexing), appends
+  /// their slots there for one ScoreAndPrime pass.
+  void IndexEntity(EntityId id, std::vector<uint32_t>* deferred = nullptr);
   /// Applies any not-yet-consumed ingested owl:sameAs links as zero-cost
   /// trusted matches (no-op unless use_same_as_seeds).
   void ConsumeSameAsSeeds();
-  /// Finds or creates the pair's slot; on creation registers the two
-  /// entities as each other's partners. `created` (optional) reports
-  /// whether this was the pair's first sighting.
-  uint32_t PairRef(uint64_t pair, bool* created = nullptr);
-  /// Priority of slot `id` against the current state (SlotPriority).
-  double Priority(uint32_t id) const;
-  /// Entity e's profile view with the current (possibly grown) vocabulary,
-  /// its weights written to `weights`.
-  ProfileView View(EntityId e, std::vector<double>& weights) const;
-  /// Profile similarity of a (view built by the caller, so ranking loops
-  /// over one entity's partners build it once) and b. `a` must not point
-  /// into weights_b_, where b's view is built.
-  double SimilarityTo(const ProfileView& a, EntityId b);
-  /// Executes one not-yet-executed comparison; records a match and runs the
-  /// update phase when the threshold clears. Returns the evidence updates
-  /// that made.
-  uint64_t ExecuteComparison(uint32_t id);
-  /// Raises the evidence of (a, b)'s neighbor pairs and re-prioritizes
-  /// them; returns how many it raised.
-  uint64_t UpdatePhase(EntityId a, EntityId b);
-  /// Merges (a, b) in the cluster state AND appends the operation to the
-  /// replay log — RecordMatch's internal layout depends on call order, so
-  /// LoadState replays the exact sequence to reproduce it byte for byte.
-  void RecordClusterMerge(EntityId a, EntityId b);
 
   OnlineOptions options_;
   IncrementalCollection coll_;
   IncrementalBlockIndex index_;
-  BenefitEstimator estimator_;
-  std::unique_ptr<ResolutionState> state_;
-  /// Every known pair's likelihood, evidence, executed flag and priority,
-  /// in dense slots; SaveState sorts them into ascending-pair order before
-  /// writing, so the layout has no bytes-on-disk effect.
-  ComparisonScheduler scheduler_;
-
-  /// Incremental undirected adjacency over relation edges (the online
-  /// counterpart of NeighborGraph, growable per ingest).
-  std::vector<std::vector<EntityId>> neighbors_;
-  /// Every entity this entity shares a known candidate pair with, in
-  /// first-seen order (drives Query).
-  std::vector<std::vector<EntityId>> partners_;
-
-  ResolutionRun run_;
-  uint64_t discovered_pairs_ = 0;
-  uint64_t evidence_assisted_matches_ = 0;
+  OnlineSource source_;
+  ProgressiveResolver engine_;
   size_t same_as_consumed_ = 0;
 
-  /// Every cluster merge (seeds and matches alike) in call order — the
-  /// checkpointable essence of the union-find state.
-  std::vector<std::pair<EntityId, EntityId>> cluster_ops_;
-
-  /// Warm-start bulk indexing: when set, IndexEntity records new slots here
-  /// instead of scoring them one by one; FlushDeferredScores prices the
-  /// whole batch (in parallel when options_.num_threads allows).
-  bool defer_scoring_ = false;
-  std::vector<uint32_t> deferred_slots_;
-
-  // Scratch buffers (ingest + similarity), reused across calls: the
-  // weights behind the two profile views of the pair being compared.
+  // Scratch (ingest + ranking), reused across calls.
   std::vector<DeltaPair> delta_scratch_;
-  std::vector<double> weights_a_;
-  std::vector<double> weights_b_;
+  std::vector<double> query_weights_;
 };
 
 }  // namespace online

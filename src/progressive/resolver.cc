@@ -27,15 +27,31 @@ ProgressiveResolver::ProgressiveResolver(const EntityCollection& collection,
                                          ProgressiveOptions options,
                                          ThreadPool* pool)
     : collection_(&collection),
-      graph_(&graph),
-      evaluator_(&evaluator),
+      owned_source_(std::make_unique<BatchSource>(graph, evaluator)),
+      source_(owned_source_.get()),
+      options_(options),
+      estimator_(options.benefit, options.evidence.max_neighbors_per_side),
+      pool_(pool) {}
+
+ProgressiveResolver::ProgressiveResolver(const EntityCollection& collection,
+                                         ResolutionSource& source,
+                                         ProgressiveOptions options,
+                                         ThreadPool* pool)
+    : collection_(&collection),
+      source_(&source),
       options_(options),
       estimator_(options.benefit, options.evidence.max_neighbors_per_side),
       pool_(pool) {}
 
 double ProgressiveResolver::Priority(uint32_t id) const {
-  return SlotPriority(scheduler_.slot(id), estimator_, options_.benefit_weight,
-                      options_.evidence, *state_);
+  const ScheduleSlot& slot = scheduler_.slot(id);
+  const double benefit = estimator_.PairBenefit(
+      PairKeyFirst(slot.pair), PairKeySecond(slot.pair), *state_);
+  double likelihood = slot.likelihood;
+  if (slot.evidence > 0.0) {
+    likelihood += options_.evidence.priority * std::min(1.0, slot.evidence);
+  }
+  return likelihood * (1.0 + options_.benefit_weight * benefit);
 }
 
 void ProgressiveResolver::Begin(
@@ -44,10 +60,11 @@ void ProgressiveResolver::Begin(
   scheduler_ = ComparisonScheduler();
   scheduler_.Reserve(candidates.size());
   result_ = ProgressiveResult();
-  seeds_.clear();
+  merges_.clear();
   cumulative_benefit_ = 0.0;
   exhausted_ = false;
-  state_ = std::make_unique<ResolutionState>(*collection_, graph_);
+  state_ = std::make_unique<ResolutionState>(*collection_, source_);
+  begun_ = true;
 
   // Normalize blocking-graph weights into [0, 1] likelihoods; a duplicated
   // candidate keeps its last weight.
@@ -63,120 +80,133 @@ void ProgressiveResolver::Begin(
     slot.likelihood = candidates[i].weight * scale;
     slot.candidate = true;
   }
-  // Score the candidates. Safe to fan out: the state is pristine (no match
-  // recorded yet — seeds apply below), so every cluster is a singleton and
-  // Priority() only reads (union-find Find() takes no compression step, the
-  // slots are frozen). Scores land in a per-index array, so the schedule is
-  // identical for every thread count.
-  std::vector<double> priorities(candidates.size());
-  const auto score = [&](size_t i) { priorities[i] = Priority(slots[i]); };
+  ScoreAndPrime(std::move(slots));
+
+  // Warm-start seeds apply after scoring, so their neighborhoods get
+  // evidence before anything is compared.
+  for (const Comparison& seed : seeds) ApplySeed(seed.a, seed.b);
+  result_.scheduler_pushes = scheduler_.total_pushes();
+}
+
+void ProgressiveResolver::ScoreAndPrime(std::vector<uint32_t> ids) {
+  std::vector<double> priorities(ids.size());
+  const auto score = [&](size_t i) { priorities[i] = Priority(ids[i]); };
   const uint32_t threads = ResolveThreadCount(options_.num_threads);
   // A caller-owned pool (the session's) has no spawn cost, so it pays off
-  // on much smaller retained lists than a transient pool does. The gate
-  // only decides where the loop runs; the scores are identical either way.
+  // on much smaller lists than a transient pool does. The gate only
+  // decides where the loop runs; the scores are identical either way.
   const size_t min_parallel = pool_ != nullptr ? 256 : 2048;
-  if (threads > 1 && candidates.size() >= min_parallel) {
+  if (threads > 1 && ids.size() >= min_parallel) {
     if (pool_ != nullptr) {
-      pool_->ParallelFor(candidates.size(), score);
+      pool_->ParallelFor(ids.size(), score);
     } else {
       ThreadPool pool(threads);
-      pool.ParallelFor(candidates.size(), score);
+      pool.ParallelFor(ids.size(), score);
     }
   } else {
-    for (size_t i = 0; i < candidates.size(); ++i) score(i);
+    for (size_t i = 0; i < ids.size(); ++i) score(i);
   }
-  scheduler_.Prime(std::move(slots), priorities);
+  scheduler_.Prime(std::move(ids), priorities);
+}
 
-  // Apply warm-start seeds: trusted matches at zero budget cost, propagated
-  // so their neighborhoods get evidence before anything is compared. Only
-  // the seeds actually applied are retained, so a state replay on restore
-  // issues the identical RecordMatch sequence.
-  for (const Comparison& seed : seeds) {
-    const uint32_t id = scheduler_.FindOrAdd(PairKey(seed.a, seed.b));
-    if (scheduler_.slot(id).executed) continue;
-    scheduler_.slot(id).executed = true;
-    seeds_.push_back(seed);
-    scheduler_.Erase(id);
-    state_->RecordMatch(seed.a, seed.b);
-    if (options_.enable_update_phase) {
-      UpdatePhase(seed.a, seed.b);
-    }
-  }
-  result_.scheduler_pushes = scheduler_.total_pushes();
-  begun_ = true;
+uint32_t ProgressiveResolver::SlotFor(uint64_t pair) {
+  bool created = false;
+  const uint32_t id = scheduler_.FindOrAdd(pair, &created);
+  if (created) source_->OnSlotCreated(pair);
+  return id;
+}
+
+void ProgressiveResolver::Schedule(uint32_t id) {
+  scheduler_.Push(id, Priority(id));
+}
+
+void ProgressiveResolver::ApplySeed(EntityId a, EntityId b) {
+  const uint32_t id = SlotFor(PairKey(a, b));
+  if (scheduler_.slot(id).executed) return;
+  scheduler_.slot(id).executed = true;
+  scheduler_.Erase(id);
+  RecordMerge(a, b);
+  if (options_.enable_update_phase) UpdatePhase(a, b);
+}
+
+void ProgressiveResolver::RecordMerge(EntityId a, EntityId b) {
+  merges_.emplace_back(a, b);
+  state_->RecordMatch(a, b);
 }
 
 StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
-  if (!begun_ || exhausted_) {
-    StepResult out;
+  StepResult out;
+  if (!begun_ || (exhausted_ && scheduler_.empty())) {
     out.exhausted = exhausted_;
     return out;
   }
+  // The overall options budget caps this call.
+  if (options_.matcher.budget != 0) {
+    const uint64_t spent = result_.run.comparisons_executed;
+    if (spent >= options_.matcher.budget) return out;
+    const uint64_t left = options_.matcher.budget - spent;
+    max_comparisons =
+        max_comparisons == 0 ? left : std::min(max_comparisons, left);
+  }
   const size_t match_mark = result_.run.matches.size();
   const uint64_t discovered_mark = result_.discovered_pairs;
-  const uint64_t budget = options_.matcher.budget;
-  StepResult out = RunScheduledComparisons(
+  const uint64_t discovered_matches_mark = result_.discovered_matches;
+  out = RunScheduledComparisons(
       scheduler_, max_comparisons, options_.evidence.staleness_tolerance,
-      /*should_stop=*/
-      [&] {
-        return budget != 0 && result_.run.comparisons_executed >= budget;
-      },
       /*current_priority=*/[&](uint32_t id) { return Priority(id); },
-      /*execute=*/
-      [&](uint32_t id) {
-        const uint64_t updates = ExecuteComparison(id);
-        SampleProgress();
-        return updates;
-      });
+      /*execute=*/[&](uint32_t id) { return Execute(id); });
   exhausted_ = out.exhausted;
   out.discovered_pairs = result_.discovered_pairs - discovered_mark;
+  out.discovered_matches =
+      result_.discovered_matches - discovered_matches_mark;
   out.matches.assign(result_.run.matches.begin() + match_mark,
                      result_.run.matches.end());
   result_.scheduler_pushes = scheduler_.total_pushes();
   return out;
 }
 
-uint64_t ProgressiveResolver::ExecuteComparison(uint32_t id) {
+uint64_t ProgressiveResolver::Execute(uint32_t id) {
   // ---- Matching phase -----------------------------------------------------
-  // Copy what the match needs: the update phase may append slots.
+  // Copy what the match needs: the update phase may append slots. Erasing
+  // is a no-op for a popped slot; Query executes slots still scheduled.
   ScheduleSlot& slot = scheduler_.slot(id);
   slot.executed = true;
   const EntityId a = PairKeyFirst(slot.pair);
   const EntityId b = PairKeySecond(slot.pair);
   const bool discovered = !slot.candidate;
   const double bonus = EvidenceBonus(slot, options_.evidence);
+  scheduler_.Erase(id);
   ++result_.run.comparisons_executed;
-  const double profile_sim = evaluator_->Similarity(a, b);
+  const double profile_sim = source_->Similarity(a, b);
   const double sim = profile_sim + bonus;
-  if (sim < options_.matcher.threshold) return 0;
+  uint64_t updates = 0;
+  if (sim >= options_.matcher.threshold) {
+    // ---- Confirmed match --------------------------------------------------
+    const double realized = estimator_.RealizedBenefit(a, b, *state_);
+    RecordMerge(a, b);
+    cumulative_benefit_ += realized;
+    result_.run.matches.push_back(
+        MatchEvent{result_.run.comparisons_executed, a, b, sim});
+    result_.benefit_trace.push_back(cumulative_benefit_);
+    if (profile_sim < options_.matcher.threshold) {
+      ++result_.evidence_assisted_matches;
+    }
+    if (discovered) ++result_.discovered_matches;
+    if (on_match_) on_match_(result_.run.matches.back());
 
-  // ---- Confirmed match ----------------------------------------------------
-  const double realized = estimator_.RealizedBenefit(a, b, *state_);
-  state_->RecordMatch(a, b);
-  cumulative_benefit_ += realized;
-  result_.run.matches.push_back(
-      MatchEvent{result_.run.comparisons_executed, a, b, sim});
-  result_.benefit_trace.push_back(cumulative_benefit_);
-  if (profile_sim < options_.matcher.threshold) {
-    ++result_.evidence_assisted_matches;
+    // ---- Update phase -----------------------------------------------------
+    if (options_.enable_update_phase) updates = UpdatePhase(a, b);
   }
-  if (discovered) ++result_.discovered_matches;
-  if (on_match_) on_match_(result_.run.matches.back());
-
-  // ---- Update phase -------------------------------------------------------
-  return options_.enable_update_phase ? UpdatePhase(a, b) : 0;
-}
-
-void ProgressiveResolver::SampleProgress() {
   if (progress_ != nullptr) {
     progress_->OnProgress(result_.run.comparisons_executed,
                           result_.run.matches.size());
   }
+  return updates;
 }
 
 uint64_t ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
-  const auto na = graph_->Neighbors(a);
-  const auto nb = graph_->Neighbors(b);
+  const std::span<const EntityId> na = source_->Neighbors(a);
+  const std::span<const EntityId> nb = source_->Neighbors(b);
   const size_t la =
       std::min<size_t>(na.size(), options_.evidence.max_neighbors_per_side);
   const size_t lb =
@@ -195,18 +225,18 @@ uint64_t ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
         continue;
       }
       if (state_->SameCluster(x, y)) continue;
-      if (id == ComparisonScheduler::kNoSlot) id = scheduler_.FindOrAdd(pair);
+      if (id == ComparisonScheduler::kNoSlot) {
+        // A pair blocking never produced: discovered via the graph.
+        id = SlotFor(pair);
+        ++result_.discovered_pairs;
+      }
       // Accumulate similarity evidence: the matched pair (a, b) vouches for
       // its aligned neighbors.
       ScheduleSlot& slot = scheduler_.slot(id);
-      if (slot.evidence == 0.0 && !slot.candidate) {
-        // A candidate blocking never produced: discovered via the graph.
-        ++result_.discovered_pairs;
-      }
       slot.evidence += options_.evidence.increment;
       slot.has_evidence = true;
       ++updates;
-      scheduler_.Push(id, Priority(id));
+      Schedule(id);
     }
   }
   return updates;
@@ -239,23 +269,12 @@ Status ProgressiveResolver::SaveState(std::ostream& out) const {
   write_slots(&ScheduleSlot::candidate, &ScheduleSlot::likelihood);
   write_slots(&ScheduleSlot::has_evidence, &ScheduleSlot::evidence);
   write_slots(&ScheduleSlot::executed, nullptr);
-  write_slots(&ScheduleSlot::live, &ScheduleSlot::priority);
-  serde::WriteU64(out, scheduler_.total_pushes());
-
-  serde::WriteU64(out, seeds_.size());
-  for (const Comparison& seed : seeds_) {
-    serde::WriteU32(out, seed.a);
-    serde::WriteU32(out, seed.b);
-  }
-
-  serde::WriteU64(out, result_.run.comparisons_executed);
-  serde::WriteU64(out, result_.run.matches.size());
-  for (const MatchEvent& m : result_.run.matches) {
-    serde::WriteU64(out, m.comparisons_done);
-    serde::WriteU32(out, m.a);
-    serde::WriteU32(out, m.b);
-    serde::WriteDouble(out, m.similarity);
-  }
+  // The seed list is the merge log's prefix: Begin applies every seed
+  // before the first match.
+  WriteLoopSections(out, scheduler_, by_pair,
+                    std::span<const MergeOp>(merges_).first(
+                        merges_.size() - result_.run.matches.size()),
+                    result_.run);
   serde::WriteU64(out, result_.benefit_trace.size());
   for (const double v : result_.benefit_trace) serde::WriteDouble(out, v);
   serde::WriteU64(out, result_.discovered_pairs);
@@ -313,56 +332,14 @@ Status ProgressiveResolver::LoadState(std::istream& in) {
     prev = pair;
     slot_of(pair).executed = true;
   }
-
-  std::vector<uint32_t> live;
-  std::vector<double> live_priorities;
-  if (!serde::ReadAscendingPairDoubles(
-          in, num_entities, [&](uint64_t pair, double priority) {
-            const uint32_t id = scheduler.FindOrAdd(pair);
-            if (scheduler.slot(id).executed) return false;
-            live.push_back(id);
-            live_priorities.push_back(priority);
-            return true;
-          })) {
-    return truncated();
-  }
-  uint64_t total_pushes;
-  if (!serde::ReadU64(in, total_pushes)) return truncated();
-
-  uint64_t n_seeds;
-  if (!serde::ReadU64(in, n_seeds)) return truncated();
-  seeds_.clear();
-  seeds_.reserve(std::min(n_seeds, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n_seeds; ++i) {
-    uint32_t a, b;
-    if (!serde::ReadU32(in, a) || !serde::ReadU32(in, b)) return truncated();
-    if (a >= num_entities || b >= num_entities) {
-      return Status::ParseError("seed entity id out of range");
-    }
-    seeds_.emplace_back(a, b);
-  }
-
+  std::vector<MergeOp> merges;
   ProgressiveResult result;
-  uint64_t n_matches;
-  if (!serde::ReadU64(in, result.run.comparisons_executed) ||
-      !serde::ReadU64(in, n_matches)) {
+  if (!ReadLoopSections(in, num_entities, scheduler, merges, result.run)) {
     return truncated();
-  }
-  result.run.matches.reserve(std::min(n_matches, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n_matches; ++i) {
-    MatchEvent m;
-    if (!serde::ReadU64(in, m.comparisons_done) || !serde::ReadU32(in, m.a) ||
-        !serde::ReadU32(in, m.b) || !serde::ReadDouble(in, m.similarity)) {
-      return truncated();
-    }
-    if (m.a >= num_entities || m.b >= num_entities) {
-      return Status::ParseError("match entity id out of range");
-    }
-    result.run.matches.push_back(m);
   }
   uint64_t n_trace;
   if (!serde::ReadU64(in, n_trace)) return truncated();
-  if (n_trace != n_matches) {
+  if (n_trace != result.run.matches.size()) {
     return Status::ParseError("benefit trace length mismatch");
   }
   result.benefit_trace.resize(n_trace);
@@ -378,26 +355,111 @@ Status ProgressiveResolver::LoadState(std::istream& in) {
       !serde::ReadU8(in, exhausted)) {
     return truncated();
   }
+  // A drained run has nothing live (nothing is scheduled after the drain).
+  if (exhausted != 0 && !scheduler.empty()) return truncated();
 
-  // Rebuild the mutable cluster state by replaying the recorded matches:
-  // RecordMatch is deterministic in call order, so the union-find layout and
-  // cluster profiles come out identical to the uninterrupted run's.
-  state_ = std::make_unique<ResolutionState>(*collection_, graph_);
-  for (const Comparison& seed : seeds_) {
-    state_->RecordMatch(seed.a, seed.b);
-  }
-  for (const MatchEvent& m : result.run.matches) {
-    state_->RecordMatch(m.a, m.b);
-  }
-  scheduler.Prime(std::move(live), live_priorities);
-  scheduler.set_total_pushes(total_pushes);
-  scheduler_ = std::move(scheduler);
-  result.scheduler_pushes = total_pushes;
-  result_ = std::move(result);
-  cumulative_benefit_ = cumulative_benefit;
-  exhausted_ = exhausted != 0;
-  begun_ = true;
+  for (const MatchEvent& m : result.run.matches) merges.emplace_back(m.a, m.b);
+  Restore(std::move(scheduler), std::move(merges), std::move(result),
+          cumulative_benefit, exhausted != 0);
   return Status::Ok();
+}
+
+void ProgressiveResolver::Restore(ComparisonScheduler scheduler,
+                                  std::vector<MergeOp> merges,
+                                  ProgressiveResult result,
+                                  double cumulative_benefit, bool exhausted) {
+  // Replaying the merge log reproduces the union-find layout and cluster
+  // profiles of the uninterrupted run.
+  state_ = std::make_unique<ResolutionState>(*collection_, source_);
+  for (const auto& [a, b] : merges) state_->RecordMatch(a, b);
+  scheduler_ = std::move(scheduler);
+  merges_ = std::move(merges);
+  result_ = std::move(result);
+  result_.scheduler_pushes = scheduler_.total_pushes();
+  cumulative_benefit_ = cumulative_benefit;
+  exhausted_ = exhausted;
+  begun_ = true;
+}
+
+void WriteLoopSections(std::ostream& out, const ComparisonScheduler& scheduler,
+                       const std::vector<uint32_t>& by_pair,
+                       std::span<const MergeOp> merges,
+                       const ResolutionRun& run) {
+  serde::WriteU64(out, scheduler.live_size());
+  for (const uint32_t id : by_pair) {
+    const ScheduleSlot& slot = scheduler.slot(id);
+    if (!slot.live) continue;
+    serde::WriteU64(out, slot.pair);
+    serde::WriteDouble(out, slot.priority);
+  }
+  serde::WriteU64(out, scheduler.total_pushes());
+  serde::WriteU64(out, merges.size());
+  for (const auto& [a, b] : merges) {
+    serde::WriteU32(out, a);
+    serde::WriteU32(out, b);
+  }
+  serde::WriteU64(out, run.comparisons_executed);
+  serde::WriteU64(out, run.matches.size());
+  for (const MatchEvent& m : run.matches) {
+    serde::WriteU64(out, m.comparisons_done);
+    serde::WriteU32(out, m.a);
+    serde::WriteU32(out, m.b);
+    serde::WriteDouble(out, m.similarity);
+  }
+}
+
+bool ReadLoopSections(std::istream& in, uint32_t num_entities,
+                      ComparisonScheduler& scheduler,
+                      std::vector<MergeOp>& merges, ResolutionRun& run) {
+  std::vector<uint32_t> live;
+  std::vector<double> priorities;
+  uint64_t total_pushes;
+  if (!serde::ReadAscendingPairDoubles(
+          in, num_entities,
+          [&](uint64_t pair, double priority) {
+            const uint32_t id = scheduler.Find(pair);
+            if (id == ComparisonScheduler::kNoSlot ||
+                scheduler.slot(id).executed) {
+              return false;
+            }
+            live.push_back(id);
+            priorities.push_back(priority);
+            return true;
+          }) ||
+      !serde::ReadU64(in, total_pushes)) {
+    return false;
+  }
+  scheduler.Prime(std::move(live), priorities);
+  scheduler.set_total_pushes(total_pushes);
+
+  uint64_t n;
+  if (!serde::ReadU64(in, n)) return false;
+  merges.clear();
+  merges.reserve(std::min(n, kMaxUpfrontReserve));
+  for (uint64_t i = 0; i < n; ++i) {
+    uint32_t a, b;
+    if (!serde::ReadU32(in, a) || !serde::ReadU32(in, b) ||
+        a >= num_entities || b >= num_entities) {
+      return false;
+    }
+    merges.emplace_back(a, b);
+  }
+
+  if (!serde::ReadU64(in, run.comparisons_executed) || !serde::ReadU64(in, n)) {
+    return false;
+  }
+  run.matches.clear();
+  run.matches.reserve(std::min(n, kMaxUpfrontReserve));
+  for (uint64_t i = 0; i < n; ++i) {
+    MatchEvent m;
+    if (!serde::ReadU64(in, m.comparisons_done) || !serde::ReadU32(in, m.a) ||
+        !serde::ReadU32(in, m.b) || !serde::ReadDouble(in, m.similarity) ||
+        m.a >= num_entities || m.b >= num_entities) {
+      return false;
+    }
+    run.matches.push_back(m);
+  }
+  return true;
 }
 
 }  // namespace minoan

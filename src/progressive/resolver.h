@@ -20,12 +20,15 @@
 //                consumed" — the budget is a comparison count (similarity
 //                evaluations), the standard cost unit of progressive ER.
 //
-// The resolver is a stateful begin/step core: Begin() ingests the candidate
-// schedule, Step(n) spends up to n more comparisons, and the loop state
-// (scheduler, evidence, partial clusters) persists between calls, so
-// Step(n/2) twice is byte-identical to Step(n); Begin + Step(0) runs to
-// completion. SaveState/LoadState round-trip the loop state for
-// checkpointable sessions (core/session.h).
+// The resolver is the one engine of that loop. Its batch driver
+// (ResolutionSession) calls Begin() to ingest the candidate schedule, then
+// Step(n) to spend up to n more comparisons; the loop state persists
+// between calls, so Step(n/2) twice is byte-identical to Step(n). Its
+// online driver (OnlineResolver) feeds an empty run pair by pair through
+// the loop operations below, then steps it the same way. The corpus is
+// read through a ResolutionSource (progressive/state.h). SaveState writes
+// the batch checkpoint (MNER-PROG-v1); the online driver writes its own
+// (MNER-ONLN-v2) from the same slots, merge log and run record.
 
 #ifndef MINOAN_PROGRESSIVE_RESOLVER_H_
 #define MINOAN_PROGRESSIVE_RESOLVER_H_
@@ -35,6 +38,8 @@
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "kb/collection.h"
@@ -77,9 +82,11 @@ struct ProgressiveResult {
   ResolutionRun run;
   /// Cumulative realized benefit after each match (parallel to run.matches).
   std::vector<double> benefit_trace;
-  /// Pairs scheduled purely by the update phase (absent from blocking).
+  /// Pairs scheduled purely by the update phase (absent from blocking),
+  /// each counted once, when the update phase creates its slot.
   uint64_t discovered_pairs = 0;
-  /// ... of which were confirmed as matches.
+  /// Matches on pairs blocking never produced (slots not marked
+  /// `candidate` when executed).
   uint64_t discovered_matches = 0;
   /// Matches that needed neighbor evidence to clear the threshold (profile
   /// similarity alone was below it).
@@ -91,6 +98,30 @@ struct ProgressiveResult {
 
 class ThreadPool;
 
+/// The batch ResolutionSource: a frozen NeighborGraph and the evaluator's
+/// profile arena.
+class BatchSource final : public ResolutionSource {
+ public:
+  BatchSource(const NeighborGraph& graph, const SimilarityEvaluator& evaluator)
+      : graph_(&graph), evaluator_(&evaluator) {}
+
+  std::span<const EntityId> Neighbors(EntityId e) const override {
+    if (e >= graph_->num_entities()) return {};
+    return graph_->Neighbors(e);
+  }
+  double Similarity(EntityId a, EntityId b) override {
+    return evaluator_->Similarity(a, b);
+  }
+
+ private:
+  const NeighborGraph* graph_;
+  const SimilarityEvaluator* evaluator_;
+};
+
+/// One cluster merge of the resolution — a seed or a match — with its
+/// arguments in call order (RecordMatch's union-find layout depends on it).
+using MergeOp = std::pair<EntityId, EntityId>;
+
 /// Drives the scheduling / matching / update loop over one collection.
 class ProgressiveResolver {
  public:
@@ -98,6 +129,7 @@ class ProgressiveResolver {
   /// synchronously from within Step).
   using MatchCallback = std::function<void(const MatchEvent&)>;
 
+  /// Batch engine over a frozen graph and evaluator (a BatchSource).
   /// `pool` (optional, caller-owned, must outlive the resolver) serves the
   /// batch-parallel setup phase; without it a transient pool is spawned
   /// when options.num_threads calls for one.
@@ -105,6 +137,11 @@ class ProgressiveResolver {
                       const NeighborGraph& graph,
                       const SimilarityEvaluator& evaluator,
                       ProgressiveOptions options, ThreadPool* pool = nullptr);
+
+  /// Engine over any source (caller-owned, must outlive the resolver).
+  ProgressiveResolver(const EntityCollection& collection,
+                      ResolutionSource& source, ProgressiveOptions options,
+                      ThreadPool* pool = nullptr);
 
   // --- Stateful pay-as-you-go interface -----------------------------------
 
@@ -125,9 +162,10 @@ class ProgressiveResolver {
   /// executes the byte-identical schedule as Step(n) once.
   StepResult Step(uint64_t max_comparisons);
 
-  /// True after Begin/LoadState.
+  /// True after Begin/LoadState/Restore.
   bool begun() const { return begun_; }
-  /// True once the schedule drained (further Steps are no-ops).
+  /// True once a Step drained the schedule (further Steps are no-ops until
+  /// something is scheduled again, which only the online driver does).
   bool exhausted() const { return exhausted_; }
   /// True once the overall options budget (matcher.budget, if any) is
   /// spent. Distinct from exhausted(): the queue may still hold work.
@@ -164,40 +202,102 @@ class ProgressiveResolver {
   /// stepping then continues exactly where the saved run left off.
   Status LoadState(std::istream& in);
 
+  /// Installs a decoded checkpoint of either format: the slots with their
+  /// primed live schedule, the merge log (replayed into a fresh cluster
+  /// state — RecordMatch is deterministic in call order), and the run
+  /// record. The run is begun afterwards.
+  void Restore(ComparisonScheduler scheduler, std::vector<MergeOp> merges,
+               ProgressiveResult result, double cumulative_benefit,
+               bool exhausted);
+
+  // --- Loop operations ------------------------------------------------------
+  // The steps Begin and Step are made of, for a driver that feeds the run
+  // pair by pair (the online engine). Each requires a begun run.
+
+  /// Slot of `pair`; a new one is appended on first sight and reported to
+  /// the source.
+  uint32_t SlotFor(uint64_t pair);
+  ScheduleSlot& slot(uint32_t id) { return scheduler_.slot(id); }
+  const ComparisonScheduler& scheduler() const { return scheduler_; }
+
+  /// Prices slot `id` against the current state and schedules it.
+  void Schedule(uint32_t id);
+
+  /// Prices every slot of `ids` and primes the (empty) schedule with them.
+  /// The one parallel pass of the loop: it runs on the caller's pool, or on
+  /// a transient one for 2048 or more slots, when options.num_threads > 1.
+  /// Safe to fan out only while no merge is recorded: every cluster is then
+  /// a singleton and pricing only reads. Scores land in a per-index array,
+  /// and pop order depends only on (priority, pair), so the schedule is the
+  /// same for every thread count.
+  void ScoreAndPrime(std::vector<uint32_t> ids);
+
+  /// Applies the trusted equivalence (a, b) at zero budget cost, unless the
+  /// pair was executed already: it is marked executed, merged in the
+  /// cluster state and propagated through the update phase.
+  void ApplySeed(EntityId a, EntityId b);
+
+  /// Executes not-yet-executed slot `id`: erases it from the schedule,
+  /// scores it, and on a match records it and runs the update phase.
+  /// Returns the evidence updates the match made.
+  uint64_t Execute(uint32_t id);
+
+  ResolutionState& state() { return *state_; }
+  /// Every seed and match in call order.
+  const std::vector<MergeOp>& merges() const { return merges_; }
+
  private:
-  /// Priority of slot `id` against the current state (SlotPriority).
+  /// Priority of slot `id` against the current state: (blocking likelihood
+  /// + capped evidence term) × (1 + benefit_weight · marginal benefit).
   double Priority(uint32_t id) const;
-  /// Runs one comparison; returns the evidence updates its match made.
-  uint64_t ExecuteComparison(uint32_t id);
+  /// Merges (a, b) in the cluster state and appends it to the merge log.
+  void RecordMerge(EntityId a, EntityId b);
   /// Raises the evidence of (a, b)'s neighbor pairs and re-prioritizes
   /// them; returns how many it raised.
   uint64_t UpdatePhase(EntityId a, EntityId b);
-  /// Feeds the installed progress meter the post-comparison totals.
-  void SampleProgress();
 
   const EntityCollection* collection_;
-  const NeighborGraph* graph_;
-  const SimilarityEvaluator* evaluator_;
+  /// The BatchSource the graph + evaluator constructor builds.
+  std::unique_ptr<BatchSource> owned_source_;
+  ResolutionSource* source_;  // not owned unless owned_source_ holds it
   ProgressiveOptions options_;
   BenefitEstimator estimator_;
   ThreadPool* pool_;  // optional, not owned
   MatchCallback on_match_;
   obs::ProgressMeter* progress_ = nullptr;  // optional, not owned
 
-  // Loop state (reset by Begin, serialized by SaveState). The scheduler's
+  // Loop state (reset by Begin, serialized by the drivers). The scheduler's
   // slots hold every pair's likelihood, evidence, executed flag and
   // priority; serialization canonicalizes to ascending-pair order, so the
   // slot layout never shows in checkpoint bytes.
   std::unique_ptr<ResolutionState> state_;
   ComparisonScheduler scheduler_;
   ProgressiveResult result_;
-  /// Seeds actually applied by Begin (deduplicated), kept for state replay
-  /// on restore.
-  std::vector<Comparison> seeds_;
+  std::vector<MergeOp> merges_;
   double cumulative_benefit_ = 0.0;
   bool begun_ = false;
   bool exhausted_ = false;
 };
+
+/// Writes the sections both checkpoint formats (MNER-PROG-v1, MNER-ONLN-v2)
+/// share, in this order and in util/serde.h encoding: the live schedule
+/// (u64 count, then u64 pair and f64 priority per live slot in ascending
+/// pair order — `by_pair` is scheduler.SlotsByPair()), the u64 push
+/// counter, a merge log (u64 count, then u32 a and u32 b per merge) and the
+/// run record (u64 comparisons executed, u64 count, then u64
+/// comparisons_done, u32 a, u32 b and f64 similarity per match).
+void WriteLoopSections(std::ostream& out, const ComparisonScheduler& scheduler,
+                       const std::vector<uint32_t>& by_pair,
+                       std::span<const MergeOp> merges,
+                       const ResolutionRun& run);
+
+/// Reads those sections back, accepting only the canonical form with every
+/// entity id below `num_entities`. `scheduler` holds the loaded slots
+/// already; each live pair must be one of them, not yet executed, and the
+/// live list primes its schedule.
+bool ReadLoopSections(std::istream& in, uint32_t num_entities,
+                      ComparisonScheduler& scheduler,
+                      std::vector<MergeOp>& merges, ResolutionRun& run);
 
 }  // namespace minoan
 

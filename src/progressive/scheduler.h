@@ -3,8 +3,8 @@
 // table, plus a lazy priority queue over the slots.
 //
 // The poster's scheduling phase "selects which pairs of descriptions … will
-// be compared in the entity matching phase and in what order". Both
-// progressive loops keep their per-pair state here — blocking likelihood,
+// be compared in the entity matching phase and in what order". The
+// progressive engine keeps its per-pair state here — blocking likelihood,
 // accumulated neighbor evidence, executed flag, newest priority — addressed
 // by a dense slot id, so popping a comparison and pricing it read one slot
 // and probe no hash table. A pair→slot index is consulted only where a pair
@@ -57,10 +57,11 @@ struct ScheduleSlot {
   bool live = false;
   /// Compared, or applied as a trusted seed.
   bool executed = false;
-  /// Batch: produced by blocking (the pair has a likelihood entry).
+  /// Produced by blocking (batch: a meta-blocking candidate; online: an
+  /// index delta). Matches on other pairs count as discovered.
   bool candidate = false;
-  /// Batch: the update phase touched the pair (it has an evidence entry,
-  /// which matters because the evidence increment may be 0).
+  /// The update phase touched the pair (the batch checkpoint gives it an
+  /// evidence entry, which matters because the increment may be 0).
   bool has_evidence = false;
 };
 

@@ -7,8 +7,8 @@
 namespace minoan {
 
 ResolutionState::ResolutionState(const EntityCollection& collection,
-                                 const NeighborGraph* graph)
-    : collection_(&collection), graph_(graph), clusters_(0) {
+                                 const ResolutionSource* source)
+    : collection_(&collection), source_(source), clusters_(0) {
   if (collection.num_entities() > 0) {
     AddEntity(static_cast<EntityId>(collection.num_entities() - 1));
   }
@@ -59,19 +59,6 @@ uint32_t ResolutionState::ValueGain(EntityId a, EntityId b) {
   const size_t merged = va.size() + vb.size() - inter;
   const size_t larger = std::max(va.size(), vb.size());
   return static_cast<uint32_t>(merged - larger);
-}
-
-std::span<const EntityId> ResolutionState::NeighborsOf(EntityId e) const {
-  // Entities appended after a frozen graph was built fall through to the
-  // dynamic adjacency (or to no neighbors) instead of reading past the CSR.
-  if (graph_ != nullptr && e < graph_->num_entities()) {
-    return graph_->Neighbors(e);
-  }
-  if (dynamic_neighbors_ != nullptr && e < dynamic_neighbors_->size()) {
-    const auto& list = (*dynamic_neighbors_)[e];
-    return std::span<const EntityId>(list.data(), list.size());
-  }
-  return {};
 }
 
 double ResolutionState::MatchedNeighborFraction(EntityId a, EntityId b,

@@ -1,5 +1,6 @@
 // Copyright 2026 The MinoanER Authors.
-// Mutable resolution state: clusters, cluster profiles, neighbor bookkeeping.
+// Mutable resolution state: clusters, cluster profiles, neighbor bookkeeping,
+// and the source the progressive loop reads the corpus through.
 //
 // The progressive resolver updates this state after every confirmed match;
 // benefit estimators read it to score candidate comparisons against the
@@ -14,16 +15,45 @@
 
 #include "kb/collection.h"
 #include "kb/entity.h"
-#include "kb/neighbor_graph.h"
 #include "matching/union_find.h"
 
 namespace minoan {
 
+/// Where the progressive loop reads the corpus: the neighbor lists its
+/// update phase and the relationship-aware benefit models walk, and the
+/// profile similarity its matching phase scores. It also hears of every
+/// pair slot the loop creates. The batch source is a frozen NeighborGraph
+/// plus a SimilarityEvaluator (BatchSource, progressive/resolver.h); the
+/// online one is a growable adjacency plus profile views at the current idf
+/// (OnlineSource, online/online_resolver.h).
+class ResolutionSource {
+ public:
+  ResolutionSource() = default;
+  ResolutionSource(const ResolutionSource&) = delete;
+  ResolutionSource& operator=(const ResolutionSource&) = delete;
+  virtual ~ResolutionSource() = default;
+
+  /// Neighbors of `e`, empty for an entity the source does not cover. The
+  /// update phase reads the first max_neighbors_per_side entries, so the
+  /// order is part of the trajectory. Must be safe to call concurrently:
+  /// the parallel initial scoring prices slots through it.
+  virtual std::span<const EntityId> Neighbors(EntityId e) const = 0;
+
+  /// Profile similarity of (a, b) in [0, 1], without neighbor evidence.
+  virtual double Similarity(EntityId a, EntityId b) = 0;
+
+  /// Called once for each pair slot the loop creates (seeds, update-phase
+  /// discoveries, ProgressiveResolver::SlotFor), right after creation.
+  virtual void OnSlotCreated(uint64_t /*pair*/) {}
+};
+
 /// Tracks the partial resolution result during a progressive run.
 class ResolutionState {
  public:
+  /// `source` (optional, must outlive the state) supplies neighbor lists;
+  /// without one the neighbor-based measures read 0.
   ResolutionState(const EntityCollection& collection,
-                  const NeighborGraph* graph);
+                  const ResolutionSource* source);
 
   /// Records the match (a, b): merges clusters and cluster profiles.
   /// Returns true when the two were not already in the same cluster.
@@ -34,15 +64,6 @@ class ResolutionState {
   /// singleton cluster whose profile is its own attribute values. No-op for
   /// ids already covered.
   void AddEntity(EntityId id);
-
-  /// Online alternative to the frozen NeighborGraph: a growable adjacency
-  /// (indexed by entity id) consulted when no graph was given at
-  /// construction. The pointee must outlive this state and may grow; order
-  /// within each list is irrelevant.
-  void SetDynamicNeighbors(
-      const std::vector<std::vector<EntityId>>* adjacency) {
-    dynamic_neighbors_ = adjacency;
-  }
 
   bool SameCluster(EntityId a, EntityId b) {
     return clusters_.SameSet(a, b);
@@ -70,11 +91,13 @@ class ResolutionState {
   uint64_t matches_recorded() const { return matches_recorded_; }
 
  private:
-  std::span<const EntityId> NeighborsOf(EntityId e) const;
+  std::span<const EntityId> NeighborsOf(EntityId e) const {
+    if (source_ == nullptr) return {};
+    return source_->Neighbors(e);
+  }
 
   const EntityCollection* collection_;
-  const NeighborGraph* graph_;  // may be null (no relationship reasoning)
-  const std::vector<std::vector<EntityId>>* dynamic_neighbors_ = nullptr;
+  const ResolutionSource* source_;  // may be null (no relationship reasoning)
   UnionFind clusters_;
   /// Per current root: sorted distinct value ids of the cluster profile.
   std::vector<std::vector<uint32_t>> values_;

@@ -1,14 +1,12 @@
 // Copyright 2026 The MinoanER Authors.
-// The shared budgeted stepping core of MinoanER's progressive loop.
+// The budgeted stepping core of MinoanER's progressive loop.
 //
-// Both progressive drivers — the batch ProgressiveResolver and the online
-// OnlineResolver — spend a comparison budget the same way: pop the
-// highest-priority candidate, skip already-executed pairs, re-queue entries
-// whose priority drifted down past the staleness tolerance, execute the
-// rest. Both keep their per-pair state in the scheduler's slots and price a
-// slot with the one priority definition below; only the update phase's
-// neighbor source differs (a frozen graph in batch, a growable adjacency
-// online), so the loop itself lives here once, parameterized by callables.
+// ProgressiveResolver (progressive/resolver.h) is the one engine of the
+// schedule -> match -> update loop; the batch ResolutionSession and the
+// online OnlineResolver both drive it. Each call spends a comparison budget
+// the same way: pop the highest-priority candidate, skip already-executed
+// pairs, re-queue entries whose priority drifted down past the staleness
+// tolerance, execute the rest.
 //
 // The invariant this file owes its callers: for any n, running the loop
 // with max_comparisons = n/2 twice executes the byte-identical comparison
@@ -22,18 +20,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "kb/entity.h"
 #include "matching/matcher.h"
 #include "obs/metrics.h"
-#include "progressive/benefit.h"
 #include "progressive/evidence_options.h"
 #include "progressive/scheduler.h"
-#include "progressive/state.h"
-#include "util/hash.h"
 
 namespace minoan {
 
-/// Outcome of one budgeted stepping call (batch session or online engine).
+/// Outcome of one budgeted stepping call (batch Step or online
+/// ResolveBudget).
 struct StepResult {
   /// Comparisons executed by THIS call.
   uint64_t comparisons = 0;
@@ -49,10 +44,12 @@ struct StepResult {
   uint64_t requeues = 0;
   uint64_t skips = 0;
   /// Neighbor pairs whose evidence this call's matches raised (each one is
-  /// also a schedule push), and pairs the update phase saw for the first
-  /// time during this call.
+  /// also a schedule push); pairs the update phase created a slot for
+  /// during this call (blocking never produced them); and this call's
+  /// matches on such pairs.
   uint64_t evidence_updates = 0;
   uint64_t discovered_pairs = 0;
+  uint64_t discovered_matches = 0;
 };
 
 /// Similarity bonus of a slot's accumulated neighbor evidence.
@@ -62,28 +59,9 @@ inline double EvidenceBonus(const ScheduleSlot& slot,
   return evidence.weight * std::min(1.0, slot.evidence);
 }
 
-/// Priority of a slot against the current state: (blocking likelihood +
-/// capped evidence term) × (1 + benefit_weight · marginal benefit). Both
-/// loops price every push with it.
-inline double SlotPriority(const ScheduleSlot& slot,
-                           const BenefitEstimator& estimator,
-                           double benefit_weight,
-                           const EvidenceOptions& evidence,
-                           ResolutionState& state) {
-  const double benefit = estimator.PairBenefit(
-      PairKeyFirst(slot.pair), PairKeySecond(slot.pair), state);
-  double likelihood = slot.likelihood;
-  if (slot.evidence > 0.0) {
-    likelihood += evidence.priority * std::min(1.0, slot.evidence);
-  }
-  return likelihood * (1.0 + benefit_weight * benefit);
-}
-
 /// Pops and executes up to `max_comparisons` scheduled comparisons
-/// (0 = no per-call cap). The caller supplies three callables:
+/// (0 = no per-call cap). The caller supplies two callables:
 ///
-///   should_stop()           — extra stop condition checked before every
-///                             pop (overall budget, wall clock);
 ///   current_priority(slot)  — priority against the CURRENT state, for the
 ///                             staleness re-queue rule;
 ///   execute(slot)           — run the comparison (matching + update phase);
@@ -93,11 +71,10 @@ inline double SlotPriority(const ScheduleSlot& slot,
 /// Popped slots already executed are skipped here. Returns the comparisons
 /// spent, the loop accounting, and whether the queue drained; confirmed
 /// matches (and discovered pairs) are recorded on the caller's side.
-template <typename StopFn, typename PriorityFn, typename ExecuteFn>
+template <typename PriorityFn, typename ExecuteFn>
 StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
                                    uint64_t max_comparisons,
                                    double staleness_tolerance,
-                                   StopFn&& should_stop,
                                    PriorityFn&& current_priority,
                                    ExecuteFn&& execute) {
   StepResult out;
@@ -109,7 +86,6 @@ StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
   uint32_t slot = 0;
   double popped_priority = 0.0;
   while (max_comparisons == 0 || comparisons < max_comparisons) {
-    if (should_stop()) break;
     if (!scheduler.Pop(slot, popped_priority)) {
       out.exhausted = true;
       break;
@@ -140,8 +116,8 @@ StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
 
 /// Adds one stepping call's loop accounting to the process-wide
 /// progressive.{pops,requeues,skips,comparisons,evidence_updates,
-/// discovered_pairs} counters. Both loops call it once per
-/// Step/ResolveBudget call, never once per comparison.
+/// discovered_pairs,discovered_matches} counters. Both drivers call it once
+/// per Step/ResolveBudget call, never once per comparison.
 inline void RecordLoopCounters(const StepResult& step) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   static obs::Counter& pops = registry.counter("progressive.pops");
@@ -153,12 +129,15 @@ inline void RecordLoopCounters(const StepResult& step) {
       registry.counter("progressive.evidence_updates");
   static obs::Counter& discovered_pairs =
       registry.counter("progressive.discovered_pairs");
+  static obs::Counter& discovered_matches =
+      registry.counter("progressive.discovered_matches");
   pops.Add(step.pops);
   requeues.Add(step.requeues);
   skips.Add(step.skips);
   comparisons.Add(step.comparisons);
   evidence_updates.Add(step.evidence_updates);
   discovered_pairs.Add(step.discovered_pairs);
+  discovered_matches.Add(step.discovered_matches);
 }
 
 }  // namespace minoan

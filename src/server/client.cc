@@ -238,17 +238,6 @@ Result<std::string> Client::Links(uint64_t session) {
   return text;
 }
 
-Result<StatsReply> Client::Stats() {
-  MINOAN_ASSIGN_OR_RETURN(std::string reply, Call(MessageId::kStats, {}));
-  std::istringstream in(reply);
-  StatsReply out;
-  if (!serde::ReadU64(in, out.live_sessions) ||
-      !serde::ReadU64(in, out.total_sessions)) {
-    return Status::ParseError("truncated Stats reply");
-  }
-  return out;
-}
-
 Result<StatsFullReply> Client::StatsFull() {
   std::ostringstream body;
   serde::WriteU8(body, kStatsBodyV2);
@@ -313,7 +302,7 @@ Result<StatsFullReply> Client::StatsFull() {
   }
   out.tenants.reserve(serde::ClampedReserve(count));
   for (uint32_t i = 0; i < count; ++i) {
-    TenantStatsEntry t;
+    obs::TenantBreakdown t;
     if (!serde::ReadString(in, t.tenant, 1 << 10) ||
         !serde::ReadU64(in, t.sessions) || !serde::ReadU64(in, t.requests) ||
         !serde::ReadU64(in, t.comparisons) || !serde::ReadU64(in, t.matches) ||

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "matching/matcher.h"
+#include "obs/report.h"
 #include "online/online_resolver.h"
 #include "server/protocol.h"
 #include "util/status.h"
@@ -37,12 +38,6 @@ struct StepReply {
   uint64_t total_matches = 0;
 };
 
-/// Reply of Stats.
-struct StatsReply {
-  uint64_t live_sessions = 0;
-  uint64_t total_sessions = 0;
-};
-
 /// One histogram summary of the full (v2) stats body.
 struct HistogramStats {
   uint64_t count = 0;
@@ -54,19 +49,6 @@ struct HistogramStats {
   double p99 = 0;
 };
 
-/// One tenant's slice of the full stats body.
-struct TenantStatsEntry {
-  std::string tenant;
-  uint64_t sessions = 0;
-  uint64_t requests = 0;
-  uint64_t comparisons = 0;
-  uint64_t matches = 0;
-  uint64_t spill_bytes = 0;
-  double p50_request_micros = 0;
-  double p95_request_micros = 0;
-  double p99_request_micros = 0;
-};
-
 /// Reply of StatsFull: the whole metrics-registry snapshot plus the
 /// per-tenant breakdown (kStats v2 body, protocol.h).
 struct StatsFullReply {
@@ -75,7 +57,7 @@ struct StatsFullReply {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
   std::vector<std::pair<std::string, HistogramStats>> histograms;
-  std::vector<TenantStatsEntry> tenants;
+  std::vector<obs::TenantBreakdown> tenants;
 
   /// Counter value by name; 0 when absent.
   uint64_t CounterValue(std::string_view name) const;
@@ -126,9 +108,7 @@ class Client {
   /// The owl:sameAs N-Triples text of the session's clustered matches.
   Result<std::string> Links(uint64_t session);
 
-  Result<StatsReply> Stats();
-  /// The v2 full stats body (registry snapshot + per-tenant breakdown).
-  /// Requires a server that speaks the v2 body; Stats() works everywhere.
+  /// The full stats body (registry snapshot + per-tenant breakdown).
   Result<StatsFullReply> StatsFull();
   Status Ping();
 

@@ -57,8 +57,6 @@
 //       The owl:sameAs links of UniqueMappingClustering over the matches
 //       so far — byte-identical to the file `minoan resolve` writes for
 //       the same corpus, options, and spent budget.
-//   kStats          (empty) -> u64 live sessions, u64 total sessions
-//       The legacy v1 body, still served byte-identically to old clients.
 //   kStats          u8 kStatsBodyV2
 //                   -> u8 kStatsBodyV2, u64 live sessions,
 //                      u64 total sessions,
@@ -72,18 +70,16 @@
 //                                    u64 requests, u64 comparisons,
 //                                    u64 matches, u64 spill_bytes,
 //                                    f64 p50/p95/p99 request micros}
-//       The v2 full body: the whole metrics-registry snapshot (counters,
-//       gauges, histogram summaries with log2-bucket quantiles) plus the
-//       per-tenant breakdown the server attributes via scoped registries.
-//       Tenant counter sums never exceed the matching process totals.
+//       The whole metrics-registry snapshot (counters, gauges, histogram
+//       summaries with log2-bucket quantiles) plus the per-tenant breakdown
+//       the server attributes via scoped registries. Tenant counter sums
+//       never exceed the matching process totals. An empty body is a
+//       truncated request (kParseError), like any other short body.
 //   kPing           (empty) -> (empty)
 //
 // Compatibility: adding a message id is backward compatible; changing a
 // body layout requires bumping kProtocolVersion (the server rejects
-// versions it does not speak with kFailedPrecondition). Growing a request
-// body with a leading discriminator is also backward compatible when the
-// old body was empty: a v1 client sends zero bytes for kStats and gets the
-// two-u64 reply; a client that writes kStatsBodyV2 gets the full body.
+// versions it does not speak with kFailedPrecondition).
 
 #ifndef MINOAN_SERVER_PROTOCOL_H_
 #define MINOAN_SERVER_PROTOCOL_H_
@@ -113,8 +109,8 @@ enum class MessageId : uint16_t {
   kPing = 11,
 };
 
-/// Leading request-body byte selecting the full kStats reply. An empty
-/// request body selects the legacy two-u64 reply (see the layout above).
+/// Leading byte of the kStats request body and of its reply (see the
+/// layout above); other values are rejected.
 inline constexpr uint8_t kStatsBodyV2 = 2;
 
 /// Session kind carried by kCreateSession.

@@ -183,21 +183,15 @@ Status RunCommand(Client& client, std::map<std::string, uint64_t>& sessions,
     return Status::Ok();
   }
   if (cmd == "stats") {
-    // stats [--full]: --full asks for the kStats v2 body (whole registry +
-    // per-tenant breakdown); bare stats stays the legacy two-number reply.
+    // stats [--full]: bare stats prints the session counts only; --full
+    // adds the whole registry and the per-tenant breakdown.
     const bool full =
         tokens.size() > 1 && (tokens[1] == "--full" || tokens[1] == "full");
-    if (!full) {
-      MINOAN_ASSIGN_OR_RETURN(const auto stats, client.Stats());
-      Print(out, "sessions: %llu live / %llu total\n",
-            static_cast<unsigned long long>(stats.live_sessions),
-            static_cast<unsigned long long>(stats.total_sessions));
-      return Status::Ok();
-    }
     MINOAN_ASSIGN_OR_RETURN(const auto stats, client.StatsFull());
     Print(out, "sessions: %llu live / %llu total\n",
           static_cast<unsigned long long>(stats.live_sessions),
           static_cast<unsigned long long>(stats.total_sessions));
+    if (!full) return Status::Ok();
     for (const auto& [name, value] : stats.counters) {
       Print(out, "counter %s = %llu\n", name.c_str(),
             static_cast<unsigned long long>(value));

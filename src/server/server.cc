@@ -708,20 +708,13 @@ std::string Server::HandlePing(std::istream&, RequestContext&) {
 
 std::string Server::HandleStats(std::istream& body, RequestContext&) {
   uint8_t version = 0;
-  const bool full = serde::ReadU8(body, version);
-  if (full && version != kStatsBodyV2) {
+  if (!serde::ReadU8(body, version)) return Truncated("Stats");
+  if (version != kStatsBodyV2) {
     return ErrorBody(Status::InvalidArgument("unsupported stats body version " +
                                              std::to_string(version)));
   }
   std::ostringstream out;
   WriteStatusPrefix(out, Status::Ok());
-  if (!full) {
-    // Legacy v1 request (empty body): the original two-u64 reply, byte for
-    // byte — old clients parse exactly this and nothing more.
-    serde::WriteU64(out, sessions_.live_sessions());
-    serde::WriteU64(out, sessions_.num_sessions());
-    return out.str();
-  }
   serde::WriteU8(out, kStatsBodyV2);
   serde::WriteU64(out, sessions_.live_sessions());
   serde::WriteU64(out, sessions_.num_sessions());

@@ -11,6 +11,7 @@
 #include "datagen/lod_generator.h"
 #include "eval/ground_truth.h"
 #include "gtest/gtest.h"
+#include "scratch_dir.h"
 #include "kb/stats.h"
 #include "rdf/ntriples.h"
 #include "text/similarity.h"
@@ -287,8 +288,8 @@ TEST(GeneratorTest, ProprietaryVocabularyRateHonored) {
 // ---------------------------------------------------------------------------
 
 TEST(GeneratorTest, WriteToAndReparse) {
-  const std::string dir = ::testing::TempDir() + "/lodcloud";
-  std::filesystem::remove_all(dir);
+  const testutil::ScratchDir scratch("datagen-lodcloud");
+  const std::string dir = scratch.str() + "/lodcloud";
   auto cloud = GenerateLodCloud(SmallConfig(23));
   ASSERT_TRUE(cloud.ok());
   ASSERT_TRUE(cloud->WriteTo(dir).ok());

@@ -11,6 +11,7 @@
 #include "eval/metrics.h"
 #include "eval/progressive_metrics.h"
 #include "gtest/gtest.h"
+#include "scratch_dir.h"
 #include "rdf/ntriples.h"
 
 namespace minoan {
@@ -156,8 +157,8 @@ TEST(PipelineTest, AllBlockerChoicesRun) {
 
 TEST(PipelineTest, FileBasedRoundTrip) {
   // Generate -> write N-Triples -> re-ingest from disk -> resolve.
-  const std::string dir = ::testing::TempDir() + "/pipeline_cloud";
-  std::filesystem::remove_all(dir);
+  const testutil::ScratchDir scratch("integration-pipeline");
+  const std::string dir = scratch.str() + "/pipeline_cloud";
   auto cloud = datagen::GenerateLodCloud(MediumConfig(223));
   ASSERT_TRUE(cloud.ok());
   ASSERT_TRUE(cloud->WriteTo(dir).ok());

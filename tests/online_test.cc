@@ -436,8 +436,11 @@ TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
   obs::Counter& evidence_updates =
       registry.counter("progressive.evidence_updates");
   obs::Counter& discovered = registry.counter("progressive.discovered_pairs");
+  obs::Counter& discovered_matches =
+      registry.counter("progressive.discovered_matches");
   for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons,
-                           &evidence_updates, &discovered}) {
+                           &evidence_updates, &discovered,
+                           &discovered_matches}) {
     c->Reset();
   }
   const uint64_t discovered_before = resolver.discovered_pairs();
@@ -452,6 +455,7 @@ TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
     total.comparisons += step.comparisons;
     total.evidence_updates += step.evidence_updates;
     total.discovered_pairs += step.discovered_pairs;
+    total.discovered_matches += step.discovered_matches;
     total.exhausted = step.exhausted;
   }
   EXPECT_EQ(total.comparisons, resolver.run().comparisons_executed);
@@ -465,6 +469,8 @@ TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
   EXPECT_EQ(comparisons.Value(), total.comparisons);
   EXPECT_EQ(evidence_updates.Value(), total.evidence_updates);
   EXPECT_EQ(discovered.Value(), total.discovered_pairs);
+  EXPECT_EQ(discovered_matches.Value(), total.discovered_matches);
+  EXPECT_GT(total.discovered_matches, 0u);
 }
 
 TEST(OnlineResolverTest, QueryDeterministicAndIdempotent) {
@@ -544,9 +550,9 @@ TEST(OnlineResolverTest, SameAsSeedsResolveAtZeroCost) {
 }
 
 TEST(OnlineResolverTest, DynamicNeighborsFeedRelationshipBenefit) {
-  // Without a frozen NeighborGraph, ResolutionState must read neighbors
-  // from the growable adjacency so relationship-aware benefit models work
-  // online.
+  // Without a frozen NeighborGraph, the engine's ResolutionState must read
+  // neighbors from the online source's growable adjacency so
+  // relationship-aware benefit models work online.
   const char* kb0_doc = R"(
 <http://x/na> <http://v/name> "north annex" .
 <http://x/a> <http://v/name> "alpha core" .
@@ -557,28 +563,22 @@ TEST(OnlineResolverTest, DynamicNeighborsFeedRelationshipBenefit) {
 <http://y/b> <http://v/label> "alpha kernel" .
 <http://y/b> <http://v/near> <http://y/nb> .
 )";
-  IncrementalCollection inc;
-  const uint32_t kb0 = inc.EnsureKb("kb0");
+  OnlineResolver resolver{OnlineOptions{}};
+  const uint32_t kb0 = resolver.EnsureKb("kb0");
   for (const auto& e : GroupBySubject(Parse(kb0_doc))) {
-    ASSERT_TRUE(inc.Ingest(kb0, e).ok());
+    ASSERT_TRUE(resolver.Ingest(kb0, e).ok());
   }
-  const uint32_t kb1 = inc.EnsureKb("kb1");
+  const uint32_t kb1 = resolver.EnsureKb("kb1");
   for (const auto& e : GroupBySubject(Parse(kb1_doc))) {
-    ASSERT_TRUE(inc.Ingest(kb1, e).ok());
+    ASSERT_TRUE(resolver.Ingest(kb1, e).ok());
   }
-  const EntityId a = inc.collection().FindByIri("http://x/a");
-  const EntityId na = inc.collection().FindByIri("http://x/na");
-  const EntityId b = inc.collection().FindByIri("http://y/b");
-  const EntityId nb = inc.collection().FindByIri("http://y/nb");
+  const EntityCollection& c = resolver.collection();
+  const EntityId a = c.FindByIri("http://x/a");
+  const EntityId na = c.FindByIri("http://x/na");
+  const EntityId b = c.FindByIri("http://y/b");
+  const EntityId nb = c.FindByIri("http://y/nb");
 
-  ResolutionState state(inc.collection(), nullptr);
-  std::vector<std::vector<EntityId>> adjacency(inc.num_entities());
-  adjacency[a].push_back(na);
-  adjacency[na].push_back(a);
-  adjacency[b].push_back(nb);
-  adjacency[nb].push_back(b);
-  state.SetDynamicNeighbors(&adjacency);
-
+  ResolutionState& state = resolver.state();
   EXPECT_DOUBLE_EQ(state.MatchedNeighborFraction(a, b, 16), 0.0);
   state.RecordMatch(na, nb);
   EXPECT_DOUBLE_EQ(state.MatchedNeighborFraction(a, b, 16), 1.0);

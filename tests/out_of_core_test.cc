@@ -24,6 +24,7 @@
 #include "extmem/shuffle.h"
 #include "extmem/spill_file.h"
 #include "gtest/gtest.h"
+#include "scratch_dir.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
 
@@ -31,32 +32,6 @@ namespace minoan {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// A fresh directory under the system temp dir that the test removes; any
-/// entry still present at assertion time is a leaked spill artifact.
-class TempBase {
- public:
-  explicit TempBase(const char* tag) {
-    path_ = fs::temp_directory_path() /
-            (std::string("minoan-ooc-test-") + tag);
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempBase() { fs::remove_all(path_); }
-
-  std::string str() const { return path_.string(); }
-
-  size_t NumEntries() const {
-    size_t n = 0;
-    for ([[maybe_unused]] const auto& entry : fs::directory_iterator(path_)) {
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  fs::path path_;
-};
 
 /// Builds a shuffle record ([u32 LE key_len][key][payload]) from a string
 /// key and arbitrary payload bytes.
@@ -139,7 +114,7 @@ std::vector<std::string> CodecSampleRecords() {
 }
 
 TEST(RunCodecTest, RoundTripsFrontCodedRecords) {
-  TempBase base("codec");
+  testutil::ScratchDir base("ooc-codec");
   const std::string path = base.str() + "/run-0.spill";
   const std::vector<std::string> records = CodecSampleRecords();
   uint64_t compressed = 0;
@@ -165,7 +140,7 @@ TEST(RunCodecTest, RoundTripsFrontCodedRecords) {
 
 TEST(RunCodecTest, RoundTripsUnsortedRecords) {
   // Sorted order is a compression hint, not a correctness requirement.
-  TempBase base("codec-unsorted");
+  testutil::ScratchDir base("ooc-codec-unsorted");
   const std::string path = base.str() + "/run-0.spill";
   const std::vector<std::string> records = {
       StringRecord("zebra", "1"), StringRecord("apple", "2"),
@@ -185,7 +160,7 @@ TEST(RunCodecTest, RoundTripsUnsortedRecords) {
 }
 
 TEST(RunCodecTest, BadMagicThrows) {
-  TempBase base("codec-magic");
+  testutil::ScratchDir base("ooc-codec-magic");
   const std::string path = base.str() + "/run-0.spill";
   WriteFileBytes(path, "NOTARUN!rest of the file");
   EXPECT_THROW(extmem::CompressedRunReader reader(path), extmem::SpillError);
@@ -206,7 +181,7 @@ size_t DrainRun(const std::string& path) {
 }
 
 TEST(RunCodecTest, TruncationFuzzNeverCrashes) {
-  TempBase base("codec-trunc");
+  testutil::ScratchDir base("ooc-codec-trunc");
   const std::string full_path = base.str() + "/full.spill";
   const std::vector<std::string> records = CodecSampleRecords();
   {
@@ -232,7 +207,7 @@ TEST(RunCodecTest, TruncationFuzzNeverCrashes) {
 }
 
 TEST(RunCodecTest, BitFlipFuzzNeverCrashes) {
-  TempBase base("codec-flip");
+  testutil::ScratchDir base("ooc-codec-flip");
   const std::string full_path = base.str() + "/full.spill";
   const std::vector<std::string> records = CodecSampleRecords();
   {
@@ -284,7 +259,7 @@ TEST(CascadeMergeTest, ParityAtSmallFanIns) {
   ASSERT_EQ(expected.size(), kRecords);
 
   for (const uint32_t fanin : {2u, 3u, 7u}) {
-    TempBase base("cascade");
+    testutil::ScratchDir base("ooc-cascade");
     extmem::ScopedSpillDir dir(base.str());
     extmem::ResetSpillTelemetry();
     extmem::SpillShuffle spilled(/*run_bytes=*/256, &dir, fanin);
@@ -309,7 +284,7 @@ TEST(CascadeMergeTest, ParityAtSmallFanIns) {
 }
 
 TEST(CascadeMergeTest, FailedMergeRemovesPartialOutput) {
-  TempBase base("cascade-fail");
+  testutil::ScratchDir base("ooc-cascade-fail");
   size_t files_before_finish = 0;
   {
     extmem::ScopedSpillDir dir(base.str());
@@ -366,7 +341,7 @@ TEST(StreamingPostingsTest, MatchesMaterializedPostings) {
       });
   ASSERT_GT(reference.size(), 0u);
 
-  TempBase base("stream-postings");
+  testutil::ScratchDir base("ooc-stream-postings");
   extmem::MemoryBudgetOptions memory;
   memory.shuffle_budget_bytes = 16 << 10;
   memory.spill_dir = base.str();
@@ -572,7 +547,7 @@ class OutOfCorePipelineTest : public ::testing::Test {
 EntityCollection* OutOfCorePipelineTest::collection_ = nullptr;
 
 TEST_F(OutOfCorePipelineTest, EveryBlockerAndEdgePruningIsByteIdentical) {
-  TempBase base("pipeline");
+  testutil::ScratchDir base("ooc-pipeline");
   extmem::MemoryBudgetOptions memory;
   memory.shuffle_budget_bytes = 16 << 10;
   memory.spill_dir = base.str();

@@ -295,7 +295,9 @@ EntityCollection StateFixture() {
 TEST(StateTest, ClusterValuesMergeOnMatch) {
   EntityCollection c = StateFixture();
   NeighborGraph graph(c);
-  ResolutionState state(c, &graph);
+  SimilarityEvaluator evaluator(c);
+  BatchSource source(graph, evaluator);
+  ResolutionState state(c, &source);
   const EntityId a1 = c.FindByIri("http://a/1");
   const EntityId b1 = c.FindByIri("http://b/1");
   const size_t before_a = state.ClusterValues(a1).size();
@@ -332,7 +334,9 @@ TEST(StateTest, ValueGainCountsNovelValues) {
 TEST(StateTest, MatchedNeighborTracking) {
   EntityCollection c = StateFixture();
   NeighborGraph graph(c);
-  ResolutionState state(c, &graph);
+  SimilarityEvaluator evaluator(c);
+  BatchSource source(graph, evaluator);
+  ResolutionState state(c, &source);
   const EntityId a1 = c.FindByIri("http://a/1");
   const EntityId a2 = c.FindByIri("http://a/2");
   const EntityId b1 = c.FindByIri("http://b/1");
@@ -403,7 +407,9 @@ TEST(BenefitTest, AttributeCompletenessPrefersNovelProfiles) {
 TEST(BenefitTest, RelationshipCompletenessRewardsMatchedNeighbors) {
   EntityCollection c = StateFixture();
   NeighborGraph graph(c);
-  ResolutionState state(c, &graph);
+  SimilarityEvaluator evaluator(c);
+  BatchSource source(graph, evaluator);
+  ResolutionState state(c, &source);
   BenefitEstimator est(BenefitModel::kRelationshipCompleteness);
   const EntityId a1 = c.FindByIri("http://a/1");
   const EntityId b1 = c.FindByIri("http://b/1");
@@ -543,6 +549,41 @@ TEST(ResolverTest, UpdatePhaseDiscoversBlockingMissedMatches) {
     return n;
   };
   EXPECT_GT(correct(on), correct(off));
+}
+
+TEST(ResolverTest, DiscoveredPairCountsOnceAtZeroIncrement) {
+  // Matches (a1, b1) and (a2, b2) both vouch for the neighbor pair (na, nb),
+  // which blocking never produced. At evidence increment 0 the pair's
+  // evidence stays 0 after each update, yet it is one discovered pair.
+  EntityCollection c;
+  ASSERT_TRUE(c.AddKnowledgeBase("a", Parse(R"(
+<http://a/1> <http://a/p> "alpha beta" .
+<http://a/2> <http://a/p> "gamma delta" .
+<http://a/n> <http://a/p> "north" .
+<http://a/1> <http://a/rel> <http://a/n> .
+<http://a/2> <http://a/rel> <http://a/n> .
+)")).ok());
+  ASSERT_TRUE(c.AddKnowledgeBase("b", Parse(R"(
+<http://b/1> <http://b/p> "alpha beta" .
+<http://b/2> <http://b/p> "gamma delta" .
+<http://b/n> <http://b/p> "south" .
+<http://b/1> <http://b/rel> <http://b/n> .
+<http://b/2> <http://b/rel> <http://b/n> .
+)")).ok());
+  ASSERT_TRUE(c.Finalize().ok());
+  const NeighborGraph graph(c);
+  const SimilarityEvaluator evaluator(c);
+  ProgressiveOptions opts;
+  opts.matcher.threshold = 0.5;
+  opts.evidence.increment = 0.0;
+  ProgressiveResolver resolver(c, graph, evaluator, opts);
+  const auto id = [&c](const char* iri) { return c.FindByIri(iri); };
+  resolver.Begin({{id("http://a/1"), id("http://b/1"), 1.0},
+                  {id("http://a/2"), id("http://b/2"), 1.0}});
+  const StepResult step = resolver.Step(0);
+  ASSERT_EQ(step.matches.size(), 2u);
+  EXPECT_EQ(step.discovered_pairs, 1u);
+  EXPECT_EQ(resolver.result().discovered_pairs, 1u);
 }
 
 TEST(ResolverTest, EvidenceAssistedMatchesAreCountedAndReal) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "gtest/gtest.h"
+#include "scratch_dir.h"
 #include "rdf/iri.h"
 #include "rdf/ntriples.h"
 #include "rdf/term.h"
@@ -249,7 +250,8 @@ TEST(StreamTest, CrLfLineEndings) {
 }
 
 TEST(StreamTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/roundtrip.nt";
+  const testutil::ScratchDir scratch("rdf-roundtrip");
+  const std::string path = scratch.str() + "/roundtrip.nt";
   std::vector<Triple> original = {
       {Term::Iri("http://x/s"), Term::Iri("http://x/p"),
        Term::Literal("v w", "", "en")},

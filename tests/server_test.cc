@@ -27,11 +27,13 @@
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/script.h"
 #include "server/server.h"
 #include "server/session_manager.h"
+#include "server/wire.h"
 #include "util/serde.h"
 
 namespace minoan {
@@ -42,15 +44,6 @@ std::string SyntheticSource(uint64_t seed, uint32_t entities = 120,
                             uint32_t kbs = 3, uint32_t center = 1) {
   return "synthetic:" + std::to_string(seed) + ":" + std::to_string(entities) +
          ":" + std::to_string(kbs) + ":" + std::to_string(center);
-}
-
-std::string FreshStateDir(const char* tag) {
-  const std::string dir = std::string(::testing::TempDir()) +
-                          "minoan-server-test-" + tag + "-" +
-                          std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 /// The in-process ground truth: one ResolutionSession over the same corpus
@@ -111,7 +104,8 @@ void RunConcurrentTenants(uint32_t num_threads) {
   ASSERT_FALSE(want_b.empty());
 
   ServerOptions options;
-  options.state_dir = FreshStateDir("tenants");
+  const testutil::ScratchDir state_dir("server-tenants");
+  options.state_dir = state_dir.str();
   options.num_threads = num_threads;
   options.installment = 64;  // force many fair-share admissions per step
   auto server = Server::Start(options);
@@ -148,7 +142,8 @@ TEST(ServerTest, EvictRestoreMidStreamIsInvisible) {
   ASSERT_FALSE(want.empty());
 
   ServerOptions options;
-  options.state_dir = FreshStateDir("evict");
+  const testutil::ScratchDir state_dir("server-evict");
+  options.state_dir = state_dir.str();
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -192,14 +187,17 @@ TEST(ServerTest, OnlineEvictRestoreMatchesUninterruptedRun) {
       "Turing\" .\n";
 
   struct Run {
+    std::unique_ptr<testutil::ScratchDir> state_dir;  // outlives the server
     std::unique_ptr<Server> server;
     std::unique_ptr<Client> client;
     uint64_t session = 0;
   };
   auto start = [&](const char* tag) {
     Run run;
+    run.state_dir =
+        std::make_unique<testutil::ScratchDir>(std::string("server-") + tag);
     ServerOptions options;
-    options.state_dir = FreshStateDir(tag);
+    options.state_dir = run.state_dir->str();
     auto server = Server::Start(options);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     run.server = std::move(server).value();
@@ -256,7 +254,8 @@ TEST(ServerTest, OnlineEvictRestoreMatchesUninterruptedRun) {
 
 TEST(ServerTest, LruCapEvictsAndRestoresTransparently) {
   ServerOptions options;
-  options.state_dir = FreshStateDir("cap");
+  const testutil::ScratchDir state_dir("server-cap");
+  options.state_dir = state_dir.str();
   options.max_sessions = 1;
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -342,7 +341,8 @@ std::string FrameBytes(uint16_t id, const std::string& body) {
 
 TEST(ServerTest, MalformedFramesAreRejectedWithoutCrashing) {
   ServerOptions options;
-  options.state_dir = FreshStateDir("fuzz");
+  const testutil::ScratchDir state_dir("server-fuzz");
+  options.state_dir = state_dir.str();
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const uint16_t port = (*server)->port();
@@ -446,7 +446,8 @@ size_t OpenFdCount() {
 
 TEST(ServerTest, ShutdownLeavesRecycledDescriptorsAlone) {
   ServerOptions options;
-  options.state_dir = FreshStateDir("fds");
+  const testutil::ScratchDir state_dir("server-fds");
+  options.state_dir = state_dir.str();
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const size_t baseline = OpenFdCount();
@@ -478,7 +479,8 @@ TEST(ServerTest, ShutdownLeavesRecycledDescriptorsAlone) {
 
 TEST(ServerTest, ServerSideErrorsLeaveTheConnectionUsable) {
   ServerOptions options;
-  options.state_dir = FreshStateDir("errors");
+  const testutil::ScratchDir state_dir("server-errors");
+  options.state_dir = state_dir.str();
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   auto client = Client::Connect("127.0.0.1", (*server)->port());
@@ -527,7 +529,8 @@ TEST(ScriptTest, ScriptReplayIsDeterministic) {
   config.center_kbs = 2;
   auto cloud = datagen::GenerateLodCloud(config);
   ASSERT_TRUE(cloud.ok());
-  const std::string dir = FreshStateDir("script-cloud");
+  const testutil::ScratchDir cloud_dir("server-script-cloud");
+  const std::string dir = cloud_dir.str();
   ASSERT_TRUE(cloud->WriteTo(dir).ok());
   const auto ingest = [&](const datagen::GeneratedKb& kb) {
     return "ingest cold " + kb.name + " " + dir + "/" + kb.name + ".nt\n";
@@ -545,7 +548,8 @@ TEST(ScriptTest, ScriptReplayIsDeterministic) {
 
   const auto run_once = [&](const char* tag) {
     ServerOptions options;
-    options.state_dir = FreshStateDir(tag);
+    const testutil::ScratchDir state_dir(std::string("server-") + tag);
+    options.state_dir = state_dir.str();
     auto server = Server::Start(options);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     auto [status, out] = RunScriptText((*server)->port(), script);
@@ -563,7 +567,8 @@ TEST(ScriptTest, ScriptReplayIsDeterministic) {
 
 TEST(ScriptTest, BadCommandsFailAndPrintNothing) {
   ServerOptions options;
-  options.state_dir = FreshStateDir("script-errors");
+  const testutil::ScratchDir state_dir("server-script-errors");
+  options.state_dir = state_dir.str();
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   const uint16_t port = (*server)->port();
@@ -599,7 +604,8 @@ TEST(ServerStatsTest, StatsV2TwoTenantBreakdownSumsToProcessTotals) {
   const std::string source_a = SyntheticSource(41);
   const std::string source_b = SyntheticSource(43, 90, 4, 2);
   ServerOptions options;
-  options.state_dir = FreshStateDir("stats-v2");
+  const testutil::ScratchDir state_dir("server-stats-v2");
+  options.state_dir = state_dir.str();
   options.installment = 64;
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -613,23 +619,18 @@ TEST(ServerStatsTest, StatsV2TwoTenantBreakdownSumsToProcessTotals) {
 
   auto client = Client::Connect("127.0.0.1", (*server)->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  // The v1 reply still works on the same connection as v2. Both tenants
-  // closed their sessions, so the session-store counts read zero — the
-  // tenant breakdown below still remembers their lifetime totals.
-  auto v1 = (*client)->Stats();
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_EQ(v1->live_sessions, 0u);
-
+  // Both tenants closed their sessions, so the session-store count of live
+  // sessions reads zero — the tenant breakdown below still remembers their
+  // lifetime totals.
   auto full = (*client)->StatsFull();
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_EQ(full->live_sessions, v1->live_sessions);
-  EXPECT_EQ(full->total_sessions, v1->total_sessions);
+  EXPECT_EQ(full->live_sessions, 0u);
   ASSERT_EQ(full->tenants.size(), 2u);
   EXPECT_EQ(full->tenants[0].tenant, "alice");
   EXPECT_EQ(full->tenants[1].tenant, "bob");
 
   uint64_t sum_sessions = 0, sum_comparisons = 0, sum_matches = 0;
-  for (const TenantStatsEntry& tenant : full->tenants) {
+  for (const obs::TenantBreakdown& tenant : full->tenants) {
     EXPECT_GT(tenant.sessions, 0u) << tenant.tenant;
     EXPECT_GT(tenant.requests, 0u) << tenant.tenant;
     EXPECT_GT(tenant.comparisons, 0u) << tenant.tenant;
@@ -667,25 +668,36 @@ TEST(ServerStatsTest, StatsV2TwoTenantBreakdownSumsToProcessTotals) {
   (*server)->Shutdown();
 }
 
-TEST(ServerStatsTest, LegacyStatsWireReplyIsUnchanged) {
+TEST(ServerStatsTest, EmptyStatsBodyIsRejected) {
   ServerOptions options;
-  options.state_dir = FreshStateDir("stats-v1-wire");
+  const testutil::ScratchDir state_dir("server-stats-empty");
+  options.state_dir = state_dir.str();
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  // An old client sends kStats with an empty body and must get exactly the
-  // legacy reply: ok status (u8 0 + empty-string u64 length) + two u64
-  // session counts = 25 body bytes, framed as 4 (length) + 1 (version) +
-  // 2 (id) ahead of it.
+  // An empty kStats body is a truncated request: a ParseError reply, and
+  // the connection goes on serving the Ping sent after it.
   RawConnection conn((*server)->port());
   ASSERT_TRUE(conn.connected());
   conn.Send(FrameBytes(static_cast<uint16_t>(MessageId::kStats), ""));
-  const std::string reply = conn.DrainToEof();
-  ASSERT_EQ(reply.size(), 32u);
-  std::istringstream in(reply);
-  uint32_t frame_len = 0;
-  ASSERT_TRUE(serde::ReadU32(in, frame_len));
-  EXPECT_EQ(frame_len, 28u);
+  conn.Send(FrameBytes(static_cast<uint16_t>(MessageId::kPing), ""));
+  std::istringstream in(conn.DrainToEof());
+  const auto reply_status = [&in](MessageId want) {
+    uint32_t length = 0;
+    uint8_t version = 0;
+    uint16_t id = 0;
+    if (!serde::ReadU32(in, length) || length < 3 ||
+        !serde::ReadU8(in, version) || !serde::ReadU16(in, id)) {
+      return Status::IoError("missing reply frame");
+    }
+    EXPECT_EQ(id, static_cast<uint16_t>(want));
+    std::string body(length - 3, '\0');
+    in.read(body.data(), static_cast<std::streamsize>(body.size()));
+    std::istringstream body_in(body);
+    return ReadStatusPrefix(body_in);
+  };
+  EXPECT_EQ(reply_status(MessageId::kStats).code(), StatusCode::kParseError);
+  EXPECT_TRUE(reply_status(MessageId::kPing).ok());
 
   // An unknown stats-body discriminator is an error reply, not a crash.
   RawConnection bad((*server)->port());
@@ -699,7 +711,8 @@ TEST(ServerStatsTest, LegacyStatsWireReplyIsUnchanged) {
 }
 
 TEST(ServerStatsTest, ExporterWritesRollingSnapshotsAndEventLog) {
-  const std::string dir = FreshStateDir("exporter");
+  const testutil::ScratchDir state_dir("server-exporter");
+  const std::string dir = state_dir.str();
   ServerOptions options;
   options.state_dir = dir;
   options.stats_path = dir + "/stats.json";
@@ -771,9 +784,10 @@ struct ServedArtifacts {
 };
 
 ServedArtifacts RunServed(uint32_t num_threads, bool observed) {
+  const testutil::ScratchDir state_dir(observed ? "server-parity-observed"
+                                                : "server-parity-plain");
   ServerOptions options;
-  options.state_dir =
-      FreshStateDir(observed ? "parity-observed" : "parity-plain");
+  options.state_dir = state_dir.str();
   options.num_threads = num_threads;
   options.installment = 64;
   if (observed) {

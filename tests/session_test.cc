@@ -156,8 +156,11 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
   obs::Counter& evidence_updates =
       registry.counter("progressive.evidence_updates");
   obs::Counter& discovered = registry.counter("progressive.discovered_pairs");
+  obs::Counter& discovered_matches =
+      registry.counter("progressive.discovered_matches");
   for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons,
-                           &evidence_updates, &discovered}) {
+                           &evidence_updates, &discovered,
+                           &discovered_matches}) {
     c->Reset();
   }
 
@@ -177,6 +180,7 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
     total.comparisons += step.comparisons;
     total.evidence_updates += step.evidence_updates;
     total.discovered_pairs += step.discovered_pairs;
+    total.discovered_matches += step.discovered_matches;
   }
   EXPECT_EQ(total.comparisons, session->comparisons_spent());
   EXPECT_EQ(total.pops, total.comparisons + total.requeues + total.skips);
@@ -188,6 +192,7 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
   EXPECT_EQ(comparisons.Value(), total.comparisons);
   EXPECT_EQ(evidence_updates.Value(), total.evidence_updates);
   EXPECT_EQ(discovered.Value(), total.discovered_pairs);
+  EXPECT_EQ(discovered_matches.Value(), total.discovered_matches);
 
   // Without seeds, every push is a primed candidate, a stale re-queue, or
   // an evidence update, and every discovery happens inside a Step.
@@ -196,6 +201,8 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
             report.comparisons_after_meta + requeues.Value() +
                 evidence_updates.Value());
   EXPECT_EQ(discovered.Value(), report.progressive.discovered_pairs);
+  EXPECT_EQ(discovered_matches.Value(),
+            report.progressive.discovered_matches);
 }
 
 TEST(SessionTest, StepSplitParityWithSeeds) {

@@ -21,6 +21,7 @@
 #include "extmem/shuffle.h"
 #include "extmem/spill_file.h"
 #include "gtest/gtest.h"
+#include "scratch_dir.h"
 #include "metablocking/blocking_graph.h"
 #include "metablocking/meta_blocking.h"
 #include "metablocking/sharded_prune.h"
@@ -30,33 +31,6 @@ namespace minoan {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// A fresh directory under the system temp dir that the test removes; any
-/// "minoan-spill-*" subdirectory still present at assertion time is a
-/// leaked spill dir.
-class TempBase {
- public:
-  explicit TempBase(const char* tag) {
-    path_ = fs::temp_directory_path() /
-            (std::string("minoan-spill-test-") + tag);
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempBase() { fs::remove_all(path_); }
-
-  std::string str() const { return path_.string(); }
-
-  size_t NumEntries() const {
-    size_t n = 0;
-    for ([[maybe_unused]] const auto& entry : fs::directory_iterator(path_)) {
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  fs::path path_;
-};
 
 std::string MakeRecord(uint32_t key, uint32_t payload) {
   std::string record;
@@ -70,7 +44,7 @@ std::string MakeRecord(uint32_t key, uint32_t payload) {
 // ---------------------------------------------------------------------------
 
 TEST(SpillFileTest, RoundTripsBinaryRecords) {
-  TempBase base("file");
+  testutil::ScratchDir base("spill-file");
   const std::string path = base.str() + "/run-0.spill";
   const std::vector<std::string> records = {
       std::string("plain"), std::string("\x00\xff\x00", 3), std::string(),
@@ -91,7 +65,7 @@ TEST(SpillFileTest, RoundTripsBinaryRecords) {
 }
 
 TEST(SpillFileTest, MissingFileAndTruncationThrow) {
-  TempBase base("file-err");
+  testutil::ScratchDir base("spill-file-err");
   EXPECT_THROW(extmem::SpillFileReader(base.str() + "/absent.spill"),
                extmem::SpillError);
   const std::string path = base.str() + "/trunc.spill";
@@ -141,7 +115,7 @@ TEST(SpillShuffleTest, SpilledMergeEqualsInMemorySort) {
   }
   auto ref_source = reference.Finish();
 
-  TempBase base("merge");
+  testutil::ScratchDir base("spill-merge");
   extmem::ScopedSpillDir dir(base.str());
   extmem::SpillShuffle spilled(/*run_bytes=*/256, &dir);
   for (size_t i = 0; i < kRecords; ++i) {
@@ -162,7 +136,7 @@ TEST(SpillShuffleTest, SpilledMergeEqualsInMemorySort) {
 }
 
 TEST(SpillShuffleTest, RunSpilledShuffleCleansUpOnSuccessAndException) {
-  TempBase base("cleanup");
+  testutil::ScratchDir base("spill-cleanup");
   extmem::MemoryBudgetOptions memory;
   memory.spill_run_bytes = 256;
   memory.spill_dir = base.str();
@@ -254,7 +228,8 @@ class SpillParityTest : public ::testing::Test {
 
   /// A budget small enough to force multi-run spilling on this corpus:
   /// 16 KiB across 64 shards = the 256-byte per-shard floor.
-  static extmem::MemoryBudgetOptions TinyBudget(const TempBase& base) {
+  static extmem::MemoryBudgetOptions TinyBudget(
+      const testutil::ScratchDir& base) {
     extmem::MemoryBudgetOptions memory;
     memory.shuffle_budget_bytes = 16 << 10;
     memory.spill_dir = base.str();
@@ -267,7 +242,7 @@ class SpillParityTest : public ::testing::Test {
 EntityCollection* SpillParityTest::collection_ = nullptr;
 
 TEST_F(SpillParityTest, BlockingPostingsAreByteIdenticalUnderSpilling) {
-  TempBase base("blocking");
+  testutil::ScratchDir base("spill-blocking");
   std::vector<std::unique_ptr<BlockingMethod>> methods;
   methods.push_back(std::make_unique<TokenBlocking>());
   methods.push_back(std::make_unique<PisBlocking>());
@@ -298,7 +273,7 @@ TEST_F(SpillParityTest, BlockingPostingsAreByteIdenticalUnderSpilling) {
 }
 
 TEST_F(SpillParityTest, EveryShardSpillsSeveralRunsUnderTheTinyBudget) {
-  TempBase base("telemetry");
+  testutil::ScratchDir base("spill-telemetry");
   TokenBlocking token;
   token.set_memory_budget(TinyBudget(base));
   extmem::ResetSpillTelemetry();
@@ -314,7 +289,7 @@ TEST_F(SpillParityTest, EveryShardSpillsSeveralRunsUnderTheTinyBudget) {
 }
 
 TEST_F(SpillParityTest, VoteShardPruningIsByteIdenticalUnderSpilling) {
-  TempBase base("prune");
+  testutil::ScratchDir base("spill-prune");
   BlockCollection blocks = TokenBlocking().Build(*collection_);
   blocks.BuildEntityIndex(collection_->num_entities());
   for (const PruningScheme pruning :
@@ -366,7 +341,7 @@ TEST_F(SpillParityTest, VoteShardPruningIsByteIdenticalUnderSpilling) {
 }
 
 TEST_F(SpillParityTest, SessionMatchSequenceIsInvariantUnderSpilling) {
-  TempBase base("session");
+  testutil::ScratchDir base("spill-session");
   const auto run = [&](bool spill, uint32_t threads) {
     WorkflowOptions options;
     options.num_threads = threads;

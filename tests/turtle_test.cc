@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "gtest/gtest.h"
+#include "scratch_dir.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 
@@ -257,7 +258,8 @@ TEST(TurtleInteropTest, MatchesNTriplesOnSharedSubset) {
 }
 
 TEST(TurtleInteropTest, LoadTriplesDispatchesByExtension) {
-  const std::string dir = ::testing::TempDir();
+  const testutil::ScratchDir scratch("turtle-dispatch");
+  const std::string dir = scratch.str();
   {
     std::ofstream out(dir + "/sample.ttl");
     out << "@prefix ex: <http://example.org/> .\nex:a ex:b ex:c .\n";
