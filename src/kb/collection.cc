@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <unordered_map>
+#include <functional>
+#include <memory>
 
 #include "rdf/iri.h"
+#include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 #include "util/serde.h"
+#include "util/thread_pool.h"
 
 namespace minoan {
 
@@ -15,9 +18,23 @@ namespace {
 
 /// Blank node labels are KB-scoped in RDF; qualify them so labels reused by
 /// different KBs do not collide in the shared IRI interner.
-std::string QualifiedBlank(uint32_t kb_id, const std::string& label) {
-  return "_:" + std::to_string(kb_id) + ":" + label;
+std::string QualifiedBlank(uint32_t kb_id, std::string_view label) {
+  std::string qualified = "_:" + std::to_string(kb_id) + ":";
+  qualified.append(label);
+  return qualified;
 }
+
+/// The subject of the latest triple and its entity: consecutive triples
+/// with one subject resolve it once.
+struct SubjectRun {
+  rdf::TermView subject;
+  EntityId entity = kInvalidEntity;
+
+  bool Continues(rdf::TermView next) const {
+    return entity != kInvalidEntity && next.kind == subject.kind &&
+           next.lexical == subject.lexical;
+  }
+};
 
 /// The invariant every set kernel and the similarity arena rely on:
 /// `tokens` strictly ascending, and `bag` exactly the runs of those ids in
@@ -40,7 +57,7 @@ EntityCollection::EntityCollection(CollectionOptions options)
     : options_(options), tokenizer_(options.tokenizer) {}
 
 uint32_t EntityCollection::InternSubject(uint32_t kb_id,
-                                         const rdf::Term& subject) {
+                                         rdf::TermView subject) {
   const uint32_t id =
       subject.is_blank()
           ? iris_.Intern(QualifiedBlank(kb_id, subject.lexical))
@@ -68,45 +85,77 @@ void EntityCollection::TokenizeEntity(EntityDescription& desc) {
   for (uint32_t tok : desc.tokens) ++token_df_[tok];
 }
 
-Result<uint32_t> EntityCollection::AddKnowledgeBase(
-    std::string name, const std::vector<rdf::Triple>& triples) {
+template <typename ForEachTriple>
+Result<uint32_t> EntityCollection::BuildKnowledgeBase(
+    std::string name, uint64_t num_triples,
+    const ForEachTriple& for_each_triple) {
   if (finalized_) {
     return Status::FailedPrecondition("collection already finalized");
   }
   const uint32_t kb_id = static_cast<uint32_t>(kbs_.size());
   KnowledgeBaseInfo info;
   info.name = std::move(name);
-  info.triples = triples.size();
+  info.triples = num_triples;
   info.first_entity = static_cast<uint32_t>(entities_.size());
 
   // Pass 1: register every subject as an entity of this KB.
-  for (const rdf::Triple& t : triples) {
+  SubjectRun run;
+  for_each_triple([&](const rdf::TripleView& t) {
+    if (run.Continues(t.subject)) return;
     const uint32_t iri_id = InternSubject(kb_id, t.subject);
-    const uint64_t key = KbIriKey(kb_id, iri_id);
-    if (kb_iri_to_entity_.count(key) > 0) continue;
-    const EntityId eid = static_cast<EntityId>(entities_.size());
-    EntityDescription desc;
-    desc.id = eid;
-    desc.iri = iri_id;
-    desc.kb = kb_id;
-    entities_.push_back(std::move(desc));
-    kb_iri_to_entity_.emplace(key, eid);
-    if (iri_to_entity_[iri_id] == kInvalidEntity) {
-      iri_to_entity_[iri_id] = eid;
+    bool created = false;
+    EntityId& eid =
+        kb_iri_to_entity_.FindOrInsert(KbIriKey(kb_id, iri_id), &created);
+    if (created) {
+      eid = static_cast<EntityId>(entities_.size());
+      EntityDescription desc;
+      desc.id = eid;
+      desc.iri = iri_id;
+      desc.kb = kb_id;
+      entities_.push_back(std::move(desc));
+      if (iri_to_entity_[iri_id] == kInvalidEntity) {
+        iri_to_entity_[iri_id] = eid;
+      }
     }
-  }
+    run = {t.subject, eid};
+  });
 
   // Pass 2: classify objects into relations, attributes, sameAs links.
-  for (const rdf::Triple& t : triples) {
-    const EntityId eid =
-        kb_iri_to_entity_[KbIriKey(kb_id, InternSubject(kb_id, t.subject))];
-    ClassifyObject(kb_id, eid, t, /*eager_same_as=*/false);
-  }
+  run = SubjectRun();
+  for_each_triple([&](const rdf::TripleView& t) {
+    if (!run.Continues(t.subject)) {
+      run = {t.subject, *kb_iri_to_entity_.Find(KbIriKey(
+                            kb_id, InternSubject(kb_id, t.subject)))};
+    }
+    ClassifyObject(kb_id, run.entity, t, /*eager_same_as=*/false);
+  });
 
   info.end_entity = static_cast<uint32_t>(entities_.size());
-  total_triples_ += triples.size();
+  total_triples_ += num_triples;
   kbs_.push_back(std::move(info));
   return kb_id;
+}
+
+Result<uint32_t> EntityCollection::AddKnowledgeBase(
+    std::string name, const std::vector<rdf::Triple>& triples) {
+  return BuildKnowledgeBase(std::move(name), triples.size(),
+                            [&](const auto& visit) {
+                              for (const rdf::Triple& t : triples) {
+                                visit(rdf::ViewOf(t));
+                              }
+                            });
+}
+
+Result<uint32_t> EntityCollection::AddKnowledgeBase(
+    std::string name, const std::vector<std::vector<rdf::TripleView>>& chunks) {
+  uint64_t num_triples = 0;
+  for (const auto& chunk : chunks) num_triples += chunk.size();
+  return BuildKnowledgeBase(std::move(name), num_triples,
+                            [&](const auto& visit) {
+                              for (const auto& chunk : chunks) {
+                                for (const rdf::TripleView& t : chunk) visit(t);
+                              }
+                            });
 }
 
 Status EntityCollection::Finalize() {
@@ -151,7 +200,7 @@ Status EntityCollection::Finalize() {
 }
 
 void EntityCollection::ClassifyObject(uint32_t kb_id, EntityId eid,
-                                      const rdf::Triple& t,
+                                      const rdf::TripleView& t,
                                       bool eager_same_as) {
   EntityDescription& desc = entities_[eid];
   const uint32_t pred_id = predicates_.Intern(t.predicate.lexical);
@@ -191,9 +240,9 @@ void EntityCollection::ClassifyObject(uint32_t kb_id, EntityId eid,
   if (iri_to_entity_.size() < iris_.size()) {
     iri_to_entity_.resize(iris_.size(), kInvalidEntity);
   }
-  const auto it = kb_iri_to_entity_.find(KbIriKey(kb_id, obj_iri));
-  if (it != kb_iri_to_entity_.end() && it->second != eid) {
-    desc.relations.push_back(Relation{pred_id, it->second});
+  const EntityId* target = kb_iri_to_entity_.Find(KbIriKey(kb_id, obj_iri));
+  if (target != nullptr && *target != eid) {
+    desc.relations.push_back(Relation{pred_id, *target});
     return;
   }
   if (t.predicate.lexical == rdf::kRdfType && !options_.index_types) {
@@ -228,7 +277,7 @@ Result<EntityId> EntityCollection::AppendEntity(
   if (triples.empty()) {
     return Status::InvalidArgument("an entity needs at least one triple");
   }
-  const rdf::Term& subject = triples.front().subject;
+  const rdf::TermView subject = rdf::ViewOf(triples.front().subject);
   for (const rdf::Triple& t : triples) {
     if (t.subject.kind != subject.kind ||
         t.subject.lexical != subject.lexical) {
@@ -239,9 +288,9 @@ Result<EntityId> EntityCollection::AppendEntity(
 
   const uint32_t iri_id = InternSubject(kb_id, subject);
   const uint64_t kb_key = KbIriKey(kb_id, iri_id);
-  if (kb_iri_to_entity_.count(kb_key) > 0) {
+  if (kb_iri_to_entity_.Contains(kb_key)) {
     return Status::AlreadyExists("entity already described in this KB: " +
-                                 subject.lexical);
+                                 std::string(subject.lexical));
   }
 
   // Register first so the shared classification sees the entity (a
@@ -252,11 +301,11 @@ Result<EntityId> EntityCollection::AppendEntity(
   desc.iri = iri_id;
   desc.kb = kb_id;
   entities_.push_back(std::move(desc));
-  kb_iri_to_entity_.emplace(kb_key, eid);
+  kb_iri_to_entity_.InsertOrAssign(kb_key, eid);
   if (iri_to_entity_[iri_id] == kInvalidEntity) iri_to_entity_[iri_id] = eid;
 
   for (const rdf::Triple& t : triples) {
-    ClassifyObject(kb_id, eid, t, /*eager_same_as=*/true);
+    ClassifyObject(kb_id, eid, rdf::ViewOf(t), /*eager_same_as=*/true);
   }
 
   TokenizeEntity(entities_[eid]);
@@ -498,10 +547,14 @@ Status EntityCollection::Load(std::istream& in) {
   // Derived lookup tables: first-added entity per IRI and per (KB, IRI) —
   // id order IS first-added order, so set-if-absent reproduces both maps.
   iri_to_entity_.assign(iris_.size(), kInvalidEntity);
-  kb_iri_to_entity_.clear();
+  kb_iri_to_entity_ = FlatPairMap<EntityId>();
+  kb_iri_to_entity_.Reserve(entities_.size());
   for (const EntityDescription& e : entities_) {
     if (iri_to_entity_[e.iri] == kInvalidEntity) iri_to_entity_[e.iri] = e.id;
-    kb_iri_to_entity_.emplace(KbIriKey(e.kb, e.iri), e.id);
+    bool created = false;
+    EntityId& first =
+        kb_iri_to_entity_.FindOrInsert(KbIriKey(e.kb, e.iri), &created);
+    if (created) first = e.id;
   }
   pending_same_as_.clear();
   finalized_ = true;
@@ -538,20 +591,97 @@ Result<std::vector<std::string>> ListCorpusFiles(const std::string& dir) {
   return files;
 }
 
+/// Bytes of N-Triples text one loader task scans. A constant: chunk
+/// boundaries, and with them the order the views come back in, never depend
+/// on the thread count.
+constexpr size_t kLoadChunkBytes = size_t{1} << 20;
+
+/// One corpus file, read and parsed off the building thread: an N-Triples
+/// file as term views chunk by chunk (viewing `bytes`, or a chunk's arena
+/// for escaped terms), or a Turtle file's triples.
+struct ParsedFile {
+  Status status = Status::Ok();
+  std::string bytes;
+  std::vector<std::vector<rdf::TripleView>> chunks;
+  std::vector<rdf::TermArena> arenas;
+  std::vector<rdf::Triple> turtle;
+};
+
+/// Parses `path` into `out` on `pool`, or inline when it is null. An
+/// N-Triples file is read with one read by one task, which then hands each
+/// line-aligned chunk to a task of its own (lenient: malformed lines are
+/// skipped); a Turtle file is one TurtleParser task. With a pool this
+/// returns at once and pool->Wait() completes `out`.
+void StartParse(const std::string& path, ThreadPool* pool, ParsedFile& out) {
+  const auto run = [pool](std::function<void()> task) {
+    if (pool != nullptr) {
+      pool->Submit(std::move(task));
+    } else {
+      task();
+    }
+  };
+  if (std::filesystem::path(path).extension() != ".nt") {
+    run([path, &out] {
+      auto triples = rdf::TurtleParser().ParseFile(path);
+      if (triples.ok()) {
+        out.turtle = std::move(triples).value();
+      } else {
+        out.status = triples.status();
+      }
+    });
+    return;
+  }
+  run([path, &out, run] {
+    Result<std::string> bytes = rdf::ReadFileBytes(path);
+    if (!bytes.ok()) {
+      out.status = bytes.status();
+      return;
+    }
+    out.bytes = std::move(bytes).value();
+    const std::vector<std::string_view> pieces =
+        rdf::SplitLineAligned(out.bytes, kLoadChunkBytes);
+    out.chunks.resize(pieces.size());
+    out.arenas.resize(pieces.size());
+    for (size_t c = 0; c < pieces.size(); ++c) {
+      run([piece = pieces[c], c, &out] {
+        // A lenient scan skips what it cannot parse; it never fails.
+        (void)rdf::NTriplesParser().ScanViews(piece, out.chunks[c],
+                                              out.arenas[c]);
+      });
+    }
+  });
+}
+
 }  // namespace
 
-Result<EntityCollection> LoadCorpusDirectory(const std::string& dir) {
+Result<EntityCollection> LoadCorpusDirectory(const std::string& dir,
+                                             uint32_t num_threads) {
   MINOAN_ASSIGN_OR_RETURN(const std::vector<std::string> files,
                           ListCorpusFiles(dir));
+  // File i + 1 is parsed on the pool while file i's KB is built here.
+  // Declared before the pool, so on an early return the pool drains its
+  // tasks before the files they write go away.
+  auto current = std::make_unique<ParsedFile>();
+  auto next = std::make_unique<ParsedFile>();
+  const uint32_t threads = ResolveThreadCount(num_threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+
   EntityCollection collection;
-  for (const std::string& file : files) {
-    MINOAN_ASSIGN_OR_RETURN(const std::vector<rdf::Triple> triples,
-                            rdf::LoadTriples(file));
-    MINOAN_RETURN_IF_ERROR(
-        collection
-            .AddKnowledgeBase(std::filesystem::path(file).stem().string(),
-                              triples)
-            .status());
+  StartParse(files[0], pool.get(), *next);
+  for (size_t i = 0; i < files.size(); ++i) {
+    if (pool != nullptr) pool->Wait();
+    std::swap(current, next);
+    *next = ParsedFile();
+    if (i + 1 < files.size()) StartParse(files[i + 1], pool.get(), *next);
+    MINOAN_RETURN_IF_ERROR(current->status);
+    std::string name = std::filesystem::path(files[i]).stem().string();
+    // (An empty file has neither views nor triples: an empty KB either way.)
+    const Result<uint32_t> kb =
+        current->chunks.empty()
+            ? collection.AddKnowledgeBase(std::move(name), current->turtle)
+            : collection.AddKnowledgeBase(std::move(name), current->chunks);
+    MINOAN_RETURN_IF_ERROR(kb.status());
   }
   MINOAN_RETURN_IF_ERROR(collection.Finalize());
   return collection;

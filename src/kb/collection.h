@@ -8,6 +8,12 @@
 // equivalences arrive as owl:sameAs, which are captured separately) or as an
 // attribute (literals and unresolved IRIs, whose local name is tokenized so
 // that links to undescribed resources still yield matching evidence).
+//
+// Both passes read term views (rdf::TripleView): from a Triple vector, which
+// is adapted without copying a string, or straight from the N-Triples
+// scanner's chunks (LoadCorpusDirectory). A run of triples with one subject
+// resolves that subject once. Every path makes the same interner calls in
+// the same order, so a collection is byte-identical however it was loaded.
 
 #ifndef MINOAN_KB_COLLECTION_H_
 #define MINOAN_KB_COLLECTION_H_
@@ -17,13 +23,13 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "kb/entity.h"
 #include "rdf/term.h"
 #include "text/tokenizer.h"
+#include "util/flat_table.h"
 #include "util/interner.h"
 #include "util/status.h"
 
@@ -75,6 +81,13 @@ class EntityCollection {
   /// Returns the KB id.
   Result<uint32_t> AddKnowledgeBase(std::string name,
                                     const std::vector<rdf::Triple>& triples);
+
+  /// Ingests one KB from triple views, read chunk after chunk in order: the
+  /// corpus loader's path. Builds the same collection as the Triple overload
+  /// over the same triples.
+  Result<uint32_t> AddKnowledgeBase(
+      std::string name,
+      const std::vector<std::vector<rdf::TripleView>>& chunks);
 
   /// Freezes the collection: tokenizes values, applies stop-token removal,
   /// sorts per-entity structures. Must be called exactly once after all KBs.
@@ -184,9 +197,14 @@ class EntityCollection {
   StringInterner values_;      // literal lexical forms
   StringInterner tokens_;      // normalized tokens
 
+  /// Both passes of AddKnowledgeBase over `for_each_triple`, which calls its
+  /// argument with every triple's view in order (twice: once per pass).
+  template <typename ForEachTriple>
+  Result<uint32_t> BuildKnowledgeBase(std::string name, uint64_t num_triples,
+                                      const ForEachTriple& for_each_triple);
   /// Interns the subject of a triple, qualifying blank labels per KB, and
   /// keeps iri_to_entity_ sized to the interner.
-  uint32_t InternSubject(uint32_t kb_id, const rdf::Term& subject);
+  uint32_t InternSubject(uint32_t kb_id, rdf::TermView subject);
   /// Tokenizes one entity's values + IRI local name into tokens/token_bag
   /// and bumps token_df_ for its unique tokens.
   void TokenizeEntity(EntityDescription& desc);
@@ -195,7 +213,7 @@ class EntityCollection {
   /// eagerly against the entities present now), relation (target described
   /// in the same KB), or attribute (literals and unresolved IRIs). Shared
   /// by batch and online ingestion so the semantics cannot drift.
-  void ClassifyObject(uint32_t kb_id, EntityId eid, const rdf::Triple& t,
+  void ClassifyObject(uint32_t kb_id, EntityId eid, const rdf::TripleView& t,
                       bool eager_same_as);
 
   static uint64_t KbIriKey(uint32_t kb_id, uint32_t iri_id) {
@@ -206,7 +224,7 @@ class EntityCollection {
   std::vector<EntityId> iri_to_entity_;
   // (kb id << 32 | iri id) -> entity, for same-KB object resolution (the
   // "described in the SAME KB" rule). Maintained from the first ingest on.
-  std::unordered_map<uint64_t, EntityId> kb_iri_to_entity_;
+  FlatPairMap<EntityId> kb_iri_to_entity_;
   // sameAs assertions seen during ingestion, resolved in Finalize (the
   // target KB may be added after the asserting one).
   std::vector<std::pair<EntityId, uint32_t>> pending_same_as_;
@@ -222,7 +240,16 @@ class EntityCollection {
 /// collection is finalized (NotFound when there is no such file). The CLI,
 /// served "dir:" sources and the examples all load through it, so they
 /// resolve over byte-identical collections.
-Result<EntityCollection> LoadCorpusDirectory(const std::string& dir);
+///
+/// It streams: each N-Triples file is read with one read and cut into
+/// line-aligned chunks of a fixed size (never derived from the thread
+/// count), which `num_threads` workers (0 = hardware concurrency) scan into
+/// term views at once; the KB is then built straight from the chunks'
+/// views, and no Triple is ever materialized. Malformed lines are skipped
+/// (lenient). A Turtle file is parsed by one TurtleParser. The collection
+/// is byte-identical at every thread count.
+Result<EntityCollection> LoadCorpusDirectory(const std::string& dir,
+                                             uint32_t num_threads = 1);
 
 }  // namespace minoan
 

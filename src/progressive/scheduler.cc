@@ -19,7 +19,7 @@ uint32_t ComparisonScheduler::FindOrAdd(uint64_t pair, bool* created) {
 }
 
 void ComparisonScheduler::Reserve(size_t n) {
-  slots_.reserve(n);
+  slots_.reserve(n + n / kDiscoveredHeadroom);
   index_.Reserve(n);
 }
 

@@ -85,7 +85,12 @@ class ComparisonScheduler {
   ScheduleSlot& slot(uint32_t id) { return slots_[id]; }
   const ScheduleSlot& slot(uint32_t id) const { return slots_[id]; }
   /// Ensures `n` slots fit without reallocating the table or the index.
+  /// The table also gets n / kDiscoveredHeadroom slots of headroom for the
+  /// pairs the update phase discovers, so the first of them does not copy
+  /// the whole table (capacity never touched costs no resident memory). The
+  /// index gets none: its power-of-two growth could double it.
   void Reserve(size_t n);
+  static constexpr size_t kDiscoveredHeadroom = 8;
 
   /// Every slot id, in ascending pair order — the canonical order
   /// checkpoints are written in.

@@ -8,15 +8,29 @@
 // Malformed lines are reported with line numbers; callers choose strict
 // (first error aborts) or lenient (skip-and-count) mode, because periphery
 // LOD dumps are routinely dirty.
+//
+// One scanner runs over a contiguous buffer: memchr finds each line, and
+// each term is scanned to its delimiter and validated in the same pass.
+// Escapes are decoded only in a span that holds a backslash; every other
+// term stays a view into the buffer until a caller copies it. Two outputs
+// share that scanner:
+//   * Triples (ParseLine/ParseString/ParseStream/ParseFile), whose strings
+//     are each built once, at their final size;
+//   * TripleViews (ScanViews), which the corpus loader builds knowledge
+//     bases from without materializing a Triple (kb/collection.h). It scans
+//     the line-aligned chunks of SplitLineAligned in parallel.
 
 #ifndef MINOAN_RDF_NTRIPLES_H_
 #define MINOAN_RDF_NTRIPLES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rdf/term.h"
@@ -33,12 +47,27 @@ struct NTriplesOptions {
   size_t max_line_bytes = 1 << 20;
 };
 
-/// Statistics of one parse run.
+/// Statistics of one parse run. Every line counts, the last one also when
+/// no newline ends it; a blank line counts as a comment.
 struct ParseStats {
   uint64_t lines = 0;
   uint64_t triples = 0;
   uint64_t comments = 0;
   uint64_t skipped = 0;  // malformed lines in lenient mode
+};
+
+/// Storage for the decoded text of escaped terms: what ScanViews' views
+/// point at when a term held a backslash. Bytes handed out never move, also
+/// when the arena itself is moved, so views stay valid for its lifetime.
+class TermArena {
+ public:
+  /// `n` bytes that stay put for the arena's lifetime.
+  char* Allocate(size_t n);
+
+ private:
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  size_t capacity_ = 0;  // of the last block
+  size_t used_ = 0;      // of the last block
 };
 
 /// Streaming N-Triples parser.
@@ -53,21 +82,43 @@ class NTriplesParser {
 
   /// Parses an entire stream, invoking `sink` for every triple. Returns the
   /// first error in strict mode; in lenient mode always OK (inspect stats).
+  /// The stream is read into one buffer first.
   Status ParseStream(std::istream& in,
                      const std::function<void(Triple&&)>& sink,
                      ParseStats* stats = nullptr) const;
 
-  /// Convenience: parses a whole file into a vector.
+  /// Convenience: parses a whole file (read with one read) into a vector.
   Result<std::vector<Triple>> ParseFile(const std::string& path,
                                         ParseStats* stats = nullptr) const;
 
-  /// Convenience: parses an in-memory document into a vector.
+  /// Convenience: parses an in-memory document, in place, into a vector.
   Result<std::vector<Triple>> ParseString(std::string_view document,
                                           ParseStats* stats = nullptr) const;
+
+  /// Scans the lines of `text` into term views, appending one TripleView
+  /// per triple to `out` in line order. A term without escapes views
+  /// `text`; an escaped one views its decoded form in `arena`. Strict and
+  /// lenient mode, errors and stats are those of ParseString, with line
+  /// numbers counted from the start of `text`.
+  Status ScanViews(std::string_view text, std::vector<TripleView>& out,
+                   TermArena& arena, ParseStats* stats = nullptr) const;
 
  private:
   NTriplesOptions options_;
 };
+
+/// Splits `text` into consecutive chunks that each end just after a '\n'
+/// (the last one at the end of `text`): a chunk runs from where the last
+/// one ended through the first '\n' that leaves it at least `chunk_bytes`
+/// long (a chunk_bytes of 0 or 1 makes every line a chunk).
+/// The boundaries depend only on the bytes and `chunk_bytes`, so chunks
+/// scanned in parallel and read back in order yield the lines in order.
+std::vector<std::string_view> SplitLineAligned(std::string_view text,
+                                               size_t chunk_bytes);
+
+/// The bytes of the file at `path`, read with one read (IoError when it
+/// cannot be opened).
+Result<std::string> ReadFileBytes(const std::string& path);
 
 /// Serializes triples to an N-Triples stream (one line each).
 class NTriplesWriter {

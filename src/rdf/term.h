@@ -9,6 +9,7 @@
 #ifndef MINOAN_RDF_TERM_H_
 #define MINOAN_RDF_TERM_H_
 
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -87,6 +88,33 @@ struct Triple {
 };
 
 std::ostream& operator<<(std::ostream& os, const Triple& triple);
+
+/// A term as the KB builder reads it: its kind and lexical form, viewing
+/// text owned elsewhere (a Term, or the buffer the N-Triples scanner read).
+/// Datatype and language tag are not part of the view: ingestion never
+/// reads them.
+struct TermView {
+  TermKind kind = TermKind::kIri;
+  std::string_view lexical;
+
+  bool is_iri() const { return kind == TermKind::kIri; }
+  bool is_blank() const { return kind == TermKind::kBlank; }
+  bool is_literal() const { return kind == TermKind::kLiteral; }
+};
+
+/// One statement as three term views.
+struct TripleView {
+  TermView subject;
+  TermView predicate;
+  TermView object;
+};
+
+inline TermView ViewOf(const Term& term) { return {term.kind, term.lexical}; }
+
+inline TripleView ViewOf(const Triple& triple) {
+  return {ViewOf(triple.subject), ViewOf(triple.predicate),
+          ViewOf(triple.object)};
+}
 
 /// Escapes a string for inclusion inside an N-Triples literal or IRI.
 std::string EscapeNTriples(std::string_view raw);

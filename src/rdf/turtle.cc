@@ -1,8 +1,6 @@
 #include "rdf/turtle.h"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "rdf/iri.h"
@@ -517,11 +515,8 @@ Result<std::vector<Triple>> TurtleParser::ParseString(
 
 Result<std::vector<Triple>> TurtleParser::ParseFile(
     const std::string& path) const {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseString(buffer.str());
+  MINOAN_ASSIGN_OR_RETURN(const std::string document, ReadFileBytes(path));
+  return ParseString(document);
 }
 
 Result<std::vector<Triple>> LoadTriples(const std::string& path) {

@@ -68,11 +68,12 @@ online::OnlineOptions OnlineOptionsFor(const SessionSpec& spec) {
 
 }  // namespace
 
-Result<EntityCollection> LoadCorpus(const std::string& source) {
+Result<EntityCollection> LoadCorpus(const std::string& source,
+                                   uint32_t num_threads) {
   if (source.rfind("dir:", 0) == 0) {
     // The CLI's loader, so a served session and `minoan resolve DIR` run
     // over the identical collection (the byte-parity contract of kLinks).
-    return LoadCorpusDirectory(source.substr(4));
+    return LoadCorpusDirectory(source.substr(4), num_threads);
   }
   if (source.rfind("synthetic:", 0) == 0) {
     // synthetic:<seed>:<entities>:<kbs>:<center>; the seed is a u64, the
@@ -171,7 +172,8 @@ std::string SessionManager::CheckpointPath(uint64_t id) const {
 }
 
 Result<std::shared_ptr<const EntityCollection>> SessionManager::CorpusFor(
-    const std::string& source) {
+    const SessionSpec& spec) {
+  const std::string& source = spec.source;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = corpus_cache_.find(source);
@@ -182,7 +184,8 @@ Result<std::shared_ptr<const EntityCollection>> SessionManager::CorpusFor(
   // Load outside the manager lock: other sessions keep working while a
   // corpus loads. Two racing loaders of one source both succeed (identical
   // collections); last one wins the cache slot.
-  MINOAN_ASSIGN_OR_RETURN(EntityCollection loaded, LoadCorpus(source));
+  MINOAN_ASSIGN_OR_RETURN(EntityCollection loaded,
+                          LoadCorpus(source, spec.num_threads));
   auto shared =
       std::make_shared<const EntityCollection>(std::move(loaded));
   std::lock_guard<std::mutex> lock(mu_);
@@ -195,7 +198,7 @@ Status SessionManager::Materialize(Entry& entry) {
     if (entry.spec.source.empty()) {
       return Status::InvalidArgument("batch sessions require a corpus source");
     }
-    MINOAN_ASSIGN_OR_RETURN(entry.corpus, CorpusFor(entry.spec.source));
+    MINOAN_ASSIGN_OR_RETURN(entry.corpus, CorpusFor(entry.spec));
     auto session =
         ResolutionSession::Open(*entry.corpus, BatchOptions(entry.spec));
     MINOAN_RETURN_IF_ERROR(session.status());
@@ -211,7 +214,9 @@ Status SessionManager::Materialize(Entry& entry) {
   // Online warm start owns its collection — load a private copy (the
   // shared corpus cache hands out const snapshots, but the online engine
   // grows its store).
-  MINOAN_ASSIGN_OR_RETURN(EntityCollection warm, LoadCorpus(entry.spec.source));
+  MINOAN_ASSIGN_OR_RETURN(
+      EntityCollection warm,
+      LoadCorpus(entry.spec.source, entry.spec.num_threads));
   entry.online = std::make_unique<online::OnlineResolver>(
       OnlineOptionsFor(entry.spec), std::move(warm));
   return Status::Ok();
@@ -239,7 +244,7 @@ Status SessionManager::RestoreEntryImpl(Entry& entry) {
     return Status::IoError("cannot read checkpoint " + entry.ckpt_path);
   }
   if (entry.spec.kind == SessionKind::kBatch) {
-    MINOAN_ASSIGN_OR_RETURN(entry.corpus, CorpusFor(entry.spec.source));
+    MINOAN_ASSIGN_OR_RETURN(entry.corpus, CorpusFor(entry.spec));
     auto session = ResolutionSession::Restore(*entry.corpus,
                                               BatchOptions(entry.spec), in);
     MINOAN_RETURN_IF_ERROR(session.status());

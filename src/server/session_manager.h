@@ -156,9 +156,11 @@ class SessionManager {
   using Entry = Lease::Entry;
 
   std::string CheckpointPath(uint64_t id) const;
-  /// Loads or reuses the corpus for `source` (cache by source string).
+  /// Loads (on the session's `num_threads` workers) or reuses the corpus
+  /// of `spec.source` (cache by source string: every thread count loads the
+  /// same collection).
   Result<std::shared_ptr<const EntityCollection>> CorpusFor(
-      const std::string& source);
+      const SessionSpec& spec);
   /// Builds the live engine inside `entry` (fresh create). Entry lock held.
   Status Materialize(Entry& entry);
   /// Restores `entry` from its checkpoint file. Entry lock held. The
@@ -192,9 +194,10 @@ class SessionManager {
 };
 
 /// Builds a collection from a SessionSpec source string: "dir:<path>" goes
-/// through LoadCorpusDirectory (kb/collection.h), "synthetic:..." through
-/// the datagen cloud. Exposed for tests.
-Result<EntityCollection> LoadCorpus(const std::string& source);
+/// through LoadCorpusDirectory (kb/collection.h) on `num_threads` workers,
+/// "synthetic:..." through the datagen cloud. Exposed for tests.
+Result<EntityCollection> LoadCorpus(const std::string& source,
+                                    uint32_t num_threads = 1);
 
 }  // namespace server
 }  // namespace minoan

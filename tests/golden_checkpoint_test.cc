@@ -21,11 +21,15 @@
 // of the whole static pipeline (every blocker, pruning scheme, weighting
 // scheme and cleaning switch), generated by a build of the commit before
 // the block-store collapse, so one code path must reproduce what the keyed
-// and the flat stores produced.
+// and the flat stores produced. It holds for the corpus-loader digests at
+// the end too: generated by a build of the commit before the buffer-scanning
+// N-Triples parser and the chunk-parallel loader, which read the corpus
+// line by line into Triples on one thread.
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <iterator>
 #include <sstream>
@@ -36,7 +40,10 @@
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
+#include "kb/collection.h"
+#include "loader_corpus.h"
 #include "online/online_resolver.h"
+#include "scratch_dir.h"
 #include "util/hash.h"
 #include "util/serde.h"
 
@@ -426,6 +433,39 @@ TEST(GoldenCheckpointTest, StaticPipelineMatchesParentDigests) {
         std::cout << "    {\"" << name << "\", " << Hex(checkpoint_digest)
                   << ", " << Hex(match_digest) << "},\n";
       }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Corpus loader digests
+// ---------------------------------------------------------------------------
+
+TEST(GoldenCheckpointTest, CorpusLoaderMatchesParentCollectionDigests) {
+  // Fnv1a64 of EntityCollection::Save after LoadCorpusDirectory over the
+  // two loader corpora of loader_corpus.h (see the header for the rule).
+  const testutil::ScratchDir scratch("golden-loader");
+  const std::string hand = scratch.str() + "/hand";
+  const std::string cloud = scratch.str() + "/cloud";
+  std::filesystem::create_directories(hand);
+  testutil::WriteHandCorpus(hand);
+  testutil::WriteLoaderCloud(cloud);
+  const struct {
+    const char* name;
+    std::string dir;
+    uint64_t digest;
+  } kPinned[] = {
+      {"hand", hand, 0xdd8c966244ce4a47},
+      {"cloud", cloud, 0x40abba7b93bd95b9},
+  };
+  for (const auto& corpus : kPinned) {
+    auto collection = LoadCorpusDirectory(corpus.dir);
+    ASSERT_TRUE(collection.ok()) << corpus.name;
+    const uint64_t digest = Fnv1a64(testutil::SavedBytes(*collection));
+    EXPECT_EQ(digest, corpus.digest) << corpus.name;
+    if (digest != corpus.digest) {
+      std::cout << "      {\"" << corpus.name << "\", ..., " << Hex(digest)
+                << "},\n";
     }
   }
 }

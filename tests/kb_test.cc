@@ -2,6 +2,7 @@
 // and cloud statistics.
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -9,7 +10,10 @@
 #include "kb/collection.h"
 #include "kb/neighbor_graph.h"
 #include "kb/stats.h"
+#include "loader_corpus.h"
 #include "rdf/ntriples.h"
+#include "rdf/turtle.h"
+#include "scratch_dir.h"
 #include "util/serde.h"
 
 namespace minoan {
@@ -203,6 +207,83 @@ TEST(CollectionTest, TypeIndexingToggle) {
   ASSERT_TRUE(c2.AddKnowledgeBase("k", Parse(doc)).ok());
   ASSERT_TRUE(c2.Finalize().ok());
   EXPECT_EQ(c2.tokens().Find("artifact"), kInternNotFound);
+}
+
+// ---------------------------------------------------------------------------
+// Corpus loader parity
+// ---------------------------------------------------------------------------
+
+/// The collection of `dir` built the other way: each corpus file, in the
+/// loader's order, parsed into Triples by LoadTriples and added by the
+/// Triple overload of AddKnowledgeBase.
+std::string SavedViaTriples(const std::string& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext == ".nt" || ext == ".ttl" || ext == ".turtle") {
+      files.push_back(entry.path());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  EntityCollection collection;
+  for (const std::filesystem::path& file : files) {
+    auto triples = rdf::LoadTriples(file.string());
+    EXPECT_TRUE(triples.ok()) << file;
+    if (!triples.ok()) return "";
+    EXPECT_TRUE(
+        collection.AddKnowledgeBase(file.stem().string(), *triples).ok());
+  }
+  EXPECT_TRUE(collection.Finalize().ok());
+  return testutil::SavedBytes(collection);
+}
+
+/// LoadCorpusDirectory at 1, 2, 4 and 7 threads saves the bytes of the
+/// Triple path.
+void ExpectLoaderParity(const std::string& dir) {
+  const std::string reference = SavedViaTriples(dir);
+  ASSERT_FALSE(reference.empty());
+  for (const uint32_t threads : {1u, 2u, 4u, 7u}) {
+    auto loaded = LoadCorpusDirectory(dir, threads);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    EXPECT_TRUE(testutil::SavedBytes(*loaded) == reference)
+        << "collection differs at " << threads << " threads";
+  }
+}
+
+TEST(LoaderParityTest, HandCorpusMatchesTheTriplePathAtEveryThreadCount) {
+  const testutil::ScratchDir scratch("loader-hand");
+  testutil::WriteHandCorpus(scratch.str());
+  ExpectLoaderParity(scratch.str());
+  auto loaded = LoadCorpusDirectory(scratch.str(), 4);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded->num_kbs(), 4u);  // notes.txt is not a corpus file
+  EXPECT_EQ(loaded->kb(0).triples, 13u);  // two malformed lines skipped
+  EXPECT_EQ(loaded->kb(1).triples, 8u);   // the last line has no newline
+  EXPECT_EQ(loaded->kb(3).num_entities(), 0u);
+  // Escapes are decoded before interning: <...knossos\u0031> is the
+  // entity <...knossos1> that _:site points at.
+  const EntityId knossos = loaded->FindByIri("http://a.org/r/knossos1");
+  ASSERT_NE(knossos, kInvalidEntity);
+  bool points_at_knossos = false;
+  for (const EntityDescription& e : loaded->entities()) {
+    for (const Relation& r : e.relations) {
+      points_at_knossos = points_at_knossos || r.target == knossos;
+    }
+  }
+  EXPECT_TRUE(points_at_knossos);
+  EXPECT_EQ(loaded->same_as_links().size(), 3u);
+}
+
+TEST(LoaderParityTest, MultiChunkCloudMatchesTheTriplePathAtEveryThreadCount) {
+  const testutil::ScratchDir scratch("loader-cloud");
+  testutil::WriteLoaderCloud(scratch.str());
+  // The loader scans 1 MiB chunks: each center file spans several.
+  for (const char* center : {"/kb00-center.nt", "/kb01-center.nt"}) {
+    EXPECT_GT(std::filesystem::file_size(scratch.str() + center),
+              uintmax_t{2} << 20)
+        << center;
+  }
+  ExpectLoaderParity(scratch.str());
 }
 
 // ---------------------------------------------------------------------------

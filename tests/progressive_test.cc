@@ -551,6 +551,23 @@ TEST(ResolverTest, UpdatePhaseDiscoversBlockingMissedMatches) {
   EXPECT_GT(correct(on), correct(off));
 }
 
+TEST(ResolverTest, DiscoveredPairsGrowTheSlotTableInPlace) {
+  // Begin reserves headroom for discovered pairs: a run that discovers
+  // fewer than candidates/8 of them never moves the slot table.
+  ResolverWorld w = ResolverWorld::Make(73, true);
+  ProgressiveOptions opts;
+  opts.matcher.budget = 0;
+  opts.matcher.threshold = 0.3;
+  ProgressiveResolver resolver(w.collection(), w.graph(), w.evaluator(), opts);
+  resolver.Begin(w.candidates);
+  const ScheduleSlot* const first = &resolver.scheduler().slot(0);
+  resolver.Step(0);
+  const uint64_t discovered = resolver.result().discovered_pairs;
+  ASSERT_GT(discovered, 0u);
+  ASSERT_LT(discovered, w.candidates.size() / 8);
+  EXPECT_EQ(&resolver.scheduler().slot(0), first);
+}
+
 TEST(ResolverTest, DiscoveredPairCountsOnceAtZeroIncrement) {
   // Matches (a1, b1) and (a2, b2) both vouch for the neighbor pair (na, nb),
   // which blocking never produced. At evidence increment 0 the pair's

@@ -15,7 +15,9 @@
 //                  [--metrics-out FILE] [--trace-out FILE]
 //                  [--progress-every N]
 //       Resolves all KBs in DIR and writes discovered owl:sameAs links.
-//       Scores against DIR/ground_truth.tsv when present. With
+//       --threads N workers load the corpus (N-Triples files are scanned
+//       in parallel chunks) and then resolve it; the results are identical
+//       at every N. Scores against DIR/ground_truth.tsv when present. With
 //       --step-budget N the comparison budget is spent in increments of N
 //       through the pay-as-you-go Session API (identical results); with
 //       --stream every confirmed match is printed as it is discovered.
@@ -139,10 +141,12 @@ int UsageError(const Status& status) {
   return 2;
 }
 
-/// Loads DIR through the shared corpus loader and lists its KBs.
-Result<EntityCollection> LoadAndListCorpus(const std::string& dir) {
+/// Loads DIR through the shared corpus loader on `num_threads` workers and
+/// lists its KBs.
+Result<EntityCollection> LoadAndListCorpus(const std::string& dir,
+                                           uint32_t num_threads = 1) {
   MINOAN_ASSIGN_OR_RETURN(EntityCollection collection,
-                          LoadCorpusDirectory(dir));
+                          LoadCorpusDirectory(dir, num_threads));
   for (uint32_t kb = 0; kb < collection.num_kbs(); ++kb) {
     std::printf("  %-26s %8llu triples -> KB %u\n",
                 collection.kb(kb).name.c_str(),
@@ -291,8 +295,9 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
     return Status::InvalidArgument(
         verb + ": --spill-dir has no effect without --memory-budget");
   }
-  // --threads N: worker count (0 = hardware concurrency). Deterministic:
-  // the resolution result is identical for every value.
+  // --threads N: worker count (0 = hardware concurrency), for loading the
+  // corpus and for resolving it. Deterministic: the collection and the
+  // resolution result are identical for every value.
   MINOAN_ASSIGN_OR_RETURN(options.num_threads,
                           UintFlag(verb, flags, "threads", 1, 1024));
   // --pin-threads: pin pool workers to cores (Linux; no-op elsewhere).
@@ -405,7 +410,7 @@ int CmdResolve(const Flags& flags) {
   const std::string dir = flags.positional()[0];
   auto options = ParseWorkflowOptions("resolve", flags);
   if (!options.ok()) return UsageError(options.status());
-  auto collection = LoadAndListCorpus(dir);
+  auto collection = LoadAndListCorpus(dir, options->num_threads);
   if (!collection.ok()) return Fail(collection.status());
 
   StreamingObserver streamer(*collection);
@@ -459,7 +464,7 @@ int CmdSession(const Flags& flags) {
   }
   auto options = ParseWorkflowOptions("session " + verb, flags);
   if (!options.ok()) return UsageError(options.status());
-  auto collection = LoadAndListCorpus(dir);
+  auto collection = LoadAndListCorpus(dir, options->num_threads);
   if (!collection.ok()) return Fail(collection.status());
 
   StreamingObserver streamer(*collection);
