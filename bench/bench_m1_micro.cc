@@ -174,11 +174,11 @@ void BM_SchedulerPrimeDrain(benchmark::State& state) {
   for (auto _ : state) {
     ComparisonScheduler scheduler;
     scheduler.Reserve(kSlots);
-    std::vector<uint32_t> slots(kSlots);
+    std::vector<ComparisonScheduler::PrimeEntry> entries(kSlots);
     for (size_t i = 0; i < kSlots; ++i) {
-      slots[i] = scheduler.FindOrAdd(pairs[i]);
+      entries[i] = {priorities[i], pairs[i], scheduler.FindOrAdd(pairs[i])};
     }
-    scheduler.Prime(std::move(slots), priorities);
+    scheduler.Prime(entries);
     uint32_t slot;
     double priority;
     while (scheduler.Pop(slot, priority)) {

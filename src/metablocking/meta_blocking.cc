@@ -1,7 +1,6 @@
 #include "metablocking/meta_blocking.h"
 
-#include <algorithm>
-#include <thread>
+#include <span>
 
 #include "metablocking/blocking_graph.h"
 #include "metablocking/sharded_prune.h"
@@ -40,12 +39,13 @@ std::string_view PruningSchemeName(PruningScheme scheme) {
   return "?";
 }
 
-void SortByWeightDescending(std::vector<WeightedComparison>& comparisons) {
-  std::sort(comparisons.begin(), comparisons.end(),
-            [](const WeightedComparison& x, const WeightedComparison& y) {
-              if (x.weight != y.weight) return x.weight > y.weight;
-              return PairKey(x.a, x.b) < PairKey(y.a, y.b);
-            });
+void SortByWeightDescending(std::span<WeightedComparison> comparisons,
+                            ThreadPool* pool) {
+  ParallelSort(pool, comparisons,
+               [](const WeightedComparison& x, const WeightedComparison& y) {
+                 if (x.weight != y.weight) return x.weight > y.weight;
+                 return PairKey(x.a, x.b) < PairKey(y.a, y.b);
+               });
 }
 
 std::vector<WeightedComparison> MetaBlocking::Prune(

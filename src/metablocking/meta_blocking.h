@@ -19,6 +19,7 @@
 #ifndef MINOAN_METABLOCKING_META_BLOCKING_H_
 #define MINOAN_METABLOCKING_META_BLOCKING_H_
 
+#include <span>
 #include <vector>
 
 #include "blocking/block.h"
@@ -40,8 +41,8 @@ class MetaBlocking {
 
   /// Prunes the blocking graph of `blocks` (builds its entity index when
   /// missing). Returns retained comparisons sorted by descending weight
-  /// (ties broken by pair id for determinism). Spawns a worker pool when
-  /// options().num_threads != 1.
+  /// (ties broken by pair id for determinism); that canonical sort runs on
+  /// the pool too. Spawns a worker pool when options().num_threads != 1.
   std::vector<WeightedComparison> Prune(BlockCollection& blocks,
                                         const EntityCollection& collection,
                                         MetaBlockingStats* stats = nullptr)
@@ -76,8 +77,11 @@ double ComputePairWeight(BlockCollection& blocks,
                          EntityId a, EntityId b);
 
 /// Sorts comparisons by (weight desc, pair id asc) — the canonical
-/// deterministic order used across the library.
-void SortByWeightDescending(std::vector<WeightedComparison>& comparisons);
+/// deterministic order used across the library — on `pool` when given
+/// (ParallelSort, util/thread_pool.h). A total order over distinct pairs, so
+/// the result is the same with or without a pool.
+void SortByWeightDescending(std::span<WeightedComparison> comparisons,
+                            ThreadPool* pool = nullptr);
 
 }  // namespace minoan
 

@@ -415,7 +415,7 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
     }
   }
 
-  SortByWeightDescending(retained);
+  SortByWeightDescending(retained, pool);
   // Telemetry once per prune run — all sequential, outside the workers.
   {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();

@@ -8,8 +8,10 @@
 // are routed into a fixed number of shards by PairKey hash; each shard sorts
 // its nominations by (pair, nominating entity) before aggregating, which
 // reproduces the sequential vote-table semantics (the larger endpoint's
-// weight wins when both nominate). The net guarantee: the retained edge list
-// is bit-identical for every thread count, including the inline (no pool)
+// weight wins when both nominate). The retained edges then take the
+// canonical (weight desc, pair asc) order in one sort that also runs on the
+// pool (ParallelSort). The net guarantee: the retained edge list is
+// bit-identical for every thread count, including the inline (no pool)
 // path.
 
 #ifndef MINOAN_METABLOCKING_SHARDED_PRUNE_H_
@@ -33,8 +35,9 @@ inline constexpr uint32_t kPruneVoteShards = 64;
 
 /// Prunes the blocking graph of `view` under `options`, running chunk and
 /// shard tasks on `pool` (nullptr = inline on the calling thread). Returns
-/// retained comparisons in the canonical order of SortByWeightDescending;
-/// the result is bit-identical across pool sizes.
+/// retained comparisons in the canonical order of SortByWeightDescending,
+/// whose sort also runs on `pool` (a total order, so its result does not
+/// depend on the pool); the result is bit-identical across pool sizes.
 std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
                                              const MetaBlockingOptions& options,
                                              ThreadPool* pool,

@@ -169,7 +169,7 @@ OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm)
   for (EntityId id = 0; id < coll_.num_entities(); ++id) {
     IndexEntity(id, &deferred);
   }
-  engine_.ScoreAndPrime(std::move(deferred));
+  engine_.ScoreAndPrime(deferred);
   ConsumeSameAsSeeds();
 }
 

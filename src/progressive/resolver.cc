@@ -19,6 +19,26 @@ constexpr std::string_view kStateMagic = "MNER-PROG-v1";
 using serde::kMaxUpfrontReserve;
 using serde::ValidPairKey;
 
+/// Runs fn(pool) with the pool a setup pass over `n` items runs on when
+/// `num_threads` calls for parallelism: the caller's pool, or a transient
+/// one. A caller-owned pool (the session's) has no spawn cost, so it pays
+/// off on much smaller lists than a transient pool does. The gate only
+/// decides where the pass runs; its result is identical either way.
+template <typename Fn>
+void WithSetupPool(ThreadPool* caller_pool, uint32_t num_threads, size_t n,
+                   const Fn& fn) {
+  const uint32_t threads = ResolveThreadCount(num_threads);
+  const size_t min_parallel = caller_pool != nullptr ? 256 : 2048;
+  if (threads <= 1 || n < min_parallel) {
+    fn(nullptr);
+  } else if (caller_pool != nullptr) {
+    fn(caller_pool);
+  } else {
+    ThreadPool pool(threads);
+    fn(&pool);
+  }
+}
+
 }  // namespace
 
 ProgressiveResolver::ProgressiveResolver(const EntityCollection& collection,
@@ -45,11 +65,15 @@ ProgressiveResolver::ProgressiveResolver(const EntityCollection& collection,
 
 double ProgressiveResolver::Priority(uint32_t id) const {
   const ScheduleSlot& slot = scheduler_.slot(id);
-  const double benefit = estimator_.PairBenefit(
-      PairKeyFirst(slot.pair), PairKeySecond(slot.pair), *state_);
-  double likelihood = slot.likelihood;
-  if (slot.evidence > 0.0) {
-    likelihood += options_.evidence.priority * std::min(1.0, slot.evidence);
+  return Priority(slot.pair, slot.likelihood, slot.evidence);
+}
+
+double ProgressiveResolver::Priority(uint64_t pair, double likelihood,
+                                     double evidence) const {
+  const double benefit = estimator_.PairBenefit(PairKeyFirst(pair),
+                                                PairKeySecond(pair), *state_);
+  if (evidence > 0.0) {
+    likelihood += options_.evidence.priority * std::min(1.0, evidence);
   }
   return likelihood * (1.0 + options_.benefit_weight * benefit);
 }
@@ -58,7 +82,6 @@ void ProgressiveResolver::Begin(
     const std::vector<WeightedComparison>& candidates,
     const std::vector<Comparison>& seeds) {
   scheduler_ = ComparisonScheduler();
-  scheduler_.Reserve(candidates.size());
   result_ = ProgressiveResult();
   merges_.clear();
   cumulative_benefit_ = 0.0;
@@ -73,14 +96,35 @@ void ProgressiveResolver::Begin(
     max_weight = std::max(max_weight, c.weight);
   }
   const double scale = max_weight > 0.0 ? 1.0 / max_weight : 1.0;
-  std::vector<uint32_t> slots(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    slots[i] = scheduler_.FindOrAdd(PairKey(candidates[i].a, candidates[i].b));
-    ScheduleSlot& slot = scheduler_.slot(slots[i]);
-    slot.likelihood = candidates[i].weight * scale;
-    slot.candidate = true;
-  }
-  ScoreAndPrime(std::move(slots));
+  WithSetupPool(pool_, options_.num_threads, candidates.size(),
+                [&](ThreadPool* pool) {
+    NoInitVector<uint32_t> slots = scheduler_.InstallCandidates(
+        candidates, collection_->num_entities(), scale, pool);
+    // The listings that hold their pair's slot (all, unless a pair is
+    // listed twice), in list order: meta-blocking's weight order, nearly
+    // the pop order. Each slot is pristine, so its priority is priced from
+    // the listing itself, without reading the slot.
+    std::vector<uint32_t> kept;
+    if (slots.size() != scheduler_.num_candidates()) {
+      for (uint32_t i = 0; i < slots.size(); ++i) {
+        if (slots[i] != ComparisonScheduler::kNoSlot) kept.push_back(i);
+      }
+    }
+    NoInitVector<ComparisonScheduler::PrimeEntry> entries(
+        scheduler_.num_candidates());
+    RunChunkedTasks(pool, entries.size(), kParallelGrain,
+                    [&](size_t, size_t begin, size_t end) {
+      for (size_t j = begin; j < end; ++j) {
+        const size_t i = kept.empty() ? j : kept[j];
+        const uint64_t pair = PairKey(candidates[i].a, candidates[i].b);
+        entries[j] = {Priority(pair, candidates[i].weight * scale, 0.0), pair,
+                      slots[i]};
+      }
+    });
+    slots = {};
+    kept = {};
+    scheduler_.Prime(entries, pool);
+  });
 
   // Warm-start seeds apply after scoring, so their neighborhoods get
   // evidence before anything is compared.
@@ -88,25 +132,16 @@ void ProgressiveResolver::Begin(
   result_.scheduler_pushes = scheduler_.total_pushes();
 }
 
-void ProgressiveResolver::ScoreAndPrime(std::vector<uint32_t> ids) {
-  std::vector<double> priorities(ids.size());
-  const auto score = [&](size_t i) { priorities[i] = Priority(ids[i]); };
-  const uint32_t threads = ResolveThreadCount(options_.num_threads);
-  // A caller-owned pool (the session's) has no spawn cost, so it pays off
-  // on much smaller lists than a transient pool does. The gate only
-  // decides where the loop runs; the scores are identical either way.
-  const size_t min_parallel = pool_ != nullptr ? 256 : 2048;
-  if (threads > 1 && ids.size() >= min_parallel) {
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(ids.size(), score);
-    } else {
-      ThreadPool pool(threads);
-      pool.ParallelFor(ids.size(), score);
-    }
-  } else {
-    for (size_t i = 0; i < ids.size(); ++i) score(i);
-  }
-  scheduler_.Prime(std::move(ids), priorities);
+void ProgressiveResolver::ScoreAndPrime(std::span<const uint32_t> ids) {
+  NoInitVector<ComparisonScheduler::PrimeEntry> entries(ids.size());
+  WithSetupPool(pool_, options_.num_threads, ids.size(),
+                [&](ThreadPool* pool) {
+                  RunPoolTasks(pool, ids.size(), [&](size_t i) {
+                    entries[i] = {Priority(ids[i]),
+                                  scheduler_.slot(ids[i]).pair, ids[i]};
+                  });
+                  scheduler_.Prime(entries, pool);
+                });
 }
 
 uint32_t ProgressiveResolver::SlotFor(uint64_t pair) {
@@ -151,6 +186,7 @@ StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
   const size_t match_mark = result_.run.matches.size();
   const uint64_t discovered_mark = result_.discovered_pairs;
   const uint64_t discovered_matches_mark = result_.discovered_matches;
+  const uint64_t fanout_mark = update_fanout_;
   out = RunScheduledComparisons(
       scheduler_, max_comparisons, options_.evidence.staleness_tolerance,
       /*current_priority=*/[&](uint32_t id) { return Priority(id); },
@@ -159,6 +195,7 @@ StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
   out.discovered_pairs = result_.discovered_pairs - discovered_mark;
   out.discovered_matches =
       result_.discovered_matches - discovered_matches_mark;
+  out.update_fanout = update_fanout_ - fanout_mark;
   out.matches.assign(result_.run.matches.begin() + match_mark,
                      result_.run.matches.end());
   result_.scheduler_pushes = scheduler_.total_pushes();
@@ -213,12 +250,14 @@ uint64_t ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
       std::min<size_t>(nb.size(), options_.evidence.max_neighbors_per_side);
   const bool clean = options_.mode == ResolutionMode::kCleanClean;
   uint64_t updates = 0;
+  uint64_t considered = 0;
   for (size_t i = 0; i < la; ++i) {
     for (size_t j = 0; j < lb; ++j) {
       const EntityId x = na[i];
       const EntityId y = nb[j];
       if (x == y) continue;
       if (clean && !collection_->CrossKb(x, y)) continue;
+      ++considered;
       const uint64_t pair = PairKey(x, y);
       uint32_t id = scheduler_.Find(pair);
       if (id != ComparisonScheduler::kNoSlot && scheduler_.slot(id).executed) {
@@ -239,6 +278,7 @@ uint64_t ProgressiveResolver::UpdatePhase(EntityId a, EntityId b) {
       Schedule(id);
     }
   }
+  update_fanout_ += considered;
   return updates;
 }
 
@@ -298,19 +338,24 @@ Status ProgressiveResolver::LoadState(std::istream& in) {
   }
   // The lists must be canonical, as SaveState writes them: ascending
   // keys, finite values, and no live pair that was already executed.
+  // Candidates are installed as Begin installs them (likelihood · 1.0 is
+  // the likelihood); later pairs get slots after them.
   ComparisonScheduler scheduler;
-  const auto slot_of = [&scheduler](uint64_t pair) -> ScheduleSlot& {
-    return scheduler.slot(scheduler.FindOrAdd(pair));
-  };
+  std::vector<WeightedComparison> candidates;
   if (!serde::ReadAscendingPairDoubles(
           in, num_entities, [&](uint64_t pair, double likelihood) {
-            ScheduleSlot& slot = slot_of(pair);
-            slot.likelihood = likelihood;
-            slot.candidate = true;
+            if (PairKeyFirst(pair) > PairKeySecond(pair)) return false;
+            candidates.push_back(
+                {PairKeyFirst(pair), PairKeySecond(pair), likelihood});
             return true;
           })) {
     return truncated();
   }
+  scheduler.InstallCandidates(candidates, num_entities, 1.0);
+  candidates = {};
+  const auto slot_of = [&scheduler](uint64_t pair) -> ScheduleSlot& {
+    return scheduler.slot(scheduler.FindOrAdd(pair));
+  };
   if (!serde::ReadAscendingPairDoubles(
           in, num_entities, [&](uint64_t pair, double evidence) {
             ScheduleSlot& slot = slot_of(pair);
@@ -411,8 +456,7 @@ void WriteLoopSections(std::ostream& out, const ComparisonScheduler& scheduler,
 bool ReadLoopSections(std::istream& in, uint32_t num_entities,
                       ComparisonScheduler& scheduler,
                       std::vector<MergeOp>& merges, ResolutionRun& run) {
-  std::vector<uint32_t> live;
-  std::vector<double> priorities;
+  std::vector<ComparisonScheduler::PrimeEntry> live;
   uint64_t total_pushes;
   if (!serde::ReadAscendingPairDoubles(
           in, num_entities,
@@ -422,14 +466,13 @@ bool ReadLoopSections(std::istream& in, uint32_t num_entities,
                 scheduler.slot(id).executed) {
               return false;
             }
-            live.push_back(id);
-            priorities.push_back(priority);
+            live.push_back({priority, pair, id});
             return true;
           }) ||
       !serde::ReadU64(in, total_pushes)) {
     return false;
   }
-  scheduler.Prime(std::move(live), priorities);
+  scheduler.Prime(live);
   scheduler.set_total_pushes(total_pushes);
 
   uint64_t n;

@@ -70,10 +70,11 @@ struct ProgressiveOptions {
   /// Evidence-propagation knobs, shared with the online engine.
   EvidenceOptions evidence;
   ResolutionMode mode = ResolutionMode::kCleanClean;
-  /// Worker threads for the batch-parallel setup phase (scoring the initial
-  /// candidates against the pristine state); the iterative schedule/match/
-  /// update loop itself is inherently sequential. 1 = inline (default),
-  /// 0 = hardware concurrency. Results are identical for every value.
+  /// Worker threads for the batch-parallel setup phase (installing the
+  /// initial candidates, scoring them against the pristine state, and
+  /// sorting the primed run); the iterative schedule/match/update loop
+  /// itself is inherently sequential. 1 = inline (default), 0 = hardware
+  /// concurrency. Results are identical for every value.
   uint32_t num_threads = 1;
 };
 
@@ -224,13 +225,13 @@ class ProgressiveResolver {
   void Schedule(uint32_t id);
 
   /// Prices every slot of `ids` and primes the (empty) schedule with them.
-  /// The one parallel pass of the loop: it runs on the caller's pool, or on
-  /// a transient one for 2048 or more slots, when options.num_threads > 1.
+  /// It runs on the caller's pool, or on a transient one for 2048 or more
+  /// slots, when options.num_threads > 1, as Begin's install and pricing do.
   /// Safe to fan out only while no merge is recorded: every cluster is then
   /// a singleton and pricing only reads. Scores land in a per-index array,
   /// and pop order depends only on (priority, pair), so the schedule is the
   /// same for every thread count.
-  void ScoreAndPrime(std::vector<uint32_t> ids);
+  void ScoreAndPrime(std::span<const uint32_t> ids);
 
   /// Applies the trusted equivalence (a, b) at zero budget cost, unless the
   /// pair was executed already: it is marked executed, merged in the
@@ -250,6 +251,8 @@ class ProgressiveResolver {
   /// Priority of slot `id` against the current state: (blocking likelihood
   /// + capped evidence term) × (1 + benefit_weight · marginal benefit).
   double Priority(uint32_t id) const;
+  /// The same for a pair with the given likelihood and evidence.
+  double Priority(uint64_t pair, double likelihood, double evidence) const;
   /// Merges (a, b) in the cluster state and appends it to the merge log.
   void RecordMerge(EntityId a, EntityId b);
   /// Raises the evidence of (a, b)'s neighbor pairs and re-prioritizes
@@ -274,6 +277,9 @@ class ProgressiveResolver {
   ComparisonScheduler scheduler_;
   ProgressiveResult result_;
   std::vector<MergeOp> merges_;
+  /// Pairs every update phase so far considered (observability only: not
+  /// checkpointed; Step reports its own share).
+  uint64_t update_fanout_ = 0;
   double cumulative_benefit_ = 0.0;
   bool begun_ = false;
   bool exhausted_ = false;

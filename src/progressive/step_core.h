@@ -50,6 +50,10 @@ struct StepResult {
   uint64_t evidence_updates = 0;
   uint64_t discovered_pairs = 0;
   uint64_t discovered_matches = 0;
+  /// Neighbor pairs this call's update phases considered — every pair they
+  /// looked up in the schedule, before the executed and same-cluster
+  /// filters (evidence_updates counts the ones that passed).
+  uint64_t update_fanout = 0;
 };
 
 /// Similarity bonus of a slot's accumulated neighbor evidence.
@@ -116,8 +120,9 @@ StepResult RunScheduledComparisons(ComparisonScheduler& scheduler,
 
 /// Adds one stepping call's loop accounting to the process-wide
 /// progressive.{pops,requeues,skips,comparisons,evidence_updates,
-/// discovered_pairs,discovered_matches} counters. Both drivers call it once
-/// per Step/ResolveBudget call, never once per comparison.
+/// discovered_pairs,discovered_matches,update_fanout} counters. Both
+/// drivers call it once per Step/ResolveBudget call, never once per
+/// comparison.
 inline void RecordLoopCounters(const StepResult& step) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   static obs::Counter& pops = registry.counter("progressive.pops");
@@ -131,6 +136,8 @@ inline void RecordLoopCounters(const StepResult& step) {
       registry.counter("progressive.discovered_pairs");
   static obs::Counter& discovered_matches =
       registry.counter("progressive.discovered_matches");
+  static obs::Counter& update_fanout =
+      registry.counter("progressive.update_fanout");
   pops.Add(step.pops);
   requeues.Add(step.requeues);
   skips.Add(step.skips);
@@ -138,6 +145,7 @@ inline void RecordLoopCounters(const StepResult& step) {
   evidence_updates.Add(step.evidence_updates);
   discovered_pairs.Add(step.discovered_pairs);
   discovered_matches.Add(step.discovered_matches);
+  update_fanout.Add(step.update_fanout);
 }
 
 }  // namespace minoan

@@ -254,13 +254,28 @@ void Server::AcceptLoop() {
       if (errno == EINTR) continue;
       return;  // listen socket shut down
     }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      return;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stopping_.load(std::memory_order_relaxed)) {
+        ::close(fd);
+        return;
+      }
+      // Hand the finished handlers over for joining, so a long-lived
+      // daemon holds a thread only per open connection.
+      for (const std::thread::id id : finished_conns_) {
+        const auto it = std::find_if(
+            conn_threads_.begin(), conn_threads_.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        finished.push_back(std::move(*it));
+        conn_threads_.erase(it);
+      }
+      finished_conns_.clear();
+      conn_fds_.push_back(fd);
+      conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    // Each has recorded its finish as its last step under the lock.
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -317,11 +332,10 @@ void Server::HandleConnection(int fd) {
     }
     if (!WriteFrame(fd, frame.id, response).ok()) break;
   }
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    std::erase(conn_fds_, fd);
-  }
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  std::erase(conn_fds_, fd);
   ::close(fd);
+  finished_conns_.push_back(std::this_thread::get_id());
 }
 
 std::string Server::Dispatch(const Frame& frame) {

@@ -215,7 +215,12 @@ class Server {
   std::thread sweeper_thread_;
   std::thread exporter_thread_;
   std::mutex conn_mu_;
+  /// Connection handlers not yet joined: the live ones and those that
+  /// finished since the last accept (the accept loop joins those before it
+  /// adds the next handler; Shutdown joins the rest).
   std::vector<std::thread> conn_threads_;
+  /// Handlers that returned and await their join, recorded under conn_mu_.
+  std::vector<std::thread::id> finished_conns_;
   /// Open connection descriptors: a handler erases its fd under conn_mu_
   /// before closing it, so Shutdown never touches a recycled number.
   std::vector<int> conn_fds_;

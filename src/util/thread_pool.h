@@ -16,7 +16,9 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -167,6 +169,138 @@ void RunPoolTasks(ThreadPool* pool, size_t count, const Fn& fn) {
     return;
   }
   for (size_t i = 0; i < count; ++i) fn(i);
+}
+
+/// Allocator whose value-initialization (vector(n), resize(n)) leaves a
+/// trivially copyable element unwritten, so a large array is first touched
+/// by the parallel pass that writes every element of it, not by a serial
+/// zero fill that pays every page fault first. Every other construction
+/// (push_back, copies) is the usual one.
+template <typename T>
+struct NoInitAllocator : std::allocator<T> {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+  template <typename U>
+  struct rebind {
+    using other = NoInitAllocator<U>;
+  };
+  NoInitAllocator() = default;
+  template <typename U>
+  NoInitAllocator(const NoInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U*) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A vector of trivially copyable elements that resize(n) leaves unwritten.
+template <typename T>
+using NoInitVector = std::vector<T, NoInitAllocator<T>>;
+
+/// Least number of elements worth one task of a parallel pass over an
+/// array (ParallelSort's pieces, the schedule build's passes); ParallelSort
+/// sorts an input of fewer than two per worker with one std::sort.
+inline constexpr size_t kParallelGrain = size_t{1} << 12;
+
+namespace sort_internal {
+
+/// Merge path: how many of the first k elements of the stable merge of the
+/// sorted runs a[0, m) and b[0, l) come from a (std::merge takes from a on
+/// ties).
+template <typename T, typename Less>
+size_t MergeCoRank(const T* a, size_t m, const T* b, size_t l, size_t k,
+                   Less& less) {
+  size_t lo = k > l ? k - l : 0;
+  size_t hi = std::min(k, m);
+  while (lo < hi) {
+    const size_t i = lo + (hi - lo) / 2;
+    if (less(b[k - i - 1], a[i])) {
+      hi = i;
+    } else {
+      lo = i + 1;
+    }
+  }
+  return lo;
+}
+
+}  // namespace sort_internal
+
+/// Sorts `data` by `less` on `pool`: one contiguous piece per worker is
+/// sorted in parallel, then the sorted runs are merged pairwise, each merge
+/// cut at merge-path co-ranks into pieces that also run in parallel (through
+/// a buffer the size of `data`). Without a pool, or below two grains per
+/// worker, it is std::sort. Under a strict total order the result is the
+/// one sorted permutation, so it does not depend on the pool size;
+/// equivalent elements end in an unspecified order.
+template <typename T, typename Less>
+void ParallelSort(ThreadPool* pool, std::span<T> data, Less less) {
+  const size_t n = data.size();
+  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
+  const size_t pieces = std::min(threads, n / kParallelGrain);
+  if (pieces < 2) {
+    std::sort(data.begin(), data.end(), less);
+    return;
+  }
+  std::unique_ptr<T[]> buffer = std::make_unique_for_overwrite<T[]>(n);
+  // Each merge round moves the runs to the other array; with an odd number
+  // of rounds the pieces are sorted in the buffer, so the last round lands
+  // in `data`.
+  size_t rounds = 0;
+  for (size_t runs = pieces; runs > 1; runs = (runs + 1) / 2) ++rounds;
+  T* src = rounds % 2 == 0 ? data.data() : buffer.get();
+  T* dst = rounds % 2 == 0 ? buffer.get() : data.data();
+  std::vector<size_t> bounds(pieces + 1);
+  for (size_t p = 0; p <= pieces; ++p) bounds[p] = n * p / pieces;
+  RunPoolTasks(pool, pieces, [&](size_t p) {
+    if (src != data.data()) {
+      std::copy(data.data() + bounds[p], data.data() + bounds[p + 1],
+                src + bounds[p]);
+    }
+    std::sort(src + bounds[p], src + bounds[p + 1], less);
+  });
+
+  // Runs 2r and 2r + 1 merge into one; a trailing lone run merges with an
+  // empty one (a copy). Every merge is cut into output pieces of about
+  // n / threads elements.
+  struct Piece {
+    size_t lo, mid, hi;  // the two input runs [lo, mid) and [mid, hi)
+    size_t begin, end;   // output range, within [lo, hi)
+  };
+  const size_t piece_len =
+      std::max(kParallelGrain, (n + threads - 1) / threads);
+  std::vector<Piece> work;
+  while (bounds.size() > 2) {
+    work.clear();
+    std::vector<size_t> merged;
+    for (size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const size_t lo = bounds[r];
+      const size_t mid = bounds[r + 1];
+      const size_t hi = r + 2 < bounds.size() ? bounds[r + 2] : mid;
+      for (size_t begin = lo; begin < hi; begin += piece_len) {
+        work.push_back(
+            Piece{lo, mid, hi, begin, std::min(hi, begin + piece_len)});
+      }
+      merged.push_back(lo);
+    }
+    merged.push_back(n);
+    RunPoolTasks(pool, work.size(), [&](size_t w) {
+      const Piece& p = work[w];
+      const T* a = src + p.lo;
+      const T* b = src + p.mid;
+      const size_t m = p.mid - p.lo;
+      const size_t l = p.hi - p.mid;
+      const size_t i0 =
+          sort_internal::MergeCoRank(a, m, b, l, p.begin - p.lo, less);
+      const size_t i1 =
+          sort_internal::MergeCoRank(a, m, b, l, p.end - p.lo, less);
+      std::merge(a + i0, a + i1, b + (p.begin - p.lo - i0),
+                 b + (p.end - p.lo - i1), dst + p.begin, less);
+    });
+    bounds.swap(merged);
+    std::swap(src, dst);
+  }
 }
 
 /// Number of fixed-size chunks covering [0, total). One definition of the

@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <numeric>
 #include <random>
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,8 @@
 #include "progressive/state.h"
 #include "rdf/ntriples.h"
 #include "util/hash.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace minoan {
 namespace {
@@ -169,16 +174,14 @@ TEST(SchedulerTest, MatchesReferenceQueueUnderRandomOperations) {
 
     // Prime 0-5,000 entries (a pair may be listed twice: last one wins).
     const size_t n_prime = rng() % 5001;
-    std::vector<uint32_t> slots;
-    std::vector<double> priorities;
+    std::vector<ComparisonScheduler::PrimeEntry> entries;
     for (size_t i = 0; i < n_prime; ++i) {
       const uint64_t pair = random_pair();
       const int level = static_cast<int>(rng() % kNumLevels);
-      slots.push_back(s.FindOrAdd(pair));
-      priorities.push_back(kLevels[level]);
+      entries.push_back({kLevels[level], pair, s.FindOrAdd(pair)});
       schedule(pair, level);
     }
-    s.Prime(std::move(slots), priorities);
+    s.Prime(entries);
     ASSERT_EQ(s.live_size(), ref.size()) << "seed " << seed;
     ASSERT_EQ(s.total_pushes(), pushes) << "seed " << seed;
 
@@ -251,13 +254,11 @@ TEST(SchedulerTest, PrimeOrderDoesNotChangePopSequence) {
 
   const auto drain = [](const std::vector<std::pair<double, uint64_t>>& in) {
     ComparisonScheduler s;
-    std::vector<uint32_t> slots;
-    std::vector<double> priorities;
+    std::vector<ComparisonScheduler::PrimeEntry> entries;
     for (const auto& [priority, pair] : in) {
-      slots.push_back(s.FindOrAdd(pair));
-      priorities.push_back(priority);
+      entries.push_back({priority, pair, s.FindOrAdd(pair)});
     }
-    s.Prime(std::move(slots), priorities);
+    s.Prime(entries);
     std::vector<std::pair<double, uint64_t>> out;
     uint64_t pair;
     double priority;
@@ -566,6 +567,142 @@ TEST(ResolverTest, DiscoveredPairsGrowTheSlotTableInPlace) {
   ASSERT_GT(discovered, 0u);
   ASSERT_LT(discovered, w.candidates.size() / 8);
   EXPECT_EQ(&resolver.scheduler().slot(0), first);
+}
+
+// The checkpoint right after Begin, the matches of Step(0), and the
+// checkpoint after it: everything a candidate list's handling can show.
+struct BegunRun {
+  std::string begun;
+  std::vector<std::pair<uint64_t, uint64_t>> matches;  // (pair, at)
+  std::string finished;
+  bool operator==(const BegunRun&) const = default;
+};
+
+BegunRun RunFrom(const ResolverWorld& w,
+                 const std::vector<WeightedComparison>& candidates,
+                 const ProgressiveOptions& opts, ThreadPool* pool = nullptr) {
+  ProgressiveResolver resolver(w.collection(), w.graph(), w.evaluator(), opts,
+                               pool);
+  resolver.Begin(candidates);
+  BegunRun out;
+  std::ostringstream begun;
+  EXPECT_TRUE(resolver.SaveState(begun).ok());
+  out.begun = begun.str();
+  for (const MatchEvent& m : resolver.Step(0).matches) {
+    out.matches.emplace_back(PairKey(m.a, m.b), m.comparisons_done);
+  }
+  std::ostringstream finished;
+  EXPECT_TRUE(resolver.SaveState(finished).ok());
+  out.finished = finished.str();
+  return out;
+}
+
+// ~40,000 distinct random pairs over the world's entities with 32 distinct
+// weights, in meta-blocking's canonical order: big enough that the install,
+// the scoring and a full Prime sort split over every pool below.
+std::vector<WeightedComparison> RandomCandidates(const ResolverWorld& w) {
+  const uint32_t n = w.collection().num_entities();
+  Rng rng(4242);
+  std::set<uint64_t> seen;
+  std::vector<WeightedComparison> out;
+  while (out.size() < 40000) {
+    const uint32_t a = static_cast<uint32_t>(rng.Below(n));
+    const uint32_t b = static_cast<uint32_t>(rng.Below(n));
+    if (a == b || !seen.insert(PairKey(a, b)).second) continue;
+    out.push_back({a, b, 1.0 + static_cast<double>(rng.Below(32))});
+  }
+  SortByWeightDescending(out);
+  return out;
+}
+
+TEST(ResolverTest, CandidateListOrderDoesNotChangeTheRun) {
+  // Slots follow pair order whatever the list order, so the weight order,
+  // its reverse, a shuffle, and a list where one pair is also listed
+  // earlier at a smaller weight (the last listing wins) run identically —
+  // whether Prime repairs the nearly sorted list or sorts it.
+  const ResolverWorld w = ResolverWorld::Make(73, true);
+  ProgressiveOptions opts;
+  opts.matcher.threshold = 0.3;
+  const std::vector<WeightedComparison> sorted = w.candidates;
+  std::vector<WeightedComparison> reversed(sorted.rbegin(), sorted.rend());
+  std::vector<WeightedComparison> shuffled = sorted;
+  std::mt19937_64 rng(7);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  std::vector<WeightedComparison> duplicated = sorted;
+  WeightedComparison early = sorted[sorted.size() / 2];
+  early.weight /= 2.0;
+  duplicated.insert(duplicated.begin() + 3, early);
+
+  const BegunRun want = RunFrom(w, sorted, opts);
+  ASSERT_FALSE(want.matches.empty());
+  EXPECT_TRUE(RunFrom(w, reversed, opts) == want);
+  EXPECT_TRUE(RunFrom(w, shuffled, opts) == want);
+  EXPECT_TRUE(RunFrom(w, duplicated, opts) == want);
+}
+
+TEST(ResolverTest, BeginIsThreadCountInvariant) {
+  // The install's scatter and row sorts, the scoring, and (under a benefit
+  // model whose priorities are not monotone in the weight) Prime's full
+  // sort run on the pool; the bytes do not depend on its size.
+  const ResolverWorld w = ResolverWorld::Make(89, false);
+  const std::vector<WeightedComparison> candidates = RandomCandidates(w);
+  for (const BenefitModel model :
+       {BenefitModel::kQuantity, BenefitModel::kAttributeCompleteness}) {
+    ProgressiveOptions opts;
+    opts.benefit = model;
+    opts.matcher.budget = 3000;
+    const BegunRun want = RunFrom(w, candidates, opts);
+    for (const uint32_t threads : {1u, 2u, 4u, 7u}) {
+      ThreadPool pool(threads);
+      opts.num_threads = threads;
+      EXPECT_TRUE(RunFrom(w, candidates, opts, &pool) == want)
+          << BenefitModelName(model) << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(ResolverTest, FindAgreesWithEverySlotAfterDiscovery) {
+  // Candidates live in the CSR rows, discovered pairs in the map; Find must
+  // see both, and nothing else.
+  const ResolverWorld w = ResolverWorld::Make(73, true);
+  ProgressiveOptions opts;
+  opts.matcher.threshold = 0.3;
+  ProgressiveResolver resolver(w.collection(), w.graph(), w.evaluator(), opts);
+  resolver.Begin(w.candidates);
+  resolver.Step(0);
+  ASSERT_GT(resolver.result().discovered_pairs, 0u);
+  const ComparisonScheduler& scheduler = resolver.scheduler();
+
+  const std::vector<uint32_t> by_pair = scheduler.SlotsByPair();
+  ASSERT_EQ(by_pair.size(),
+            w.candidates.size() + resolver.result().discovered_pairs);
+  std::vector<uint32_t> ids = by_pair;
+  std::sort(ids.begin(), ids.end());
+  std::vector<uint32_t> all(by_pair.size());
+  std::iota(all.begin(), all.end(), 0u);
+  ASSERT_EQ(ids, all) << "SlotsByPair must list every slot once";
+  std::map<uint64_t, uint32_t> slot_of;
+  for (size_t i = 0; i < by_pair.size(); ++i) {
+    const uint64_t pair = scheduler.slot(by_pair[i]).pair;
+    if (i > 0) {
+      ASSERT_LT(scheduler.slot(by_pair[i - 1]).pair, pair) << "at " << i;
+    }
+    slot_of[pair] = by_pair[i];
+  }
+  for (const auto& [pair, id] : slot_of) {
+    ASSERT_EQ(scheduler.Find(pair), id);
+  }
+
+  const uint32_t n = w.collection().num_entities();
+  Rng rng(11);
+  size_t unknown = 0;
+  while (unknown < 10000) {
+    const uint64_t pair = PairKey(static_cast<uint32_t>(rng.Below(n)),
+                                  static_cast<uint32_t>(rng.Below(n)));
+    if (slot_of.count(pair) != 0) continue;
+    ++unknown;
+    ASSERT_EQ(scheduler.Find(pair), ComparisonScheduler::kNoSlot);
+  }
 }
 
 TEST(ResolverTest, DiscoveredPairCountsOnceAtZeroIncrement) {

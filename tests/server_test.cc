@@ -477,6 +477,52 @@ TEST(ServerTest, ShutdownLeavesRecycledDescriptorsAlone) {
   ::close(pair[1]);
 }
 
+/// Live threads of this process (entries of /proc/self/task).
+size_t ThreadCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+/// This process's address-space size in KiB (VmSize of /proc/self/status).
+size_t VirtualKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoul(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServerTest, FinishedConnectionHandlersAreJoined) {
+  // Each connection gets a handler thread that ends with it; the accept
+  // loop joins the finished ones before it adds the next handler. An ended
+  // thread leaves /proc/self/task at once, but until it is joined its stack
+  // stays mapped, so the address space shows unjoined handlers: 64 of them
+  // would keep 64 stacks (8 MiB each by default).
+  ServerOptions options;
+  const testutil::ScratchDir state_dir("server-churn");
+  options.state_dir = state_dir.str();
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const size_t threads_before = ThreadCount();
+  const size_t vm_before = VirtualKib();
+  for (int i = 0; i < 64; ++i) {
+    auto client = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE((*client)->Ping().ok()) << "connection " << i;
+  }
+  // The last handlers see their client's close asynchronously.
+  for (int i = 0; i < 500 && ThreadCount() > threads_before + 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(ThreadCount(), threads_before + 2);
+  EXPECT_LT(VirtualKib(), vm_before + 256 * 1024);
+}
+
 TEST(ServerTest, ServerSideErrorsLeaveTheConnectionUsable) {
   ServerOptions options;
   const testutil::ScratchDir state_dir("server-errors");

@@ -158,9 +158,10 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
   obs::Counter& discovered = registry.counter("progressive.discovered_pairs");
   obs::Counter& discovered_matches =
       registry.counter("progressive.discovered_matches");
+  obs::Counter& update_fanout = registry.counter("progressive.update_fanout");
   for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons,
                            &evidence_updates, &discovered,
-                           &discovered_matches}) {
+                           &discovered_matches, &update_fanout}) {
     c->Reset();
   }
 
@@ -181,6 +182,9 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
     total.evidence_updates += step.evidence_updates;
     total.discovered_pairs += step.discovered_pairs;
     total.discovered_matches += step.discovered_matches;
+    total.update_fanout += step.update_fanout;
+    // Every evidence update is one of the pairs its update phase considered.
+    EXPECT_GE(step.update_fanout, step.evidence_updates);
   }
   EXPECT_EQ(total.comparisons, session->comparisons_spent());
   EXPECT_EQ(total.pops, total.comparisons + total.requeues + total.skips);
@@ -193,6 +197,8 @@ TEST(SessionTest, LoopCountersAccountForEveryPop) {
   EXPECT_EQ(evidence_updates.Value(), total.evidence_updates);
   EXPECT_EQ(discovered.Value(), total.discovered_pairs);
   EXPECT_EQ(discovered_matches.Value(), total.discovered_matches);
+  EXPECT_EQ(update_fanout.Value(), total.update_fanout);
+  EXPECT_GT(total.update_fanout, total.evidence_updates);
 
   // Without seeds, every push is a primed candidate, a stale re-queue, or
   // an evidence update, and every discovery happens inside a Step.

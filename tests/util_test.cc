@@ -1,13 +1,17 @@
 // Unit tests for the util module: Status/Result, RNG, interner, hashing,
 // TopK, tables, the thread pool, and the atomic file writer.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -510,6 +514,64 @@ TEST(WorkerScratchTest, LocalIsPerThreadAndReused) {
   inline_scratch.Local().push_back(7);
   EXPECT_EQ(inline_scratch.Local().size(), 1u);
   EXPECT_EQ(inline_scratch.Local()[0], 7);
+}
+
+// ---------------------------------------------------------------------------
+// ParallelSort
+// ---------------------------------------------------------------------------
+
+// (weight desc, id asc): a total order with many equal weights.
+struct Weighted {
+  double weight;
+  uint32_t id;
+  bool operator==(const Weighted&) const = default;
+};
+bool WeightedBefore(const Weighted& x, const Weighted& y) {
+  if (x.weight != y.weight) return x.weight > y.weight;
+  return x.id < y.id;
+}
+
+TEST(ParallelSortTest, MatchesStdSortAtEveryPoolSize) {
+  const size_t kGrain = kParallelGrain;
+  const std::vector<size_t> sizes = {
+      0,          1,          2,          kGrain - 1,     kGrain,
+      kGrain + 1, 2 * kGrain - 1, 2 * kGrain, 2 * kGrain + 1, 7 * kGrain + 3,
+      100003};
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const size_t threads : {1, 2, 3, 4, 7}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  pools.push_back(nullptr);
+  Rng rng(2026);
+  for (const size_t n : sizes) {
+    std::vector<Weighted> input(n);
+    for (size_t i = 0; i < n; ++i) {
+      // 16 distinct weights: long runs of ties broken by the id.
+      input[i] = {static_cast<double>(rng.Below(16)) / 4.0,
+                  static_cast<uint32_t>(i)};
+    }
+    rng.Shuffle(input);
+    std::vector<Weighted> want = input;
+    std::sort(want.begin(), want.end(), WeightedBefore);
+    for (const auto& pool : pools) {
+      std::vector<Weighted> got = input;
+      ParallelSort(pool.get(), std::span<Weighted>(got), WeightedBefore);
+      EXPECT_EQ(got, want) << "n " << n << " threads "
+                           << (pool ? pool->num_threads() : 0);
+    }
+  }
+}
+
+TEST(ParallelSortTest, SortedAndReversedInputs) {
+  ThreadPool pool(4);
+  std::vector<uint64_t> ascending(50000);
+  std::iota(ascending.begin(), ascending.end(), uint64_t{0});
+  std::vector<uint64_t> got = ascending;
+  ParallelSort(&pool, std::span<uint64_t>(got), std::less<>());
+  EXPECT_EQ(got, ascending);
+  std::reverse(got.begin(), got.end());
+  ParallelSort(&pool, std::span<uint64_t>(got), std::less<>());
+  EXPECT_EQ(got, ascending);
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {
