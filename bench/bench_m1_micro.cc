@@ -76,15 +76,6 @@ void BM_JaccardTokenSets(benchmark::State& state) {
 }
 BENCHMARK(BM_JaccardTokenSets)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_LevenshteinDistance(benchmark::State& state) {
-  const std::string a = "knossos palace of the minoan kings";
-  const std::string b = "knosos palase of minoan king";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LevenshteinDistance(a, b));
-  }
-}
-BENCHMARK(BM_LevenshteinDistance);
-
 void BM_ProfileSimilarity(benchmark::State& state) {
   const World& w = SharedWorld();
   Rng rng(7);

@@ -24,6 +24,7 @@
 
 #include "bench_common.h"
 #include "core/session.h"
+#include "online/incremental_collection.h"
 #include "online/online_resolver.h"
 #include "util/stopwatch.h"
 #include "util/table.h"

@@ -7,7 +7,6 @@
 #include "blocking/sharded_blocking.h"
 #include "rdf/iri.h"
 #include "text/similarity.h"
-#include "util/logging.h"
 
 namespace minoan {
 

@@ -59,6 +59,12 @@ Status WorkflowOptions::Validate() const {
         "progressive.num_threads must be in [0, 1024], got " +
         std::to_string(progressive.num_threads));
   }
+  if (meta.mode != progressive.mode) {
+    // Blocking, cleaning and pruning run in meta.mode; the update phase
+    // pairs neighbors in progressive.mode.
+    return Status::InvalidArgument(
+        "meta.mode and progressive.mode must name the same resolution mode");
+  }
   const double threshold = progressive.matcher.threshold;
   if (!std::isfinite(threshold) || threshold < 0.0 || threshold > 1.0) {
     return Status::InvalidArgument(

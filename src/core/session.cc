@@ -279,12 +279,6 @@ StepResult ResolutionSession::Step(uint64_t max_comparisons) {
   const Stopwatch watch;
   StepResult out = impl_->resolver->Step(max_comparisons);
   impl_->resolve_millis += watch.ElapsedMillis();
-  RecordLoopCounters(out);
-  // Close the quality curve at the true totals of this step (the cadence
-  // sampler only fires every N comparisons).
-  if (impl_->progress.enabled() && out.comparisons > 0) {
-    impl_->progress.Sample(comparisons_spent(), matches_found());
-  }
   return out;
 }
 

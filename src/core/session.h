@@ -32,7 +32,7 @@
 #include "matching/matcher.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "progressive/step_core.h"
+#include "progressive/resolver.h"
 #include "util/status.h"
 
 namespace minoan {

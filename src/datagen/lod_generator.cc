@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "util/hash.h"
-#include "util/logging.h"
 
 namespace minoan {
 namespace datagen {
@@ -384,9 +383,6 @@ Result<LodCloud> GenerateLodCloud(const LodCloudConfig& config) {
     }
   }
 
-  MINOAN_LOG(kInfo) << "generated LOD cloud: " << config.num_kbs << " KBs, "
-                    << cloud.total_triples() << " triples, "
-                    << cloud.truth.size() << " truth pairs";
   return cloud;
 }
 

@@ -48,15 +48,4 @@ void NeighborGraph::BuildCsr(
   }
 }
 
-bool NeighborGraph::AreNeighbors(EntityId a, EntityId b) const {
-  const auto nbrs = Neighbors(a);
-  return std::binary_search(nbrs.begin(), nbrs.end(), b);
-}
-
-double NeighborGraph::MeanDegree() const {
-  const uint32_t n = num_entities();
-  if (n == 0) return 0.0;
-  return static_cast<double>(targets_.size()) / static_cast<double>(n);
-}
-
 }  // namespace minoan

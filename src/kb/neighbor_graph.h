@@ -41,16 +41,6 @@ class NeighborGraph {
                                      offsets_[id + 1] - offsets_[id]);
   }
 
-  uint32_t Degree(EntityId id) const {
-    return static_cast<uint32_t>(offsets_[id + 1] - offsets_[id]);
-  }
-
-  /// True when `a` and `b` are adjacent (binary search over a's list).
-  bool AreNeighbors(EntityId a, EntityId b) const;
-
-  /// Mean degree across all entities.
-  double MeanDegree() const;
-
  private:
   void BuildCsr(uint32_t num_entities,
                 std::vector<std::pair<EntityId, EntityId>>& edges);

@@ -67,16 +67,4 @@ SimilarityEvaluator::SimilarityEvaluator(const EntityCollection& collection,
   }
 }
 
-double SimilarityEvaluator::TokenJaccard(EntityId a, EntityId b) const {
-  return ProfileSimilarity(View(a), View(b),
-                           SimilarityOptions{0.0, /*use_tfidf=*/false});
-}
-
-double SimilarityEvaluator::TfIdfCosine(EntityId a, EntityId b) const {
-  if (!options_.use_tfidf) return 0.0;
-  // At weight 1 the blend is exactly the cosine: 1·c + 0·j == c.
-  return ProfileSimilarity(View(a), View(b),
-                           SimilarityOptions{1.0, /*use_tfidf=*/true});
-}
-
 }  // namespace minoan

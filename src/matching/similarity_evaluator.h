@@ -117,12 +117,6 @@ class SimilarityEvaluator {
     return ProfileSimilarity(View(a), View(b), options_);
   }
 
-  /// The token-set Jaccard component alone.
-  double TokenJaccard(EntityId a, EntityId b) const;
-
-  /// The TF-IDF cosine component alone (0 when disabled).
-  double TfIdfCosine(EntityId a, EntityId b) const;
-
   /// Entity `e`'s arena row.
   ProfileView View(EntityId e) const {
     const size_t begin = offsets_[e];

@@ -5,14 +5,6 @@
 
 namespace minoan {
 
-uint32_t UnionFind::CountClusters(uint32_t min_size) {
-  uint32_t count = 0;
-  for (uint32_t i = 0; i < parent_.size(); ++i) {
-    if (Find(i) == i && size_[i] >= min_size) ++count;
-  }
-  return count;
-}
-
 std::vector<std::vector<uint32_t>> UnionFind::Clusters(uint32_t min_size) {
   std::unordered_map<uint32_t, std::vector<uint32_t>> by_root;
   for (uint32_t i = 0; i < parent_.size(); ++i) {

@@ -57,9 +57,6 @@ class UnionFind {
     return static_cast<uint32_t>(parent_.size());
   }
 
-  /// Number of sets with at least `min_size` members.
-  uint32_t CountClusters(uint32_t min_size = 1);
-
   /// Groups elements by root; clusters sorted by smallest member. Only
   /// clusters with >= min_size members are returned.
   std::vector<std::vector<uint32_t>> Clusters(uint32_t min_size = 1);

@@ -228,10 +228,6 @@ ScopedCounter ScopedRegistry::scoped_counter(std::string_view name) {
   return ScopedCounter(&parent_->counter(name), &counter(name));
 }
 
-ScopedHistogram ScopedRegistry::scoped_histogram(std::string_view name) {
-  return ScopedHistogram(&parent_->histogram(name), &histogram(name));
-}
-
 StatsSnapshot ScopedRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   StatsSnapshot snapshot;

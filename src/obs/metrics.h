@@ -262,30 +262,12 @@ class ScopedCounter {
   Counter* scoped_ = nullptr;
 };
 
-/// Histogram flavour of ScopedCounter: Record lands in both distributions.
-class ScopedHistogram {
- public:
-  ScopedHistogram() = default;
-  ScopedHistogram(Histogram* process, Histogram* scoped)
-      : process_(process), scoped_(scoped) {}
-
-  void Record(uint64_t value) {
-    if (process_ != nullptr) process_->Record(value);
-    if (scoped_ != nullptr) scoped_->Record(value);
-  }
-
- private:
-  Histogram* process_ = nullptr;
-  Histogram* scoped_ = nullptr;
-};
-
 /// A labelled view over a parent registry (one per tenant in the server).
 /// Metrics created here are local to the label but share the parent's
 /// master enable switch, so the out-of-band contract (rule 1 above) holds
-/// for scoped and process metrics as one unit. scoped_counter()/
-/// scoped_histogram() return dual-write handles pairing the parent's metric
-/// of the same name with the local shadow — the mechanism behind "tenant
-/// sums equal process totals".
+/// for scoped and process metrics as one unit. scoped_counter() returns a
+/// dual-write handle pairing the parent's counter of the same name with the
+/// local shadow — the mechanism behind "tenant sums equal process totals".
 class ScopedRegistry {
  public:
   ScopedRegistry(MetricsRegistry* parent, std::string label);
@@ -299,9 +281,8 @@ class ScopedRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Dual-write handles: parent metric `name` + the local shadow `name`.
+  /// Dual-write handle: parent counter `name` + the local shadow `name`.
   ScopedCounter scoped_counter(std::string_view name);
-  ScopedHistogram scoped_histogram(std::string_view name);
 
   /// Merged snapshot of the label-local metrics only, name-sorted.
   StatsSnapshot Snapshot() const;

@@ -1,34 +1,10 @@
 #include "online/incremental_collection.h"
 
-#include <utility>
+#include <string>
+#include <unordered_map>
 
 namespace minoan {
 namespace online {
-
-IncrementalCollection::IncrementalCollection(CollectionOptions options)
-    : collection_(options) {
-  // An empty collection finalizes trivially; from here on everything goes
-  // through the append-only surface.
-  collection_.Finalize();
-}
-
-IncrementalCollection::IncrementalCollection(EntityCollection&& warm)
-    : collection_(std::move(warm)) {
-  // A batch collection handed over before Finalize has no tokens yet and
-  // would silently index zero candidates; finalize it now.
-  if (!collection_.finalized()) collection_.Finalize();
-  for (uint32_t kb = 0; kb < collection_.num_kbs(); ++kb) {
-    kb_by_name_.emplace(collection_.kb(kb).name, kb);
-  }
-}
-
-uint32_t IncrementalCollection::EnsureKb(std::string_view name) {
-  const auto it = kb_by_name_.find(std::string(name));
-  if (it != kb_by_name_.end()) return it->second;
-  const uint32_t id = collection_.AddEmptyKnowledgeBase(std::string(name));
-  kb_by_name_.emplace(std::string(name), id);
-  return id;
-}
 
 std::vector<std::vector<rdf::Triple>> GroupBySubject(
     const std::vector<rdf::Triple>& triples) {
@@ -44,22 +20,6 @@ std::vector<std::vector<rdf::Triple>> GroupBySubject(
     groups[it->second].push_back(t);
   }
   return groups;
-}
-
-Status IncrementalCollection::LoadCollection(std::istream& in) {
-  MINOAN_RETURN_IF_ERROR(collection_.Load(in));
-  kb_by_name_.clear();
-  for (uint32_t kb = 0; kb < collection_.num_kbs(); ++kb) {
-    kb_by_name_.emplace(collection_.kb(kb).name, kb);
-  }
-  return Status::Ok();
-}
-
-Result<EntityId> IncrementalCollection::Ingest(
-    uint32_t kb_id, const std::vector<rdf::Triple>& triples) {
-  // Both constructors guarantee collection_ is finalized; AppendEntity
-  // re-checks the invariant itself.
-  return collection_.AppendEntity(kb_id, triples);
 }
 
 }  // namespace online

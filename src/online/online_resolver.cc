@@ -17,7 +17,7 @@ namespace {
 /// Format tags of the serialized engine state; bump on layout changes.
 /// v1: dynamic state only — Restore needs the caller to rebuild the exact
 ///     collection snapshot. Still loadable (golden blobs, old checkpoints).
-/// v2: v1 plus the serialized IncrementalCollection right after the header,
+/// v2: v1 plus the serialized EntityCollection right after the header,
 ///     so a v2 stream restores self-contained. The dynamic-state sections
 ///     are byte-identical to v1's.
 constexpr std::string_view kOnlineStateMagicV1 = "MNER-ONLN-v1";
@@ -155,9 +155,7 @@ bool OnlineSource::Load(std::istream& in, uint32_t num_entities) {
 // ---------------------------------------------------------------------------
 
 OnlineResolver::OnlineResolver(OnlineOptions options)
-    : OnlineResolver(options, RestoreTag{}) {
-  engine_.Begin({});
-}
+    : OnlineResolver(options, EntityCollection(options.collection)) {}
 
 OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm)
     : OnlineResolver(options, std::move(warm), RestoreTag{}) {
@@ -166,7 +164,7 @@ OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm)
   // price the whole candidate set in one pass — in parallel when
   // options_.num_threads allows, identically either way.
   std::vector<uint32_t> deferred;
-  for (EntityId id = 0; id < coll_.num_entities(); ++id) {
+  for (EntityId id = 0; id < collection_.num_entities(); ++id) {
     IndexEntity(id, &deferred);
   }
   engine_.ScoreAndPrime(deferred);
@@ -176,17 +174,15 @@ OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm)
 OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm,
                                RestoreTag)
     : options_(options),
-      coll_(std::move(warm)),
+      collection_(std::move(warm)),
       index_(options.blocking),
-      source_(coll_.collection(), options.similarity),
-      engine_(coll_.collection(), source_, EngineOptions(options)) {}
-
-OnlineResolver::OnlineResolver(OnlineOptions options, RestoreTag)
-    : options_(options),
-      coll_(options.collection),
-      index_(options.blocking),
-      source_(coll_.collection(), options.similarity),
-      engine_(coll_.collection(), source_, EngineOptions(options)) {}
+      source_(collection_, options.similarity),
+      engine_(collection_, source_, EngineOptions(options)) {
+  // From here on everything goes through the append-only surface. A batch
+  // collection handed over before Finalize has no tokens yet and would
+  // silently index zero candidates; an empty one finalizes trivially.
+  if (!collection_.finalized()) collection_.Finalize();
+}
 
 Result<std::unique_ptr<OnlineResolver>> OnlineResolver::Restore(
     OnlineOptions options, EntityCollection&& warm, std::istream& in) {
@@ -212,15 +208,23 @@ Result<std::unique_ptr<OnlineResolver>> OnlineResolver::Restore(
 
 Result<std::unique_ptr<OnlineResolver>> OnlineResolver::Restore(
     OnlineOptions options, std::istream& in) {
-  std::unique_ptr<OnlineResolver> resolver(
-      new OnlineResolver(options, RestoreTag{}));
+  std::unique_ptr<OnlineResolver> resolver(new OnlineResolver(
+      options, EntityCollection(options.collection), RestoreTag{}));
   MINOAN_RETURN_IF_ERROR(resolver->LoadState(in));
   return resolver;
 }
 
+uint32_t OnlineResolver::EnsureKb(std::string_view name) {
+  for (uint32_t kb = 0; kb < collection_.num_kbs(); ++kb) {
+    if (collection_.kb(kb).name == name) return kb;
+  }
+  return collection_.AddEmptyKnowledgeBase(std::string(name));
+}
+
 Result<EntityId> OnlineResolver::Ingest(
     uint32_t kb_id, const std::vector<rdf::Triple>& triples) {
-  MINOAN_ASSIGN_OR_RETURN(EntityId id, coll_.Ingest(kb_id, triples));
+  MINOAN_ASSIGN_OR_RETURN(EntityId id,
+                          collection_.AppendEntity(kb_id, triples));
   IndexEntity(id);
   ConsumeSameAsSeeds();
   static obs::Counter& ingested =
@@ -265,7 +269,6 @@ OnlineStepResult OnlineResolver::ResolveBudget(uint64_t max_comparisons) {
   // A zero budget spends nothing (the engine treats 0 as "uncapped").
   if (max_comparisons == 0) return {};
   const OnlineStepResult out = engine_.Step(max_comparisons);
-  RecordLoopCounters(out);
   static obs::Counter& comparisons =
       obs::MetricsRegistry::Default().counter("online.resolve_comparisons");
   static obs::Counter& matches =
@@ -296,9 +299,8 @@ std::vector<QueryCandidate> OnlineResolver::Query(EntityId id, uint32_t k) {
   const ProfileView query = source_.View(id, query_weights_);
   out.reserve(partners.size());
   for (const EntityId p : partners) {
-    const double bonus = EvidenceBonus(
-        engine_.slot(engine_.scheduler().Find(PairKey(id, p))),
-        options_.evidence);
+    const double bonus =
+        engine_.EvidenceBonus(engine_.scheduler().Find(PairKey(id, p)));
     out.push_back(QueryCandidate{p, source_.SimilarityTo(query, p) + bonus,
                                  engine_.state().SameCluster(id, p)});
   }
@@ -377,7 +379,7 @@ Status OnlineResolver::LoadState(std::istream& in) {
     // The collection travels with the state; whatever the engine held
     // (usually the empty store of the self-contained Restore) is replaced
     // by the saved snapshot before the header counts are cross-checked.
-    MINOAN_RETURN_IF_ERROR(coll_.LoadCollection(in));
+    MINOAN_RETURN_IF_ERROR(collection_.Load(in));
   }
   const EntityCollection& c = collection();
   const uint32_t n = c.num_entities();
@@ -417,6 +419,15 @@ Status OnlineResolver::LoadState(std::istream& in) {
     slot.candidate = likelihood > 0.0;
     slot.evidence = evidence;
     slot.executed = executed != 0;
+  }
+  // Query finds the slot of every partner pair: the source registers both
+  // together.
+  for (EntityId e = 0; e < source_.partner_lists(); ++e) {
+    for (const EntityId partner : source_.partners(e)) {
+      if (scheduler.Find(PairKey(e, partner)) == ComparisonScheduler::kNoSlot) {
+        return truncated();
+      }
+    }
   }
   std::vector<MergeOp> merges;
   ProgressiveResult result;

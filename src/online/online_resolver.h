@@ -40,15 +40,15 @@
 #include <string_view>
 #include <vector>
 
+#include "kb/collection.h"
 #include "matching/matcher.h"
 #include "matching/similarity_evaluator.h"
 #include "online/incremental_block_index.h"
-#include "online/incremental_collection.h"
 #include "progressive/benefit.h"
 #include "progressive/evidence_options.h"
 #include "progressive/resolver.h"
 #include "progressive/state.h"
-#include "progressive/step_core.h"
+#include "rdf/term.h"
 #include "util/status.h"
 
 namespace minoan {
@@ -137,13 +137,20 @@ class OnlineSource final : public ResolutionSource {
   std::vector<double> weights_b_;
 };
 
+/// The engine owns its EntityCollection in the collection's append-only
+/// post-finalize mode: dense ids are assigned on ingest and never change,
+/// knowledge bases are created on demand by name, and every reader holding
+/// an EntityId (the schedule, the cluster state, the index) stays valid
+/// across ingests.
 class OnlineResolver {
  public:
+  /// Starts from an empty collection (a long-running service ingesting a
+  /// live feed): the warm start over an empty collection.
   explicit OnlineResolver(OnlineOptions options = {});
 
-  /// Warm start from a finalized batch collection: every existing entity is
-  /// indexed (producing the full batch candidate set) before the engine
-  /// accepts new ones.
+  /// Warm start from a batch collection (finalized here if it is not yet):
+  /// every existing entity is indexed (producing the full batch candidate
+  /// set) before the engine accepts new ones.
   OnlineResolver(OnlineOptions options, EntityCollection&& warm);
 
   /// Reopens an engine from a SaveState stream. `options` must be the
@@ -165,17 +172,19 @@ class OnlineResolver {
   static Result<std::unique_ptr<OnlineResolver>> Restore(
       OnlineOptions options, std::istream& in);
 
-  /// Pinned: engine_ holds the addresses of coll_'s collection and
-  /// source_, so a compiler-generated move would leave it dangling.
+  /// Pinned: engine_ holds the addresses of collection_ and source_, so a
+  /// compiler-generated move would leave it dangling.
   OnlineResolver(const OnlineResolver&) = delete;
   OnlineResolver& operator=(const OnlineResolver&) = delete;
   OnlineResolver(OnlineResolver&&) = delete;
   OnlineResolver& operator=(OnlineResolver&&) = delete;
 
-  /// Finds or creates a knowledge base by name.
-  uint32_t EnsureKb(std::string_view name) { return coll_.EnsureKb(name); }
+  /// Id of the first knowledge base with this name, created empty when
+  /// there is none.
+  uint32_t EnsureKb(std::string_view name);
 
-  /// Ingests one entity (triples sharing a single subject). Returns its id.
+  /// Ingests one entity: `triples` must share a single subject that is not
+  /// yet described in `kb_id`. Returns its new dense id.
   Result<EntityId> Ingest(uint32_t kb_id,
                           const std::vector<rdf::Triple>& triples);
 
@@ -205,7 +214,7 @@ class OnlineResolver {
 
   // --- Introspection ------------------------------------------------------
 
-  const EntityCollection& collection() const { return coll_.collection(); }
+  const EntityCollection& collection() const { return collection_; }
   /// Cumulative run record (comparisons from ResolveBudget AND Query).
   const ResolutionRun& run() const { return engine_.result().run; }
   size_t pending_comparisons() const {
@@ -226,12 +235,10 @@ class OnlineResolver {
  private:
   /// Builds the members only, with no run begun: adopts `warm` without
   /// indexing or scoring anything (the restore path, where LoadState fills
-  /// every structure from the stream instead).
+  /// every structure from the stream instead, the collection too for v2
+  /// states).
   struct RestoreTag {};
   OnlineResolver(OnlineOptions options, EntityCollection&& warm, RestoreTag);
-  /// The same over an empty store; LoadState reads the embedded (v2)
-  /// collection along with the dynamic state.
-  OnlineResolver(OnlineOptions options, RestoreTag);
 
   /// Indexes entity `id` and schedules the candidate pairs it creates —
   /// or, when `deferred` is given (warm-start bulk indexing), appends
@@ -242,7 +249,7 @@ class OnlineResolver {
   void ConsumeSameAsSeeds();
 
   OnlineOptions options_;
-  IncrementalCollection coll_;
+  EntityCollection collection_;
   IncrementalBlockIndex index_;
   OnlineSource source_;
   ProgressiveResolver engine_;

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <thread>
 
+#include "obs/metrics.h"
 #include "util/hash.h"
-#include "util/logging.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
 
@@ -63,6 +63,14 @@ ProgressiveResolver::ProgressiveResolver(const EntityCollection& collection,
       estimator_(options.benefit, options.evidence.max_neighbors_per_side),
       pool_(pool) {}
 
+std::unique_ptr<ResolutionState> ProgressiveResolver::NewState() const {
+  // Only the attribute-completeness model reads the cluster value sets.
+  return std::make_unique<ResolutionState>(
+      *collection_, source_,
+      /*track_values=*/options_.benefit ==
+          BenefitModel::kAttributeCompleteness);
+}
+
 double ProgressiveResolver::Priority(uint32_t id) const {
   const ScheduleSlot& slot = scheduler_.slot(id);
   return Priority(slot.pair, slot.likelihood, slot.evidence);
@@ -86,7 +94,7 @@ void ProgressiveResolver::Begin(
   merges_.clear();
   cumulative_benefit_ = 0.0;
   exhausted_ = false;
-  state_ = std::make_unique<ResolutionState>(*collection_, source_);
+  state_ = NewState();
   begun_ = true;
 
   // Normalize blocking-graph weights into [0, 1] likelihoods; a duplicated
@@ -173,32 +181,91 @@ StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
   StepResult out;
   if (!begun_ || (exhausted_ && scheduler_.empty())) {
     out.exhausted = exhausted_;
-    return out;
+  } else if (!budget_spent()) {
+    // The overall options budget caps this call.
+    if (options_.matcher.budget != 0) {
+      const uint64_t left =
+          options_.matcher.budget - result_.run.comparisons_executed;
+      max_comparisons =
+          max_comparisons == 0 ? left : std::min(max_comparisons, left);
+    }
+    const size_t match_mark = result_.run.matches.size();
+    const uint64_t discovered_mark = result_.discovered_pairs;
+    const uint64_t discovered_matches_mark = result_.discovered_matches;
+    const uint64_t fanout_mark = update_fanout_;
+    // Counted in locals, which stay in registers: out is the caller's
+    // return slot, so its fields would be stored and reloaded around every
+    // call into the (not inlined) matching and update code.
+    uint64_t comparisons = 0, pops = 0, requeues = 0, skips = 0;
+    uint64_t evidence_updates = 0;
+    uint32_t id = 0;
+    double popped_priority = 0.0;
+    while (max_comparisons == 0 || comparisons < max_comparisons) {
+      if (!scheduler_.Pop(id, popped_priority)) {
+        out.exhausted = true;
+        break;
+      }
+      ++pops;
+      if (scheduler_.slot(id).executed) {
+        ++skips;
+        continue;
+      }
+      // Priority drift: the state may have changed since this entry was
+      // pushed. Re-queue significantly stale entries instead of executing.
+      const double current = Priority(id);
+      if (current + 1e-12 < popped_priority *
+                                (1.0 - options_.evidence.staleness_tolerance)) {
+        scheduler_.Push(id, current);
+        ++requeues;
+        continue;
+      }
+      evidence_updates += Execute(id);
+      ++comparisons;
+    }
+    exhausted_ = out.exhausted;
+    out.comparisons = comparisons;
+    out.pops = pops;
+    out.requeues = requeues;
+    out.skips = skips;
+    out.evidence_updates = evidence_updates;
+    out.discovered_pairs = result_.discovered_pairs - discovered_mark;
+    out.discovered_matches =
+        result_.discovered_matches - discovered_matches_mark;
+    out.update_fanout = update_fanout_ - fanout_mark;
+    out.matches.assign(result_.run.matches.begin() + match_mark,
+                       result_.run.matches.end());
+    result_.scheduler_pushes = scheduler_.total_pushes();
   }
-  // The overall options budget caps this call.
-  if (options_.matcher.budget != 0) {
-    const uint64_t spent = result_.run.comparisons_executed;
-    if (spent >= options_.matcher.budget) return out;
-    const uint64_t left = options_.matcher.budget - spent;
-    max_comparisons =
-        max_comparisons == 0 ? left : std::min(max_comparisons, left);
+
+  // Once per call, never once per comparison.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  static obs::Counter& pops = registry.counter("progressive.pops");
+  static obs::Counter& requeues = registry.counter("progressive.requeues");
+  static obs::Counter& skips = registry.counter("progressive.skips");
+  static obs::Counter& comparisons =
+      registry.counter("progressive.comparisons");
+  static obs::Counter& evidence_updates =
+      registry.counter("progressive.evidence_updates");
+  static obs::Counter& discovered_pairs =
+      registry.counter("progressive.discovered_pairs");
+  static obs::Counter& discovered_matches =
+      registry.counter("progressive.discovered_matches");
+  static obs::Counter& update_fanout =
+      registry.counter("progressive.update_fanout");
+  pops.Add(out.pops);
+  requeues.Add(out.requeues);
+  skips.Add(out.skips);
+  comparisons.Add(out.comparisons);
+  evidence_updates.Add(out.evidence_updates);
+  discovered_pairs.Add(out.discovered_pairs);
+  discovered_matches.Add(out.discovered_matches);
+  update_fanout.Add(out.update_fanout);
+  // Close the quality curve at the true totals (the cadence sampler only
+  // fires every N comparisons).
+  if (progress_ != nullptr && progress_->enabled() && out.comparisons > 0) {
+    progress_->Sample(result_.run.comparisons_executed,
+                      result_.run.matches.size());
   }
-  const size_t match_mark = result_.run.matches.size();
-  const uint64_t discovered_mark = result_.discovered_pairs;
-  const uint64_t discovered_matches_mark = result_.discovered_matches;
-  const uint64_t fanout_mark = update_fanout_;
-  out = RunScheduledComparisons(
-      scheduler_, max_comparisons, options_.evidence.staleness_tolerance,
-      /*current_priority=*/[&](uint32_t id) { return Priority(id); },
-      /*execute=*/[&](uint32_t id) { return Execute(id); });
-  exhausted_ = out.exhausted;
-  out.discovered_pairs = result_.discovered_pairs - discovered_mark;
-  out.discovered_matches =
-      result_.discovered_matches - discovered_matches_mark;
-  out.update_fanout = update_fanout_ - fanout_mark;
-  out.matches.assign(result_.run.matches.begin() + match_mark,
-                     result_.run.matches.end());
-  result_.scheduler_pushes = scheduler_.total_pushes();
   return out;
 }
 
@@ -211,7 +278,7 @@ uint64_t ProgressiveResolver::Execute(uint32_t id) {
   const EntityId a = PairKeyFirst(slot.pair);
   const EntityId b = PairKeySecond(slot.pair);
   const bool discovered = !slot.candidate;
-  const double bonus = EvidenceBonus(slot, options_.evidence);
+  const double bonus = EvidenceBonus(id);
   scheduler_.Erase(id);
   ++result_.run.comparisons_executed;
   const double profile_sim = source_->Similarity(a, b);
@@ -415,7 +482,7 @@ void ProgressiveResolver::Restore(ComparisonScheduler scheduler,
                                   double cumulative_benefit, bool exhausted) {
   // Replaying the merge log reproduces the union-find layout and cluster
   // profiles of the uninterrupted run.
-  state_ = std::make_unique<ResolutionState>(*collection_, source_);
+  state_ = NewState();
   for (const auto& [a, b] : merges) state_->RecordMatch(a, b);
   scheduler_ = std::move(scheduler);
   merges_ = std::move(merges);

@@ -33,6 +33,7 @@
 #ifndef MINOAN_PROGRESSIVE_RESOLVER_H_
 #define MINOAN_PROGRESSIVE_RESOLVER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <istream>
@@ -45,14 +46,13 @@
 #include "kb/collection.h"
 #include "kb/neighbor_graph.h"
 #include "matching/matcher.h"
-#include "obs/progress.h"
 #include "matching/similarity_evaluator.h"
 #include "metablocking/meta_blocking_types.h"
+#include "obs/progress.h"
 #include "progressive/benefit.h"
 #include "progressive/evidence_options.h"
 #include "progressive/scheduler.h"
 #include "progressive/state.h"
-#include "progressive/step_core.h"
 #include "util/status.h"
 
 namespace minoan {
@@ -76,6 +76,35 @@ struct ProgressiveOptions {
   /// itself is inherently sequential. 1 = inline (default), 0 = hardware
   /// concurrency. Results are identical for every value.
   uint32_t num_threads = 1;
+};
+
+/// Outcome of one budgeted Step (a batch session's Step, or an online
+/// engine's ResolveBudget).
+struct StepResult {
+  /// Comparisons executed by THIS call.
+  uint64_t comparisons = 0;
+  /// Matches confirmed by this call (comparisons_done stamps are cumulative
+  /// across the whole resolution).
+  std::vector<MatchEvent> matches;
+  /// True when the queue drained before the budget was spent.
+  bool exhausted = false;
+  /// Loop accounting of THIS call: schedule entries popped, and how the
+  /// ones not executed were disposed of — re-queued as stale, or skipped as
+  /// already executed. pops == comparisons + requeues + skips.
+  uint64_t pops = 0;
+  uint64_t requeues = 0;
+  uint64_t skips = 0;
+  /// Neighbor pairs whose evidence this call's matches raised (each one is
+  /// also a schedule push); pairs the update phase created a slot for
+  /// during this call (blocking never produced them); and this call's
+  /// matches on such pairs.
+  uint64_t evidence_updates = 0;
+  uint64_t discovered_pairs = 0;
+  uint64_t discovered_matches = 0;
+  /// Neighbor pairs this call's update phases considered — every pair they
+  /// looked up in the schedule, before the executed and same-cluster
+  /// filters (evidence_updates counts the ones that passed).
+  uint64_t update_fanout = 0;
 };
 
 /// Outcome of a progressive run.
@@ -159,8 +188,15 @@ class ProgressiveResolver {
              const std::vector<Comparison>& seeds = {});
 
   /// Spends up to `max_comparisons` more comparisons (0 = until the overall
-  /// options budget or the queue is exhausted). Resumable: Step(n/2) twice
-  /// executes the byte-identical schedule as Step(n) once.
+  /// options budget or the queue is exhausted): pops the highest-priority
+  /// entry, skips pairs already executed, re-queues entries whose priority
+  /// drifted down past the staleness tolerance, and executes the rest.
+  /// Resumable: Step(n/2) twice executes the byte-identical schedule as
+  /// Step(n) once. Every call, a no-op one included, adds its loop
+  /// accounting to the process-wide progressive.{pops,requeues,skips,
+  /// comparisons,evidence_updates,discovered_pairs,discovered_matches,
+  /// update_fanout} counters, and a call that compared anything closes the
+  /// progress meter's curve at the run's totals.
   StepResult Step(uint64_t max_comparisons);
 
   /// True after Begin/LoadState/Restore.
@@ -243,11 +279,21 @@ class ProgressiveResolver {
   /// Returns the evidence updates the match made.
   uint64_t Execute(uint32_t id);
 
+  /// Similarity bonus of slot `id`'s accumulated neighbor evidence:
+  /// evidence.weight · min(1, evidence), 0 without evidence.
+  double EvidenceBonus(uint32_t id) const {
+    const double evidence = scheduler_.slot(id).evidence;
+    if (evidence <= 0.0) return 0.0;
+    return options_.evidence.weight * std::min(1.0, evidence);
+  }
+
   ResolutionState& state() { return *state_; }
   /// Every seed and match in call order.
   const std::vector<MergeOp>& merges() const { return merges_; }
 
  private:
+  /// A pristine cluster state over the collection, reading the source.
+  std::unique_ptr<ResolutionState> NewState() const;
   /// Priority of slot `id` against the current state: (blocking likelihood
   /// + capped evidence term) × (1 + benefit_weight · marginal benefit).
   double Priority(uint32_t id) const;

@@ -1,7 +1,6 @@
 #include "progressive/scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <utility>
 
@@ -151,37 +150,16 @@ void ComparisonScheduler::Prime(std::span<PrimeEntry> entries,
                                 ThreadPool* pool) {
   assert(empty() && heap_.empty());
   total_pushes_ += entries.size();
-  // Make the listed slots live, in parallel: the listing that raises a
-  // slot's live flag sets its priority. When a slot is listed twice the
-  // last listing must win instead, so then the flags are dropped and a
-  // serial pass, newest listing first, decides and unlists the others.
-  std::atomic<bool> listed_twice{false};
   RunChunkedTasks(pool, entries.size(), kParallelGrain,
                   [&](size_t, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       ScheduleSlot& s = slots_[entries[i].slot];
-      if (std::atomic_ref<bool>(s.live).exchange(true,
-                                                 std::memory_order_relaxed)) {
-        listed_twice.store(true, std::memory_order_relaxed);
-        continue;
-      }
+      assert(!s.live);
+      s.live = true;
       s.version = 0;
       s.priority = entries[i].priority;
     }
   });
-  if (listed_twice.load(std::memory_order_relaxed)) {
-    for (const PrimeEntry& e : entries) slots_[e.slot].live = false;
-    size_t kept = entries.size();
-    for (size_t i = entries.size(); i-- > 0;) {
-      ScheduleSlot& s = slots_[entries[i].slot];
-      if (s.live) continue;
-      s.live = true;
-      s.version = 0;
-      s.priority = entries[i].priority;
-      entries[--kept] = entries[i];
-    }
-    entries = entries.subspan(kept);
-  }
   live_ = entries.size();
 
   // Begin lists candidates in meta-blocking's (weight desc, pair asc) order,

@@ -139,12 +139,12 @@ class ComparisonScheduler {
   };
 
   /// Makes every listed slot live at its priority, all at once: the run is
-  /// sorted once instead of taking n heap pushes. A slot listed twice keeps
-  /// its last priority. Only an empty schedule may be primed (Begin, the
-  /// online warm start, restore). Counts entries.size() pushes. A list
-  /// nearly in pop order (Begin's, in meta-blocking's weight order) is
-  /// repaired in one pass over its own keys; any other is sorted. Reorders
-  /// `entries`; runs on `pool` when given.
+  /// sorted once instead of taking n heap pushes. Each slot may be listed
+  /// once. Only an empty schedule may be primed (Begin, the online warm
+  /// start, restore). Counts entries.size() pushes. A list nearly in pop
+  /// order (Begin's, in meta-blocking's weight order) is repaired in one
+  /// pass over its own keys; any other is sorted. Reorders `entries`; runs
+  /// on `pool` when given.
   void Prime(std::span<PrimeEntry> entries, ThreadPool* pool = nullptr);
 
   /// Schedules (or re-prioritizes) slot `id`; the newest push wins.

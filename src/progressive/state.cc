@@ -7,17 +7,22 @@
 namespace minoan {
 
 ResolutionState::ResolutionState(const EntityCollection& collection,
-                                 const ResolutionSource* source)
-    : collection_(&collection), source_(source), clusters_(0) {
+                                 const ResolutionSource* source,
+                                 bool track_values)
+    : collection_(&collection),
+      source_(source),
+      clusters_(0),
+      track_values_(track_values) {
   if (collection.num_entities() > 0) {
     AddEntity(static_cast<EntityId>(collection.num_entities() - 1));
   }
 }
 
 void ResolutionState::AddEntity(EntityId id) {
-  if (id < values_.size()) return;
+  if (id < clusters_.num_elements()) return;
+  const size_t old = clusters_.num_elements();
   clusters_.Resize(id + 1);
-  const size_t old = values_.size();
+  if (!track_values_) return;
   values_.resize(id + 1);
   for (size_t e = old; e <= id; ++e) {
     auto& vals = values_[e];
@@ -36,6 +41,7 @@ bool ResolutionState::RecordMatch(EntityId a, EntityId b) {
   const uint32_t rb = clusters_.Find(b);
   if (ra == rb) return false;
   if (!clusters_.Union(ra, rb)) return false;
+  if (!track_values_) return true;
   const uint32_t root = clusters_.Find(a);
   const uint32_t other = root == ra ? rb : ra;
   // Merge the absorbed profile into the surviving root's profile.
@@ -63,18 +69,13 @@ uint32_t ResolutionState::ValueGain(EntityId a, EntityId b) {
 
 double ResolutionState::MatchedNeighborFraction(EntityId a, EntityId b,
                                                 uint32_t cap) {
-  auto na = NeighborsOf(a);
-  auto nb = NeighborsOf(b);
-  if (na.empty() || nb.empty()) return 0.0;
-  const size_t la = std::min<size_t>(na.size(), cap);
-  const size_t lb = std::min<size_t>(nb.size(), cap);
-  uint32_t matched = 0;
-  for (size_t i = 0; i < la; ++i) {
-    for (size_t j = 0; j < lb; ++j) {
-      if (na[i] != nb[j] && clusters_.SameSet(na[i], nb[j])) ++matched;
-    }
-  }
-  return static_cast<double>(matched) / static_cast<double>(la * lb);
+  const size_t na = NeighborsOf(a).size();
+  const size_t nb = NeighborsOf(b).size();
+  if (na == 0 || nb == 0) return 0.0;
+  const size_t la = std::min<size_t>(na, cap);
+  const size_t lb = std::min<size_t>(nb, cap);
+  return static_cast<double>(MatchedNeighborPairs(a, b, cap)) /
+         static_cast<double>(la * lb);
 }
 
 uint32_t ResolutionState::MatchedNeighborPairs(EntityId a, EntityId b,

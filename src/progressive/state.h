@@ -9,6 +9,7 @@
 #ifndef MINOAN_PROGRESSIVE_STATE_H_
 #define MINOAN_PROGRESSIVE_STATE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,9 +52,12 @@ class ResolutionSource {
 class ResolutionState {
  public:
   /// `source` (optional, must outlive the state) supplies neighbor lists;
-  /// without one the neighbor-based measures read 0.
+  /// without one the neighbor-based measures read 0. Without
+  /// `track_values` the cluster value sets are neither built nor merged,
+  /// and ClusterValues/ValueGain must not be called: only the
+  /// attribute-completeness benefit model reads them.
   ResolutionState(const EntityCollection& collection,
-                  const ResolutionSource* source);
+                  const ResolutionSource* source, bool track_values = true);
 
   /// Records the match (a, b): merges clusters and cluster profiles.
   /// Returns true when the two were not already in the same cluster.
@@ -72,6 +76,7 @@ class ResolutionState {
 
   /// Sorted distinct attribute-value ids of e's cluster.
   const std::vector<uint32_t>& ClusterValues(EntityId e) {
+    assert(track_values_);
     return values_[clusters_.Find(e)];
   }
 
@@ -99,7 +104,9 @@ class ResolutionState {
   const EntityCollection* collection_;
   const ResolutionSource* source_;  // may be null (no relationship reasoning)
   UnionFind clusters_;
-  /// Per current root: sorted distinct value ids of the cluster profile.
+  bool track_values_;
+  /// Per current root: sorted distinct value ids of the cluster profile
+  /// (empty without track_values_).
   std::vector<std::vector<uint32_t>> values_;
   uint64_t matches_recorded_ = 0;
 };

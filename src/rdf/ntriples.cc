@@ -418,19 +418,6 @@ Status NTriplesParser::ParseLine(std::string_view line, Triple& out,
   return Status::Ok();
 }
 
-Status NTriplesParser::ParseStream(std::istream& in,
-                                   const std::function<void(Triple&&)>& sink,
-                                   ParseStats* stats) const {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = std::move(buffer).str();
-  return ScanDocument(options_, text, stats, [&](const RawTriple& raw) {
-    Triple triple;
-    BuildTriple(raw, triple);
-    sink(std::move(triple));
-  });
-}
-
 Result<std::vector<Triple>> NTriplesParser::ParseFile(const std::string& path,
                                                       ParseStats* stats) const {
   MINOAN_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));

@@ -14,7 +14,7 @@
 // Escapes are decoded only in a span that holds a backslash; every other
 // term stays a view into the buffer until a caller copies it. Two outputs
 // share that scanner:
-//   * Triples (ParseLine/ParseString/ParseStream/ParseFile), whose strings
+//   * Triples (ParseLine/ParseString/ParseFile), whose strings
 //     are each built once, at their final size;
 //   * TripleViews (ScanViews), which the corpus loader builds knowledge
 //     bases from without materializing a Triple (kb/collection.h). It scans
@@ -25,8 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <istream>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -79,13 +77,6 @@ class NTriplesParser {
   /// Parses a single N-Triples line (without trailing newline) into `out`.
   /// Returns OK and sets `is_triple=false` for blank/comment lines.
   Status ParseLine(std::string_view line, Triple& out, bool& is_triple) const;
-
-  /// Parses an entire stream, invoking `sink` for every triple. Returns the
-  /// first error in strict mode; in lenient mode always OK (inspect stats).
-  /// The stream is read into one buffer first.
-  Status ParseStream(std::istream& in,
-                     const std::function<void(Triple&&)>& sink,
-                     ParseStats* stats = nullptr) const;
 
   /// Convenience: parses a whole file (read with one read) into a vector.
   Result<std::vector<Triple>> ParseFile(const std::string& path,

@@ -1,5 +1,5 @@
 // Copyright 2026 The MinoanER Authors.
-// Text normalization applied before tokenization.
+// The byte classes of the text normalization the tokenizer applies.
 //
 // Web-of-data literals come from autonomous KBs with inconsistent casing,
 // punctuation and whitespace; normalization maximizes the chance that two
@@ -9,16 +9,7 @@
 #ifndef MINOAN_TEXT_NORMALIZE_H_
 #define MINOAN_TEXT_NORMALIZE_H_
 
-#include <string>
-#include <string_view>
-
 namespace minoan {
-
-/// Returns `input` lowercased (ASCII) with every non-alphanumeric byte
-/// replaced by a single space and runs of spaces collapsed. Bytes >= 0x80
-/// (UTF-8 continuation/lead) are kept verbatim so multi-byte scripts still
-/// produce stable tokens.
-std::string NormalizeText(std::string_view input);
 
 /// ASCII-lowercases a single byte.
 inline char AsciiToLower(char c) {

@@ -1,10 +1,7 @@
 #include "text/similarity.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <tuple>
-#include <utility>
 
 namespace minoan {
 
@@ -12,8 +9,7 @@ size_t IntersectionSize(const std::vector<uint32_t>& a,
                         const std::vector<uint32_t>& b) {
   // Branch-light merge: each step is three flag adds instead of a
   // three-way compare the branch predictor has to guess, which is what the
-  // set-overlap kernels under every Jaccard/Dice/cosine call spend their
-  // time on.
+  // set-overlap kernels spend their time on.
   const uint32_t* pa = a.data();
   const uint32_t* pb = b.data();
   const uint32_t* const ea = pa + a.size();
@@ -37,31 +33,6 @@ double JaccardSimilarity(const std::vector<uint32_t>& a,
   return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-double DiceSimilarity(const std::vector<uint32_t>& a,
-                      const std::vector<uint32_t>& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  const size_t inter = IntersectionSize(a, b);
-  return 2.0 * static_cast<double>(inter) /
-         static_cast<double>(a.size() + b.size());
-}
-
-double OverlapCoefficient(const std::vector<uint32_t>& a,
-                          const std::vector<uint32_t>& b) {
-  if (a.empty() || b.empty()) return 0.0;
-  const size_t inter = IntersectionSize(a, b);
-  return static_cast<double>(inter) /
-         static_cast<double>(std::min(a.size(), b.size()));
-}
-
-double BinaryCosineSimilarity(const std::vector<uint32_t>& a,
-                              const std::vector<uint32_t>& b) {
-  if (a.empty() || b.empty()) return 0.0;
-  const size_t inter = IntersectionSize(a, b);
-  return static_cast<double>(inter) /
-         std::sqrt(static_cast<double>(a.size()) *
-                   static_cast<double>(b.size()));
-}
-
 double WeightedCosineSimilarity(const std::vector<WeightedToken>& a,
                                 const std::vector<WeightedToken>& b) {
   double dot = 0.0, norm_a = 0.0, norm_b = 0.0;
@@ -81,169 +52,6 @@ double WeightedCosineSimilarity(const std::vector<WeightedToken>& a,
     }
   }
   return dot / (std::sqrt(norm_a) * std::sqrt(norm_b));
-}
-
-double WeightedJaccardSimilarity(const std::vector<WeightedToken>& a,
-                                 const std::vector<WeightedToken>& b) {
-  double min_sum = 0.0, max_sum = 0.0;
-  size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (j >= b.size() || (i < a.size() && a[i].id < b[j].id)) {
-      max_sum += a[i].weight;
-      ++i;
-    } else if (i >= a.size() || b[j].id < a[i].id) {
-      max_sum += b[j].weight;
-      ++j;
-    } else {
-      min_sum += std::min(a[i].weight, b[j].weight);
-      max_sum += std::max(a[i].weight, b[j].weight);
-      ++i;
-      ++j;
-    }
-  }
-  return max_sum == 0.0 ? 0.0 : min_sum / max_sum;
-}
-
-size_t LevenshteinDistance(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);  // a is the shorter
-  std::vector<size_t> prev(a.size() + 1), cur(a.size() + 1);
-  for (size_t i = 0; i <= a.size(); ++i) prev[i] = i;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    cur[0] = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      const size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[a.size()];
-}
-
-double LevenshteinSimilarity(std::string_view a, std::string_view b) {
-  const size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(LevenshteinDistance(a, b)) /
-                   static_cast<double>(longest);
-}
-
-double JaroSimilarity(std::string_view a, std::string_view b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  const size_t match_window =
-      a.size() == 1 && b.size() == 1
-          ? 0
-          : std::max(a.size(), b.size()) / 2 - 1;
-  std::vector<bool> a_matched(a.size(), false), b_matched(b.size(), false);
-  size_t matches = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const size_t lo = i > match_window ? i - match_window : 0;
-    const size_t hi = std::min(b.size(), i + match_window + 1);
-    for (size_t j = lo; j < hi; ++j) {
-      if (!b_matched[j] && a[i] == b[j]) {
-        a_matched[i] = true;
-        b_matched[j] = true;
-        ++matches;
-        break;
-      }
-    }
-  }
-  if (matches == 0) return 0.0;
-  // Count transpositions among matched characters in order.
-  size_t transpositions = 0;
-  size_t j = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!a_matched[i]) continue;
-    while (!b_matched[j]) ++j;
-    if (a[i] != b[j]) ++transpositions;
-    ++j;
-  }
-  const double m = static_cast<double>(matches);
-  return (m / static_cast<double>(a.size()) +
-          m / static_cast<double>(b.size()) +
-          (m - static_cast<double>(transpositions) / 2.0) / m) /
-         3.0;
-}
-
-double JaroWinklerSimilarity(std::string_view a, std::string_view b) {
-  const double jaro = JaroSimilarity(a, b);
-  size_t prefix = 0;
-  const size_t max_prefix = std::min<size_t>({4, a.size(), b.size()});
-  while (prefix < max_prefix && a[prefix] == b[prefix]) ++prefix;
-  return jaro + static_cast<double>(prefix) * 0.1 * (1.0 - jaro);
-}
-
-namespace {
-
-/// (intersection, union) of two sorted multisets, by pairwise merge: each
-/// matched pair counts once toward both, every leftover element once toward
-/// the union — exactly sum(min(counts)) / sum(max(counts)) per distinct
-/// element, without materializing a count table.
-template <typename T>
-std::pair<size_t, size_t> SortedMultisetOverlap(const std::vector<T>& a,
-                                                const std::vector<T>& b) {
-  size_t i = 0, j = 0, inter = 0, uni = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++inter;
-      ++uni;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++uni;
-      ++i;
-    } else {
-      ++uni;
-      ++j;
-    }
-  }
-  uni += (a.size() - i) + (b.size() - j);
-  return {inter, uni};
-}
-
-}  // namespace
-
-double QGramSimilarity(std::string_view a, std::string_view b, size_t q) {
-  if (q == 0) q = 1;
-  if (a.size() < q || b.size() < q) return a == b ? 1.0 : 0.0;
-  size_t inter = 0, uni = 0;
-  if (q <= sizeof(uint64_t)) {
-    // Pack each q-byte window into one integer — a collision-free intern
-    // for q <= 8 (the default is 2) — and merge the sorted packed windows:
-    // no per-gram string allocation, no count table.
-    const auto grams = [q](std::string_view s, std::vector<uint64_t>& out) {
-      out.clear();
-      out.reserve(s.size() - q + 1);
-      for (size_t i = 0; i + q <= s.size(); ++i) {
-        uint64_t packed = 0;
-        for (size_t k = 0; k < q; ++k) {
-          packed = (packed << 8) | static_cast<unsigned char>(s[i + k]);
-        }
-        out.push_back(packed);
-      }
-      std::sort(out.begin(), out.end());
-    };
-    std::vector<uint64_t> ga, gb;
-    grams(a, ga);
-    grams(b, gb);
-    std::tie(inter, uni) = SortedMultisetOverlap(ga, gb);
-  } else {
-    // Oversized q: windows as views into the inputs, no copies. The packed
-    // path orders by byte content and this one lexicographically — both are
-    // merely *some* total order over equal-length windows, and the overlap
-    // counts are order-independent.
-    const auto grams = [q](std::string_view s,
-                           std::vector<std::string_view>& out) {
-      out.clear();
-      out.reserve(s.size() - q + 1);
-      for (size_t i = 0; i + q <= s.size(); ++i) out.push_back(s.substr(i, q));
-      std::sort(out.begin(), out.end());
-    };
-    std::vector<std::string_view> ga, gb;
-    grams(a, ga);
-    grams(b, gb);
-    std::tie(inter, uni) = SortedMultisetOverlap(ga, gb);
-  }
-  return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
 }  // namespace minoan

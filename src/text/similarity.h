@@ -1,15 +1,17 @@
 // Copyright 2026 The MinoanER Authors.
-// String and token-set similarity kernels used by entity matching.
+// Token-set similarity kernels.
 //
-// Set kernels operate on sorted unique uint32 id vectors (see SortUnique);
-// character kernels operate on raw byte strings. All return values lie in
-// [0, 1] with 1 = identical.
+// MinoanER compares descriptions schema-agnostically, by the tokens they
+// share. Set kernels operate on sorted unique uint32 id vectors (see
+// SortUnique); the fused profile kernel (matching/similarity_evaluator.h)
+// is bit-identical to w·WeightedCosineSimilarity + (1−w)·JaccardSimilarity.
+// Similarities lie in [0, 1] with 1 = identical.
 
 #ifndef MINOAN_TEXT_SIMILARITY_H_
 #define MINOAN_TEXT_SIMILARITY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace minoan {
@@ -26,18 +28,6 @@ size_t IntersectionSize(const std::vector<uint32_t>& a,
 double JaccardSimilarity(const std::vector<uint32_t>& a,
                          const std::vector<uint32_t>& b);
 
-/// Dice coefficient 2|A∩B| / (|A|+|B|).
-double DiceSimilarity(const std::vector<uint32_t>& a,
-                      const std::vector<uint32_t>& b);
-
-/// Overlap (Szymkiewicz–Simpson) coefficient |A∩B| / min(|A|,|B|).
-double OverlapCoefficient(const std::vector<uint32_t>& a,
-                          const std::vector<uint32_t>& b);
-
-/// Cosine over binary incidence vectors: |A∩B| / sqrt(|A|·|B|).
-double BinaryCosineSimilarity(const std::vector<uint32_t>& a,
-                              const std::vector<uint32_t>& b);
-
 /// A weighted-token entry: token id plus a weight (e.g. TF-IDF).
 struct WeightedToken {
   uint32_t id;
@@ -47,31 +37,6 @@ struct WeightedToken {
 /// Cosine over sparse weighted vectors sorted by id.
 double WeightedCosineSimilarity(const std::vector<WeightedToken>& a,
                                 const std::vector<WeightedToken>& b);
-
-/// Generalized (weighted) Jaccard: Σ min(w_a, w_b) / Σ max(w_a, w_b) over the
-/// union of ids; vectors sorted by id.
-double WeightedJaccardSimilarity(const std::vector<WeightedToken>& a,
-                                 const std::vector<WeightedToken>& b);
-
-// ---------------------------------------------------------------------------
-// Character kernels.
-// ---------------------------------------------------------------------------
-
-/// Unit-cost Levenshtein distance (two-row DP, O(|a|·|b|) time, O(min) space).
-size_t LevenshteinDistance(std::string_view a, std::string_view b);
-
-/// 1 - distance / max(|a|, |b|); both empty → 1.
-double LevenshteinSimilarity(std::string_view a, std::string_view b);
-
-/// Jaro similarity.
-double JaroSimilarity(std::string_view a, std::string_view b);
-
-/// Jaro-Winkler with standard scaling 0.1 and max prefix 4.
-double JaroWinklerSimilarity(std::string_view a, std::string_view b);
-
-/// Jaccard over the multiset of q-grams of the two strings (q >= 1). Strings
-/// shorter than q compare by exact equality.
-double QGramSimilarity(std::string_view a, std::string_view b, size_t q = 3);
 
 }  // namespace minoan
 

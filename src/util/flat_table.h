@@ -9,13 +9,11 @@
 // probing — the whole entry lives in the probed cache line.
 //
 // Deletion is tombstone-free: Erase backward-shifts the displaced run, so
-// probe sequences never degrade and Clear needs no generation counters.
+// probe sequences never degrade.
 //
-// Determinism contract: iteration order (ForEach) is an implementation
-// detail of the probe layout and MUST never become observable — callers
-// that serialize or compare contents canonicalize into ascending-key order
-// first, exactly as they did over std::unordered_map. All serialization
-// paths in this repo already do so.
+// Determinism contract: the probe layout is an implementation detail and
+// MUST never become observable — the table offers point operations only,
+// no iteration.
 //
 // Reserved key: ~0 (all ones) marks empty slots. A packed pair key of two
 // dense entity ids never produces it (ids are < num_entities <= 2^32 - 1),
@@ -140,25 +138,10 @@ class FlatPairMap {
     return true;
   }
 
-  /// Drops every entry, retaining capacity.
-  void Clear() {
-    for (Slot& slot : slots_) slot.key = kEmptyKey;
-    size_ = 0;
-  }
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   /// Slot count of the backing array (diagnostics / benches).
   size_t capacity() const { return slots_.size(); }
-
-  /// Calls fn(key, const Value&) for every entry in UNSPECIFIED order —
-  /// canonicalize (sort by key) before any order-sensitive use.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.key != kEmptyKey) fn(slot.key, slot.value);
-    }
-  }
 
  private:
   struct Slot {

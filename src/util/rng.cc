@@ -29,23 +29,6 @@ int64_t Rng::Uniform(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(Below(span));
 }
 
-double Rng::NextGaussian() {
-  // Marsaglia polar method; discards the spare to stay stateless.
-  double u, v, s;
-  do {
-    u = 2.0 * NextDouble() - 1.0;
-    v = 2.0 * NextDouble() - 1.0;
-    s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);
-  return u * std::sqrt(-2.0 * std::log(s) / s);
-}
-
-uint32_t Rng::GeometricCount(double p, uint32_t cap) {
-  uint32_t n = 0;
-  while (n < cap && Chance(p)) ++n;
-  return n;
-}
-
 ZipfSampler::ZipfSampler(uint32_t n, double s) {
   assert(n > 0);
   cdf_.resize(n);

@@ -71,13 +71,6 @@ class Rng {
   /// Bernoulli draw: true with probability `p` (clamped to [0,1]).
   bool Chance(double p) { return NextDouble() < p; }
 
-  /// Standard normal via Marsaglia polar method.
-  double NextGaussian();
-
-  /// Geometric-ish count: number of successes before failure at rate `p`,
-  /// capped at `cap`. Used for sizing variable-length value lists.
-  uint32_t GeometricCount(double p, uint32_t cap);
-
   /// Fisher-Yates shuffle of `items`.
   template <typename T>
   void Shuffle(std::vector<T>& items) {
@@ -86,20 +79,6 @@ class Rng {
       using std::swap;
       swap(items[i - 1], items[j]);
     }
-  }
-
-  /// Picks one element uniformly; requires non-empty input.
-  template <typename T>
-  const T& Pick(const std::vector<T>& items) {
-    return items[Below(items.size())];
-  }
-
-  /// Spawns an independent child stream; children with distinct tags have
-  /// uncorrelated streams even from the same parent state.
-  Rng Fork(uint64_t tag) {
-    uint64_t mix = state_[0] ^ (tag * 0x9e3779b97f4a7c15ULL);
-    (*this)();  // advance parent so repeated forks differ
-    return Rng(SplitMix64(mix));
   }
 
  private:

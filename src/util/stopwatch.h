@@ -29,11 +29,6 @@ class Stopwatch {
     return static_cast<double>(ElapsedMicros()) / 1000.0;
   }
 
-  /// Seconds elapsed (fractional).
-  double ElapsedSeconds() const {
-    return static_cast<double>(ElapsedMicros()) / 1e6;
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -1,8 +1,6 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -39,53 +37,10 @@ void Table::Print(std::ostream& os) const {
   for (const auto& row : rows_) print_row(row);
 }
 
-void Table::PrintCsv(std::ostream& os) const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string out = "\"";
-    for (char ch : cell) {
-      if (ch == '"') out += '"';
-      out += ch;
-    }
-    out += '"';
-    return out;
-  };
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ",";
-      os << escape(cells[c]);
-    }
-    os << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-}
-
-Status Table::SaveCsv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  PrintCsv(out);
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
 std::string FormatPercent(double fraction, int digits) {
   std::ostringstream oss;
   oss << std::fixed << std::setprecision(digits) << fraction * 100.0 << "%";
   return oss.str();
-}
-
-std::string FormatCount(uint64_t count) {
-  std::string digits = std::to_string(count);
-  std::string out;
-  out.reserve(digits.size() + digits.size() / 3);
-  int pending = static_cast<int>(digits.size());
-  for (char d : digits) {
-    out += d;
-    --pending;
-    if (pending > 0 && pending % 3 == 0) out += ',';
-  }
-  return out;
 }
 
 }  // namespace minoan

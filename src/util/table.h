@@ -1,9 +1,8 @@
 // Copyright 2026 The MinoanER Authors.
-// Console/CSV table rendering for the experiment harnesses.
+// Console table rendering for the experiment harnesses.
 //
 // Every bench binary prints paper-style tables through this class so the
-// output is uniformly aligned, machine-greppable, and optionally mirrored to
-// a CSV file.
+// output is uniformly aligned and machine-greppable.
 
 #ifndef MINOAN_UTIL_TABLE_H_
 #define MINOAN_UTIL_TABLE_H_
@@ -13,8 +12,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/status.h"
 
 namespace minoan {
 
@@ -48,12 +45,6 @@ class Table {
   /// Writes an ASCII-art aligned rendering (pipe-separated, padded).
   void Print(std::ostream& os) const;
 
-  /// Writes RFC-4180-ish CSV (cells containing separators are quoted).
-  void PrintCsv(std::ostream& os) const;
-
-  /// Saves the CSV rendering to `path`.
-  Status SaveCsv(const std::string& path) const;
-
   size_t num_rows() const { return rows_.size(); }
   size_t num_columns() const { return headers_.size(); }
   const std::vector<std::string>& headers() const { return headers_; }
@@ -66,9 +57,6 @@ class Table {
 
 /// Convenience: "12.3%"-style percent formatting.
 std::string FormatPercent(double fraction, int digits = 1);
-
-/// Convenience: "1,234,567" thousands separators for counts.
-std::string FormatCount(uint64_t count);
 
 }  // namespace minoan
 

@@ -44,11 +44,6 @@ class TopK {
   size_t size() const { return heap_.size(); }
   bool empty() const { return heap_.empty(); }
 
-  /// The smallest retained item (only valid when full()); the admission
-  /// threshold for future pushes.
-  const T& Min() const { return heap_.front(); }
-  bool full() const { return heap_.size() == k_; }
-
   /// Returns the retained items sorted largest-first and leaves the heap
   /// empty. (sort_heap orders ascending by its comparator; ascending by
   /// Greater == descending by cmp_.)

@@ -76,6 +76,17 @@ TEST(SimilarityEvaluatorTest, SelfSimilarityIsMax) {
   }
 }
 
+/// The profile kernel's components, as ProfileSimilarity computes them at
+/// the end weights of the blend: at weight 1 the blend is exactly the
+/// cosine (1·c + 0·j == c), and without TF-IDF it is the Jaccard alone.
+constexpr SimilarityOptions kCosineOnly{1.0, /*use_tfidf=*/true};
+constexpr SimilarityOptions kJaccardOnly{0.0, /*use_tfidf=*/false};
+
+double Component(const SimilarityEvaluator& eval, EntityId a, EntityId b,
+                 const SimilarityOptions& component) {
+  return ProfileSimilarity(eval.View(a), eval.View(b), component);
+}
+
 TEST(SimilarityEvaluatorTest, JaccardOnlyModeCheaper) {
   EntityCollection c = MatchingFixture();
   SimilarityOptions opts;
@@ -83,8 +94,9 @@ TEST(SimilarityEvaluatorTest, JaccardOnlyModeCheaper) {
   SimilarityEvaluator eval(c, opts);
   const EntityId ka = c.FindByIri("http://a/knossos");
   const EntityId kb = c.FindByIri("http://b/e1");
-  EXPECT_DOUBLE_EQ(eval.Similarity(ka, kb), eval.TokenJaccard(ka, kb));
-  EXPECT_DOUBLE_EQ(eval.TfIdfCosine(ka, kb), 0.0);
+  EXPECT_DOUBLE_EQ(eval.Similarity(ka, kb),
+                   Component(eval, ka, kb, kJaccardOnly));
+  EXPECT_EQ(eval.View(ka).weights, nullptr);  // no TF-IDF arena built
 }
 
 TEST(SimilarityEvaluatorTest, TfIdfDiscountsCommonTokens) {
@@ -97,8 +109,8 @@ TEST(SimilarityEvaluatorTest, TfIdfDiscountsCommonTokens) {
   const EntityId phaistos = c.FindByIri("http://a/phaistos");
   // knossos_a shares rare "knossos"+"crete" with knossos_b, but only the
   // frequent "minoan palace" with phaistos.
-  EXPECT_GT(eval.TfIdfCosine(knossos_a, knossos_b),
-            eval.TfIdfCosine(knossos_a, phaistos));
+  EXPECT_GT(Component(eval, knossos_a, knossos_b, kCosineOnly),
+            Component(eval, knossos_a, phaistos, kCosineOnly));
 }
 
 TEST(SimilarityEvaluatorTest, WeightInterpolation) {
@@ -111,8 +123,8 @@ TEST(SimilarityEvaluatorTest, WeightInterpolation) {
   SimilarityEvaluator ej(c, all_jaccard);
   const EntityId a = c.FindByIri("http://a/knossos");
   const EntityId b = c.FindByIri("http://b/e1");
-  EXPECT_DOUBLE_EQ(ec.Similarity(a, b), ec.TfIdfCosine(a, b));
-  EXPECT_DOUBLE_EQ(ej.Similarity(a, b), ej.TokenJaccard(a, b));
+  EXPECT_DOUBLE_EQ(ec.Similarity(a, b), Component(ec, a, b, kCosineOnly));
+  EXPECT_DOUBLE_EQ(ej.Similarity(a, b), Component(ej, a, b, kJaccardOnly));
 }
 
 // ---------------------------------------------------------------------------
@@ -232,9 +244,9 @@ TEST(ProfileKernelTest, RepeatedAndZeroIdfTokensMatchReference) {
   ASSERT_GT(c.entity(b).token_bag.size(), c.entity(b).tokens.size());
   const SimilarityEvaluator eval(c);
   EXPECT_EQ(eval.View(g).norm, 0.0);
-  EXPECT_EQ(Bits(eval.TfIdfCosine(a, g)), Bits(0.0));
-  EXPECT_EQ(Bits(eval.TfIdfCosine(a, cc)), Bits(0.0));
-  EXPECT_GT(eval.TokenJaccard(a, cc), 0.0);
+  EXPECT_EQ(Bits(Component(eval, a, g, kCosineOnly)), Bits(0.0));
+  EXPECT_EQ(Bits(Component(eval, a, cc, kCosineOnly)), Bits(0.0));
+  EXPECT_GT(Component(eval, a, cc, kJaccardOnly), 0.0);
   EXPECT_NEAR(eval.Similarity(a, f), 1.0, 1e-12);
   ExpectAllPairsBitIdentical(c);
 }
@@ -311,14 +323,6 @@ TEST(UnionFindTest, BasicUnionAndFind) {
   EXPECT_EQ(uf.SetSize(4), 1u);
 }
 
-TEST(UnionFindTest, CountClusters) {
-  UnionFind uf(6);
-  uf.Union(0, 1);
-  uf.Union(2, 3);
-  EXPECT_EQ(uf.CountClusters(), 4u);       // {01}{23}{4}{5}
-  EXPECT_EQ(uf.CountClusters(2), 2u);      // only the pairs
-}
-
 TEST(UnionFindTest, ClustersSortedAndFiltered) {
   UnionFind uf(6);
   uf.Union(4, 2);
@@ -337,7 +341,6 @@ TEST(UnionFindTest, LargeChainStaysConsistent) {
   for (uint32_t i = 1; i < n; ++i) uf.Union(i - 1, i);
   EXPECT_EQ(uf.SetSize(0), n);
   EXPECT_TRUE(uf.SameSet(0, n - 1));
-  EXPECT_EQ(uf.CountClusters(), 1u);
 }
 
 // ---------------------------------------------------------------------------

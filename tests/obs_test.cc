@@ -318,24 +318,6 @@ TEST(ScopedRegistryTest, DualWriteSumsToProcessTotal) {
   EXPECT_EQ(acme.label(), "acme");
 }
 
-TEST(ScopedRegistryTest, ScopedHistogramRecordsInBothDistributions) {
-  MetricsRegistry parent;
-  obs::ScopedRegistry scope(&parent, "acme");
-  obs::ScopedHistogram micros = scope.scoped_histogram("request_micros");
-  micros.Record(10);
-  micros.Record(1000);
-
-  const HistogramSnapshot local =
-      scope.histogram("request_micros").Snapshot();
-  const HistogramSnapshot process =
-      parent.histogram("request_micros").Snapshot();
-  EXPECT_EQ(local.count, 2u);
-  EXPECT_EQ(process.count, 2u);
-  EXPECT_EQ(local.sum, 1010u);
-  EXPECT_EQ(local.min, 10u);
-  EXPECT_EQ(local.max, 1000u);
-}
-
 TEST(ScopedRegistryTest, ParentMasterSwitchGovernsShadows) {
   MetricsRegistry parent;
   obs::ScopedRegistry scope(&parent, "acme");

@@ -15,6 +15,7 @@
 #include "blocking/blocking_method.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
+#include "mutate_bytes.h"
 #include "obs/metrics.h"
 #include "online/incremental_block_index.h"
 #include "online/incremental_collection.h"
@@ -22,6 +23,7 @@
 #include "progressive/state.h"
 #include "rdf/ntriples.h"
 #include "util/hash.h"
+#include "util/rng.h"
 #include "util/serde.h"
 
 namespace minoan {
@@ -29,7 +31,6 @@ namespace {
 
 using online::DeltaPair;
 using online::IncrementalBlockIndex;
-using online::IncrementalCollection;
 using online::OnlineBlockingOptions;
 using online::OnlineOptions;
 using online::OnlineResolver;
@@ -85,73 +86,97 @@ std::set<IriPair> BatchPairs(const EntityCollection& c,
 }
 
 // ---------------------------------------------------------------------------
-// Post-finalize appends (IncrementalCollection)
+// Post-finalize appends
 // ---------------------------------------------------------------------------
 
-TEST(IncrementalCollectionTest, AppendAfterFinalize) {
-  IncrementalCollection inc;
-  const uint32_t kb = inc.EnsureKb("kbA");
-  EXPECT_EQ(inc.EnsureKb("kbA"), kb);  // idempotent
-
-  for (const auto& entity : GroupBySubject(Parse(kKbA))) {
-    ASSERT_TRUE(inc.Ingest(kb, entity).ok());
-  }
-  EXPECT_EQ(inc.num_entities(), 4u);
-  EXPECT_TRUE(inc.collection().finalized());
-
-  const EntityId crete = inc.collection().FindByIri("http://a.org/r/crete");
-  ASSERT_NE(crete, kInvalidEntity);
-  const uint32_t tok = inc.collection().tokens().Find("crete");
-  ASSERT_NE(tok, kInternNotFound);
-  EXPECT_EQ(inc.collection().TokenDf(tok), 1u);
+/// An empty collection in the append-only mode the online engine uses.
+EntityCollection EmptyFinalized() {
+  EntityCollection c;
+  EXPECT_TRUE(c.Finalize().ok());
+  return c;
 }
 
-TEST(IncrementalCollectionTest, DuplicateSubjectRejected) {
-  IncrementalCollection inc;
-  const uint32_t kb = inc.EnsureKb("kbA");
+TEST(AppendEntityTest, AppendAfterFinalize) {
+  EntityCollection c = EmptyFinalized();
+  const uint32_t kb = c.AddEmptyKnowledgeBase("kbA");
+  for (const auto& entity : GroupBySubject(Parse(kKbA))) {
+    ASSERT_TRUE(c.AppendEntity(kb, entity).ok());
+  }
+  EXPECT_EQ(c.num_entities(), 4u);
+  EXPECT_TRUE(c.finalized());
+
+  const EntityId crete = c.FindByIri("http://a.org/r/crete");
+  ASSERT_NE(crete, kInvalidEntity);
+  const uint32_t tok = c.tokens().Find("crete");
+  ASSERT_NE(tok, kInternNotFound);
+  EXPECT_EQ(c.TokenDf(tok), 1u);
+}
+
+TEST(AppendEntityTest, DuplicateSubjectRejected) {
+  EntityCollection c = EmptyFinalized();
+  const uint32_t kb = c.AddEmptyKnowledgeBase("kbA");
   const auto entities = GroupBySubject(Parse(kKbA));
-  ASSERT_TRUE(inc.Ingest(kb, entities[0]).ok());
-  auto again = inc.Ingest(kb, entities[0]);
+  ASSERT_TRUE(c.AppendEntity(kb, entities[0]).ok());
+  auto again = c.AppendEntity(kb, entities[0]);
   ASSERT_FALSE(again.ok());
   EXPECT_EQ(again.status().code(), StatusCode::kAlreadyExists);
 
   // The same IRI in a DIFFERENT KB is a distinct description.
-  const uint32_t other = inc.EnsureKb("kbB");
-  EXPECT_TRUE(inc.Ingest(other, entities[0]).ok());
-  EXPECT_EQ(inc.num_entities(), 2u);
+  const uint32_t other = c.AddEmptyKnowledgeBase("kbB");
+  EXPECT_TRUE(c.AppendEntity(other, entities[0]).ok());
+  EXPECT_EQ(c.num_entities(), 2u);
 }
 
-TEST(IncrementalCollectionTest, BackwardRelationResolved) {
+TEST(AppendEntityTest, BackwardRelationResolved) {
   const char* doc = R"(
 <http://x/a> <http://x/v/name> "alpha settlement" .
 <http://x/b> <http://x/v/name> "beta harbor" .
 <http://x/b> <http://x/v/near> <http://x/a> .
 )";
-  IncrementalCollection inc;
-  const uint32_t kb = inc.EnsureKb("x");
+  EntityCollection c = EmptyFinalized();
+  const uint32_t kb = c.AddEmptyKnowledgeBase("x");
   for (const auto& entity : GroupBySubject(Parse(doc))) {
-    ASSERT_TRUE(inc.Ingest(kb, entity).ok());
+    ASSERT_TRUE(c.AppendEntity(kb, entity).ok());
   }
-  const EntityId a = inc.collection().FindByIri("http://x/a");
-  const EntityId b = inc.collection().FindByIri("http://x/b");
-  ASSERT_EQ(inc.collection().entity(b).relations.size(), 1u);
-  EXPECT_EQ(inc.collection().entity(b).relations[0].target, a);
+  const EntityId a = c.FindByIri("http://x/a");
+  const EntityId b = c.FindByIri("http://x/b");
+  ASSERT_EQ(c.entity(b).relations.size(), 1u);
+  EXPECT_EQ(c.entity(b).relations[0].target, a);
 }
 
-TEST(IncrementalCollectionTest, SameAsResolvedOnline) {
-  IncrementalCollection inc;
-  const uint32_t kb_b = inc.EnsureKb("kbB");
+TEST(AppendEntityTest, SameAsResolvedOnline) {
+  OnlineResolver resolver{OnlineOptions{}};
+  const uint32_t kb_b = resolver.EnsureKb("kbB");
   for (const auto& entity : GroupBySubject(Parse(kKbB))) {
-    ASSERT_TRUE(inc.Ingest(kb_b, entity).ok());
+    ASSERT_TRUE(resolver.Ingest(kb_b, entity).ok());
   }
-  const uint32_t kb_a = inc.EnsureKb("kbA");
+  const uint32_t kb_a = resolver.EnsureKb("kbA");
   for (const auto& entity : GroupBySubject(Parse(kKbA))) {
-    ASSERT_TRUE(inc.Ingest(kb_a, entity).ok());
+    ASSERT_TRUE(resolver.Ingest(kb_a, entity).ok());
   }
-  ASSERT_EQ(inc.collection().same_as_links().size(), 1u);
-  const SameAsLink link = inc.collection().same_as_links()[0];
-  EXPECT_EQ(inc.collection().EntityIri(link.a), "http://a.org/r/heraklion");
-  EXPECT_EQ(inc.collection().EntityIri(link.b), "http://b.org/p/heraklion");
+  const EntityCollection& c = resolver.collection();
+  ASSERT_EQ(c.same_as_links().size(), 1u);
+  const SameAsLink link = c.same_as_links()[0];
+  EXPECT_EQ(c.EntityIri(link.a), "http://a.org/r/heraklion");
+  EXPECT_EQ(c.EntityIri(link.b), "http://b.org/p/heraklion");
+}
+
+TEST(OnlineResolverTest, EnsureKbFindsTheFirstKbOfAName) {
+  OnlineResolver resolver{OnlineOptions{}};
+  const uint32_t a = resolver.EnsureKb("kbA");
+  const uint32_t b = resolver.EnsureKb("kbB");
+  EXPECT_NE(a, b);
+  EXPECT_EQ(resolver.EnsureKb("kbA"), a);  // idempotent
+  EXPECT_EQ(resolver.EnsureKb("kbB"), b);
+  EXPECT_EQ(resolver.collection().num_kbs(), 2u);
+
+  // A warm collection may hold two KBs of one name: the first one wins.
+  EntityCollection warm;
+  ASSERT_TRUE(warm.AddKnowledgeBase("dup", Parse(kKbA)).ok());
+  ASSERT_TRUE(warm.AddKnowledgeBase("dup", Parse(kKbB)).ok());
+  OnlineResolver adopted(OnlineOptions{}, std::move(warm));
+  EXPECT_EQ(adopted.EnsureKb("dup"), 0u);
+  EXPECT_EQ(adopted.EnsureKb("new"), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -160,12 +185,12 @@ TEST(IncrementalCollectionTest, SameAsResolvedOnline) {
 
 /// Ingests both KBs in an interleaved order and returns (collection, union
 /// of all delta pairs as IRI pairs).
-std::pair<IncrementalCollection, std::set<IriPair>> IngestInterleaved(
+std::pair<EntityCollection, std::set<IriPair>> IngestInterleaved(
     const OnlineBlockingOptions& blocking) {
-  IncrementalCollection inc;
+  EntityCollection inc = EmptyFinalized();
   IncrementalBlockIndex index(blocking);
-  const uint32_t kb_a = inc.EnsureKb("kbA");
-  const uint32_t kb_b = inc.EnsureKb("kbB");
+  const uint32_t kb_a = inc.AddEmptyKnowledgeBase("kbA");
+  const uint32_t kb_b = inc.AddEmptyKnowledgeBase("kbB");
   const auto ea = GroupBySubject(Parse(kKbA));
   const auto eb = GroupBySubject(Parse(kKbB));
 
@@ -178,13 +203,13 @@ std::pair<IncrementalCollection, std::set<IriPair>> IngestInterleaved(
   std::set<IriPair> emitted;
   std::vector<DeltaPair> delta;
   for (const auto& [kb, triples] : order) {
-    auto id = inc.Ingest(kb, *triples);
+    auto id = inc.AppendEntity(kb, *triples);
     EXPECT_TRUE(id.ok()) << id.status();
     delta.clear();
-    index.AddEntity(inc.collection(), *id, delta);
+    index.AddEntity(inc, *id, delta);
     for (const DeltaPair& d : delta) {
       const bool inserted =
-          emitted.insert(MakeIriPair(inc.collection(), d.a, d.b)).second;
+          emitted.insert(MakeIriPair(inc, d.a, d.b)).second;
       EXPECT_TRUE(inserted) << "pair emitted twice";
     }
   }
@@ -260,17 +285,17 @@ TEST(IncrementalBlockIndexTest, GeneratedCloudParity) {
   blocking.pis.max_block_size = 1u << 20;
   blocking.mode = ResolutionMode::kCleanClean;
 
-  IncrementalCollection inc;
+  EntityCollection inc = EmptyFinalized();
   IncrementalBlockIndex index(blocking);
   std::set<uint64_t> emitted;
   std::vector<DeltaPair> delta;
   for (const datagen::GeneratedKb& kb : cloud->kbs) {
-    const uint32_t kb_id = inc.EnsureKb(kb.name);
+    const uint32_t kb_id = inc.AddEmptyKnowledgeBase(kb.name);
     for (const auto& entity : GroupBySubject(kb.triples)) {
-      auto id = inc.Ingest(kb_id, entity);
+      auto id = inc.AppendEntity(kb_id, entity);
       ASSERT_TRUE(id.ok()) << id.status();
       delta.clear();
-      index.AddEntity(inc.collection(), *id, delta);
+      index.AddEntity(inc, *id, delta);
       for (const DeltaPair& d : delta) {
         EXPECT_TRUE(emitted.insert(PairKey(d.a, d.b)).second);
       }
@@ -284,11 +309,10 @@ TEST(IncrementalBlockIndexTest, GeneratedCloudParity) {
   std::vector<std::unique_ptr<BlockingMethod>> methods;
   methods.push_back(std::make_unique<TokenBlocking>(topts));
   methods.push_back(std::make_unique<PisBlocking>(popts));
-  BlockCollection blocks =
-      CompositeBlocking(std::move(methods)).Build(inc.collection());
+  BlockCollection blocks = CompositeBlocking(std::move(methods)).Build(inc);
   std::set<uint64_t> expected;
-  for (const Comparison& cmp : blocks.DistinctComparisons(
-           inc.collection(), ResolutionMode::kCleanClean)) {
+  for (const Comparison& cmp :
+       blocks.DistinctComparisons(inc, ResolutionMode::kCleanClean)) {
     expected.insert(PairKey(cmp.a, cmp.b));
   }
 
@@ -305,10 +329,10 @@ TEST(IncrementalBlockIndexTest, CapWindowPairsRecoveredWhenCapLifts) {
   blocking.token.max_df_fraction = 0.5;
   blocking.mode = ResolutionMode::kCleanClean;
 
-  IncrementalCollection inc;
+  EntityCollection inc = EmptyFinalized();
   IncrementalBlockIndex index(blocking);
-  const uint32_t kb0 = inc.EnsureKb("kb0");
-  const uint32_t kb1 = inc.EnsureKb("kb1");
+  const uint32_t kb0 = inc.AddEmptyKnowledgeBase("kb0");
+  const uint32_t kb1 = inc.AddEmptyKnowledgeBase("kb1");
 
   // (kb, iri-suffix, value). "zeta" is the shared token; at insertions 2
   // and 5 the collection is small enough that cap < posting size, so those
@@ -326,12 +350,12 @@ TEST(IncrementalBlockIndexTest, CapWindowPairsRecoveredWhenCapLifts) {
   for (const auto& [kb, suffix, value] : feed) {
     const std::string doc = "<http://" + std::to_string(kb) + ".org/" +
                             suffix + "> <http://v/p> \"" + value + "\" .\n";
-    auto id = inc.Ingest(kb, Parse(doc));
+    auto id = inc.AppendEntity(kb, Parse(doc));
     ASSERT_TRUE(id.ok()) << id.status();
     delta.clear();
-    index.AddEntity(inc.collection(), *id, delta);
+    index.AddEntity(inc, *id, delta);
     for (const DeltaPair& d : delta) {
-      emitted.insert(MakeIriPair(inc.collection(), d.a, d.b));
+      emitted.insert(MakeIriPair(inc, d.a, d.b));
     }
   }
 
@@ -444,6 +468,16 @@ TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
                            &discovered_matches, &update_fanout}) {
     c->Reset();
   }
+  // A Query executes comparisons outside the loop: they are not loop
+  // accounting, so it records none of the counters.
+  for (EntityId e = 0; e < 5; ++e) resolver.Query(e, 3);
+  const uint64_t queried = resolver.run().comparisons_executed;
+  EXPECT_GT(queried, 0u);
+  for (obs::Counter* c : {&pops, &requeues, &skips, &comparisons,
+                           &evidence_updates, &discovered,
+                           &discovered_matches, &update_fanout}) {
+    EXPECT_EQ(c->Value(), 0u);
+  }
   const uint64_t discovered_before = resolver.discovered_pairs();
 
   OnlineStepResult total;
@@ -462,7 +496,7 @@ TEST(OnlineResolverTest, LoopCountersAccountForEveryPop) {
     EXPECT_GE(step.update_fanout, step.evidence_updates);
     total.exhausted = step.exhausted;
   }
-  EXPECT_EQ(total.comparisons, resolver.run().comparisons_executed);
+  EXPECT_EQ(total.comparisons, resolver.run().comparisons_executed - queried);
   EXPECT_EQ(total.pops, total.comparisons + total.requeues + total.skips);
   EXPECT_GT(total.evidence_updates, 0u);
   EXPECT_EQ(total.discovered_pairs,
@@ -621,6 +655,39 @@ TEST(OnlineResolverTest, WarmStartReproducesBatchCandidateSet) {
   IngestCloud(cold, cloud);
   EXPECT_EQ(cold.collection().num_entities(), warm.collection().num_entities());
   EXPECT_GE(cold.candidate_pairs_created(), expected);
+}
+
+TEST(OnlineResolverTest, WarmStartIsThreadCountInvariant) {
+  // Enough initial pairs that the warm start prices them on a transient
+  // pool (from 2,048 slots when num_threads > 1).
+  datagen::LodCloudConfig cfg;
+  cfg.seed = 41;
+  cfg.num_real_entities = 700;
+  cfg.num_kbs = 4;
+  cfg.center_kbs = 2;
+  auto cloud = datagen::GenerateLodCloud(cfg);
+  ASSERT_TRUE(cloud.ok());
+
+  std::string want_warm, want_resolved;
+  for (const uint32_t threads : {1u, 2u, 4u, 7u}) {
+    OnlineOptions options;
+    options.matcher.threshold = 0.3;
+    options.num_threads = threads;
+    OnlineResolver engine(options, WarmCollection(*cloud));
+    ASSERT_GE(engine.candidate_pairs_created(), 2048u);
+    std::ostringstream warm;
+    ASSERT_TRUE(engine.SaveState(warm).ok());
+    engine.ResolveBudget(1000);
+    std::ostringstream resolved;
+    ASSERT_TRUE(engine.SaveState(resolved).ok());
+    if (threads == 1) {
+      want_warm = warm.str();
+      want_resolved = resolved.str();
+      continue;
+    }
+    EXPECT_TRUE(warm.str() == want_warm) << threads << " threads";
+    EXPECT_TRUE(resolved.str() == want_resolved) << threads << " threads";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -884,6 +951,37 @@ TEST(OnlineResolverTest, RestoreRejectsNonCanonicalSchedule) {
   EXPECT_TRUE(OnlineResolver::Restore(options, in).ok());
 }
 
+// Query executes and ranks an entity's partners by their slots, so a state
+// whose partner lists name a pair the pair table lacks must be rejected at
+// load, not crash the first Query.
+TEST(OnlineResolverTest, RestoreRejectsPartnerPairWithoutSlot) {
+  const datagen::LodCloud cloud = SmallCloud();
+  OnlineOptions options;
+  options.matcher.threshold = 0.3;
+  OnlineResolver engine(options, WarmCollection(cloud));
+  engine.ResolveBudget(300);
+  std::stringstream state;
+  ASSERT_TRUE(engine.SaveState(state).ok());
+  const std::string bytes = state.str();
+  SavedPairs saved = SavedPairs::Split(bytes, engine);
+  ASSERT_EQ(saved.Join(), bytes);
+
+  // Drop one pair that is not live: the rest of the state stays canonical.
+  const auto not_live = std::find_if(
+      saved.rows.begin(), saved.rows.end(), [&](const SavedPairs::Row& r) {
+        return std::none_of(saved.live.begin(), saved.live.end(),
+                            [&](const auto& l) { return l.first == r.pair; });
+      });
+  ASSERT_NE(not_live, saved.rows.end());
+  saved.rows.erase(not_live);
+  std::istringstream in(saved.Join());
+  auto restored = OnlineResolver::Restore(options, in);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(restored.status().message(),
+            "truncated or corrupt online engine state");
+}
+
 TEST(OnlineResolverTest, RestoreRejectsMismatchesAndTruncation) {
   const datagen::LodCloud cloud = SmallCloud();
   OnlineOptions options;
@@ -923,6 +1021,65 @@ TEST(OnlineResolverTest, RestoreRejectsMismatchesAndTruncation) {
                                             in);
     EXPECT_FALSE(restored.ok()) << "fraction " << fraction;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Mutation fuzz of the online checkpoint loader
+// ---------------------------------------------------------------------------
+//
+// Seeded bit flips, truncations and byte insertions (testutil::MutateBytes)
+// of a warm engine's MNER-ONLN-v2 state. Each mutant must be rejected with
+// a Status, or restore to an engine on which ResolveBudget and a Query of
+// every entity complete. Three of four mutations land after the embedded
+// collection, in the sections whose cross-references the loader itself
+// checks: the index, the adjacency and partner lists, the pair table and
+// the loop sections (kb_test covers the collection's own loader). Run
+// under ASan (the "asan" ctest label), no mutant may read or write out of
+// bounds either.
+
+TEST(OnlineResolverFuzzTest, MutatedStatesRestoreOrFailWithStatus) {
+  datagen::LodCloudConfig cfg;
+  cfg.seed = 11;
+  cfg.num_real_entities = 60;
+  cfg.num_kbs = 3;
+  cfg.center_kbs = 1;
+  auto cloud = datagen::GenerateLodCloud(cfg);
+  ASSERT_TRUE(cloud.ok());
+  OnlineOptions options;
+  options.matcher.threshold = 0.35;
+  OnlineResolver engine(options, WarmCollection(*cloud));
+  engine.ResolveBudget(50);
+  std::ostringstream state;
+  std::ostringstream collection;
+  ASSERT_TRUE(engine.SaveState(state).ok());
+  ASSERT_TRUE(engine.collection().Save(collection).ok());
+  const std::string bytes = state.str();
+  const size_t collection_at = bytes.find(collection.str());
+  ASSERT_NE(collection_at, std::string::npos);
+  const size_t after_collection = collection_at + collection.str().size();
+
+  size_t restored = 0;
+  size_t rejected = 0;
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    Rng rng(seed);
+    std::istringstream in(
+        testutil::MutateBytes(bytes, rng, after_collection));
+    auto mutant = OnlineResolver::Restore(options, in);
+    if (!mutant.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++restored;
+    OnlineResolver& resolver = **mutant;
+    resolver.ResolveBudget(100);
+    for (EntityId e = 0; e < resolver.collection().num_entities(); ++e) {
+      resolver.Query(e, 5);
+    }
+    resolver.ResolveBudget(1u << 30);
+  }
+  // Both outcomes occur: the fuzz reaches past the loader's checks.
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

@@ -172,12 +172,14 @@ TEST(SchedulerTest, MatchesReferenceQueueUnderRandomOperations) {
       ++pushes;
     };
 
-    // Prime 0-5,000 entries (a pair may be listed twice: last one wins).
+    // Prime 0-5,000 listings of distinct pairs (every caller lists a slot
+    // once; a repeated draw is dropped).
     const size_t n_prime = rng() % 5001;
     std::vector<ComparisonScheduler::PrimeEntry> entries;
     for (size_t i = 0; i < n_prime; ++i) {
       const uint64_t pair = random_pair();
       const int level = static_cast<int>(rng() % kNumLevels);
+      if (level_of.count(pair) != 0) continue;
       entries.push_back({kLevels[level], pair, s.FindOrAdd(pair)});
       schedule(pair, level);
     }

@@ -387,19 +387,6 @@ TEST(TermViewTest, ArenaViewsOutliveMovesAndGrowth) {
   EXPECT_EQ(views[5999].object.lexical, "v\t5999");
 }
 
-TEST(StreamTest, ParseStreamReadsTheWholeStream) {
-  std::istringstream in(kMixedDoc);
-  std::vector<Triple> triples;
-  ParseStats stats;
-  ASSERT_TRUE(NTriplesParser()
-                  .ParseStream(
-                      in, [&](Triple&& t) { triples.push_back(std::move(t)); },
-                      &stats)
-                  .ok());
-  EXPECT_EQ(triples.size(), 3u);
-  EXPECT_EQ(stats.lines, 6u);
-}
-
 // ---------------------------------------------------------------------------
 // Mutation fuzzing, pinned to a reference build
 // ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
+#include "mutate_bytes.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
+#include "util/rng.h"
 #include "util/serde.h"
 
 namespace minoan {
@@ -500,6 +502,39 @@ TEST(SessionTest, RestoreRejectsGarbageAndTruncation) {
   }
 }
 
+// Seeded bit flips, truncations and byte insertions (testutil::MutateBytes)
+// of a small session's MNER-SESS-v1 checkpoint. Each mutant must be
+// rejected with a Status, or restore to a session that steps to the end.
+// Run under ASan (the "asan" ctest label), no mutant may read or write out
+// of bounds either.
+TEST(SessionTest, MutatedCheckpointsRestoreOrFailWithStatus) {
+  const EntityCollection collection = MakeCloud(397);
+  const WorkflowOptions options = DefaultOptions();
+  auto session = ResolutionSession::Open(collection, options);
+  ASSERT_TRUE(session.ok());
+  session->Step(60);
+  std::stringstream state;
+  ASSERT_TRUE(session->Checkpoint(state).ok());
+  const std::string bytes = state.str();
+
+  size_t restored = 0;
+  size_t rejected = 0;
+  for (uint64_t seed = 1; seed <= 1500; ++seed) {
+    Rng rng(seed);
+    std::istringstream in(testutil::MutateBytes(bytes, rng));
+    auto mutant = ResolutionSession::Restore(collection, options, in);
+    if (!mutant.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++restored;
+    mutant->Step(0);
+  }
+  // Both outcomes occur: the fuzz reaches past the loader's checks.
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Observer
 // ---------------------------------------------------------------------------
@@ -597,6 +632,21 @@ TEST(SessionTest, ValidateRejectsBadThresholdAndEvidence) {
     ASSERT_FALSE(status.ok());
     EXPECT_NE(status.message().find("staleness"), std::string::npos);
   }
+}
+
+TEST(SessionTest, ValidateRejectsMismatchedResolutionModes) {
+  WorkflowOptions options;
+  options.meta.mode = ResolutionMode::kDirty;
+  options.progressive.mode = ResolutionMode::kDirty;
+  EXPECT_TRUE(options.Validate().ok());
+  options.progressive.mode = ResolutionMode::kCleanClean;
+  const Status status = options.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("meta.mode"), std::string::npos);
+  EXPECT_NE(status.message().find("progressive.mode"), std::string::npos);
+  const EntityCollection collection = MakeCloud(389);
+  EXPECT_FALSE(ResolutionSession::Open(collection, options).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,46 +1,13 @@
-// Unit tests for the text module: normalization, tokenization, similarity
-// kernels (exact known values plus parameterized metric properties).
-
-#include <cmath>
+// Unit tests for the text module: tokenization and the token-set similarity
+// kernels (exact known values plus metric properties).
 
 #include "gtest/gtest.h"
-#include "text/normalize.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
 #include "util/interner.h"
 
 namespace minoan {
 namespace {
-
-// ---------------------------------------------------------------------------
-// NormalizeText
-// ---------------------------------------------------------------------------
-
-TEST(NormalizeTest, LowercasesAscii) {
-  EXPECT_EQ(NormalizeText("HeRaKlIoN"), "heraklion");
-}
-
-TEST(NormalizeTest, PunctuationBecomesSingleSpace) {
-  EXPECT_EQ(NormalizeText("crete,  greece!!"), "crete greece");
-}
-
-TEST(NormalizeTest, LeadingTrailingJunkDropped) {
-  EXPECT_EQ(NormalizeText("  --hello-- "), "hello");
-}
-
-TEST(NormalizeTest, EmptyAndAllJunk) {
-  EXPECT_EQ(NormalizeText(""), "");
-  EXPECT_EQ(NormalizeText("!!! ???"), "");
-}
-
-TEST(NormalizeTest, DigitsKept) {
-  EXPECT_EQ(NormalizeText("Route 66"), "route 66");
-}
-
-TEST(NormalizeTest, Utf8BytesPreserved) {
-  // Multi-byte characters pass through untouched.
-  EXPECT_EQ(NormalizeText("Ηράκλειο"), "Ηράκλειο");
-}
 
 // ---------------------------------------------------------------------------
 // Tokenizer
@@ -120,23 +87,6 @@ TEST(SetSimilarityTest, JaccardKnownValues) {
   EXPECT_DOUBLE_EQ(JaccardSimilarity({}, {}), 0.0);
 }
 
-TEST(SetSimilarityTest, DiceKnownValues) {
-  EXPECT_DOUBLE_EQ(DiceSimilarity({1, 2, 3}, {2, 3, 4}), 2.0 * 2 / 6);
-  EXPECT_DOUBLE_EQ(DiceSimilarity({1}, {1}), 1.0);
-}
-
-TEST(SetSimilarityTest, OverlapCoefficientKnownValues) {
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({1, 2}, {1, 2, 3, 4}), 1.0);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({1, 5}, {1, 2, 3, 4}), 0.5);
-  EXPECT_DOUBLE_EQ(OverlapCoefficient({}, {1}), 0.0);
-}
-
-TEST(SetSimilarityTest, BinaryCosineKnownValues) {
-  EXPECT_DOUBLE_EQ(BinaryCosineSimilarity({1, 2}, {1, 2}), 1.0);
-  EXPECT_NEAR(BinaryCosineSimilarity({1, 2, 3}, {2, 3, 4}),
-              2.0 / 3.0, 1e-12);
-}
-
 TEST(WeightedSimilarityTest, CosineKnownValues) {
   std::vector<WeightedToken> a{{1, 1.0}, {2, 2.0}};
   std::vector<WeightedToken> b{{1, 1.0}, {2, 2.0}};
@@ -145,74 +95,12 @@ TEST(WeightedSimilarityTest, CosineKnownValues) {
   EXPECT_DOUBLE_EQ(WeightedCosineSimilarity(a, c), 0.0);
 }
 
-TEST(WeightedSimilarityTest, WeightedJaccardKnownValues) {
-  std::vector<WeightedToken> a{{1, 2.0}, {2, 1.0}};
-  std::vector<WeightedToken> b{{1, 1.0}, {3, 1.0}};
-  // min-sum = 1 (token 1); max-sum = 2 + 1 + 1 = 4.
-  EXPECT_DOUBLE_EQ(WeightedJaccardSimilarity(a, b), 0.25);
-  EXPECT_DOUBLE_EQ(WeightedJaccardSimilarity(a, a), 1.0);
-  EXPECT_DOUBLE_EQ(WeightedJaccardSimilarity({}, {}), 0.0);
-}
-
 // ---------------------------------------------------------------------------
-// Character kernels
+// Metric properties: the Jaccard kernel obeys range, symmetry, and identity
+// axioms on a grid of inputs.
 // ---------------------------------------------------------------------------
 
-TEST(LevenshteinTest, KnownDistances) {
-  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(LevenshteinDistance("", "abc"), 3u);
-  EXPECT_EQ(LevenshteinDistance("abc", "abc"), 0u);
-  EXPECT_EQ(LevenshteinDistance("flaw", "lawn"), 2u);
-}
-
-TEST(LevenshteinTest, SimilarityNormalization) {
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(LevenshteinSimilarity("abc", "abc"), 1.0);
-  EXPECT_NEAR(LevenshteinSimilarity("kitten", "sitting"), 1.0 - 3.0 / 7.0,
-              1e-12);
-}
-
-TEST(JaroTest, KnownValues) {
-  EXPECT_NEAR(JaroSimilarity("MARTHA", "MARHTA"), 0.944444, 1e-5);
-  EXPECT_NEAR(JaroSimilarity("DIXON", "DICKSONX"), 0.766667, 1e-5);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("a", ""), 0.0);
-  EXPECT_DOUBLE_EQ(JaroSimilarity("abc", "xyz"), 0.0);
-}
-
-TEST(JaroWinklerTest, BoostsCommonPrefix) {
-  EXPECT_NEAR(JaroWinklerSimilarity("MARTHA", "MARHTA"), 0.961111, 1e-5);
-  const double jw = JaroWinklerSimilarity("prefixed", "prefixes");
-  const double j = JaroSimilarity("prefixed", "prefixes");
-  EXPECT_GT(jw, j);
-  EXPECT_DOUBLE_EQ(JaroWinklerSimilarity("same", "same"), 1.0);
-}
-
-TEST(QGramTest, KnownValues) {
-  EXPECT_DOUBLE_EQ(QGramSimilarity("abcd", "abcd", 2), 1.0);
-  EXPECT_DOUBLE_EQ(QGramSimilarity("ab", "cd", 2), 0.0);
-  // "abc" vs "abd": bigrams {ab,bc} vs {ab,bd} -> 1/3.
-  EXPECT_NEAR(QGramSimilarity("abc", "abd", 2), 1.0 / 3.0, 1e-12);
-}
-
-TEST(QGramTest, ShortStringsFallBackToEquality) {
-  EXPECT_DOUBLE_EQ(QGramSimilarity("ab", "ab", 3), 1.0);
-  EXPECT_DOUBLE_EQ(QGramSimilarity("ab", "ac", 3), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Parameterized metric properties: each kernel obeys range, symmetry, and
-// identity axioms on a grid of inputs.
-// ---------------------------------------------------------------------------
-
-using SetKernel = double (*)(const std::vector<uint32_t>&,
-                             const std::vector<uint32_t>&);
-
-class SetKernelProperties
-    : public ::testing::TestWithParam<std::pair<const char*, SetKernel>> {};
-
-TEST_P(SetKernelProperties, RangeSymmetryIdentity) {
-  const SetKernel kernel = GetParam().second;
+TEST(SetSimilarityTest, JaccardRangeSymmetryIdentity) {
   const std::vector<std::vector<uint32_t>> sets = {
       {},           {1},         {1, 2},     {1, 2, 3},
       {4, 5, 6},    {1, 3, 5},   {2, 4, 6},  {1, 2, 3, 4, 5, 6},
@@ -220,61 +108,17 @@ TEST_P(SetKernelProperties, RangeSymmetryIdentity) {
   };
   for (const auto& a : sets) {
     for (const auto& b : sets) {
-      const double ab = kernel(a, b);
-      const double ba = kernel(b, a);
+      const double ab = JaccardSimilarity(a, b);
+      const double ba = JaccardSimilarity(b, a);
       EXPECT_DOUBLE_EQ(ab, ba) << "symmetry violated";
       EXPECT_GE(ab, 0.0);
       EXPECT_LE(ab, 1.0);
     }
     if (!a.empty()) {
-      EXPECT_DOUBLE_EQ(kernel(a, a), 1.0) << "identity violated";
+      EXPECT_DOUBLE_EQ(JaccardSimilarity(a, a), 1.0) << "identity violated";
     }
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSetKernels, SetKernelProperties,
-    ::testing::Values(
-        std::make_pair("jaccard", &JaccardSimilarity),
-        std::make_pair("dice", &DiceSimilarity),
-        std::make_pair("overlap", &OverlapCoefficient),
-        std::make_pair("cosine", &BinaryCosineSimilarity)),
-    [](const auto& info) { return std::string(info.param.first); });
-
-using StringKernel = double (*)(std::string_view, std::string_view);
-
-class StringKernelProperties
-    : public ::testing::TestWithParam<std::pair<const char*, StringKernel>> {};
-
-TEST_P(StringKernelProperties, RangeSymmetryIdentity) {
-  const StringKernel kernel = GetParam().second;
-  const std::vector<std::string> strings = {
-      "", "a", "ab", "abc", "abcd", "minoan", "minos", "knossos",
-      "palace", "palaces", "xyz", "zyx",
-  };
-  for (const auto& a : strings) {
-    for (const auto& b : strings) {
-      const double ab = kernel(a, b);
-      EXPECT_DOUBLE_EQ(ab, kernel(b, a)) << a << " vs " << b;
-      EXPECT_GE(ab, 0.0);
-      EXPECT_LE(ab, 1.0 + 1e-12);
-    }
-    EXPECT_DOUBLE_EQ(kernel(a, a), 1.0) << a;
-  }
-}
-
-double QGram3(std::string_view a, std::string_view b) {
-  return QGramSimilarity(a, b, 3);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllStringKernels, StringKernelProperties,
-    ::testing::Values(
-        std::make_pair("levenshtein", &LevenshteinSimilarity),
-        std::make_pair("jaro", &JaroSimilarity),
-        std::make_pair("jaro_winkler", &JaroWinklerSimilarity),
-        std::make_pair("qgram3", &QGram3)),
-    [](const auto& info) { return std::string(info.param.first); });
 
 }  // namespace
 }  // namespace minoan

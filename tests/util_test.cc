@@ -22,7 +22,6 @@
 #include "util/atomic_file.h"
 #include "util/hash.h"
 #include "util/interner.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -184,19 +183,6 @@ TEST(RngTest, ChanceExtremes) {
   }
 }
 
-TEST(RngTest, GaussianMoments) {
-  Rng rng(17);
-  double sum = 0, sq = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double g = rng.NextGaussian();
-    sum += g;
-    sq += g * g;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(sq / n, 1.0, 0.1);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(19);
   std::vector<int> v(100);
@@ -206,25 +192,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_NE(shuffled, v);  // astronomically unlikely to be identity
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, v);
-}
-
-TEST(RngTest, ForkProducesIndependentStreams) {
-  Rng parent(23);
-  Rng c1 = parent.Fork(1);
-  Rng c2 = parent.Fork(2);
-  int same = 0;
-  for (int i = 0; i < 64; ++i) same += (c1() == c2());
-  EXPECT_LT(same, 4);
-}
-
-TEST(RngTest, GeometricCountRespectsCap) {
-  Rng rng(29);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_LE(rng.GeometricCount(0.99, 5), 5u);
-  }
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(rng.GeometricCount(0.0, 5), 0u);
-  }
 }
 
 TEST(ZipfSamplerTest, RankZeroMostPopular) {
@@ -364,16 +331,6 @@ TEST(TopKTest, ZeroCapacityIgnoresAll) {
   EXPECT_TRUE(top.empty());
 }
 
-TEST(TopKTest, MinExposesAdmissionThreshold) {
-  TopK<int> top(2);
-  top.Push(5);
-  top.Push(9);
-  ASSERT_TRUE(top.full());
-  EXPECT_EQ(top.Min(), 5);
-  top.Push(7);
-  EXPECT_EQ(top.Min(), 7);
-}
-
 TEST(TopKTest, DuplicatesRetained) {
   TopK<int> top(3);
   for (int v : {4, 4, 4, 1}) top.Push(v);
@@ -395,30 +352,14 @@ TEST(TableTest, PrintsAlignedHeaderAndRows) {
   EXPECT_NE(out.find("42"), std::string::npos);
 }
 
-TEST(TableTest, CsvEscapesSpecialCells) {
-  Table t({"v"});
-  t.AddRow().Cell("a,b");
-  t.AddRow().Cell("say \"hi\"");
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_NE(os.str().find("\"a,b\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"say \"\"hi\"\"\""), std::string::npos);
-}
-
 TEST(TableTest, DoubleFormatting) {
   Table t({"x"});
   t.AddRow().Cell(3.14159, 2);
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_NE(os.str().find("3.14"), std::string::npos);
-  EXPECT_EQ(os.str().find("3.142"), std::string::npos);
+  EXPECT_EQ(t.row(0)[0], "3.14");
 }
 
 TEST(TableTest, FormatHelpers) {
   EXPECT_EQ(FormatPercent(0.123, 1), "12.3%");
-  EXPECT_EQ(FormatCount(1234567), "1,234,567");
-  EXPECT_EQ(FormatCount(12), "12");
-  EXPECT_EQ(FormatCount(0), "0");
 }
 
 // ---------------------------------------------------------------------------
@@ -595,8 +536,7 @@ TEST(StopwatchTest, UnitsAreConsistent) {
   const int64_t micros = watch.ElapsedMicros();
   EXPECT_GE(micros, 200);
   EXPECT_GE(watch.ElapsedMillis(), static_cast<double>(micros) / 1000.0);
-  EXPECT_GE(watch.ElapsedSeconds(), static_cast<double>(micros) / 1e6);
-  EXPECT_LT(watch.ElapsedSeconds(), 60.0);
+  EXPECT_LT(watch.ElapsedMillis(), 60'000.0);
 }
 
 TEST(StopwatchTest, RestartResetsTheEpoch) {
@@ -607,86 +547,6 @@ TEST(StopwatchTest, RestartResetsTheEpoch) {
   // Immediately after Restart the elapsed time must be far below the
   // pre-restart reading (generous bound: half of it).
   EXPECT_LT(watch.ElapsedMicros(), 250);
-}
-
-// ---------------------------------------------------------------------------
-// Logging
-// ---------------------------------------------------------------------------
-
-/// Installs a capturing sink for the test's lifetime and restores the
-/// previous level + default sink on destruction, so tests stay isolated.
-class ScopedLogCapture {
- public:
-  explicit ScopedLogCapture(LogLevel level) : saved_level_(Logger::level()) {
-    Logger::set_level(level);
-    Logger::set_sink([this](LogLevel lvl, std::string_view msg) {
-      records_.emplace_back(lvl, std::string(msg));
-    });
-  }
-  ~ScopedLogCapture() {
-    Logger::set_sink(nullptr);
-    Logger::set_level(saved_level_);
-  }
-
-  const std::vector<std::pair<LogLevel, std::string>>& records() const {
-    return records_;
-  }
-
- private:
-  LogLevel saved_level_;
-  std::vector<std::pair<LogLevel, std::string>> records_;
-};
-
-TEST(LoggingTest, LevelNames) {
-  EXPECT_EQ(LogLevelName(LogLevel::kDebug), "DEBUG");
-  EXPECT_EQ(LogLevelName(LogLevel::kInfo), "INFO");
-  EXPECT_EQ(LogLevelName(LogLevel::kWarning), "WARN");
-  EXPECT_EQ(LogLevelName(LogLevel::kError), "ERROR");
-  EXPECT_EQ(LogLevelName(LogLevel::kOff), "OFF");
-}
-
-TEST(LoggingTest, SinkCapturesLevelAndMessage) {
-  ScopedLogCapture capture(LogLevel::kDebug);
-  MINOAN_LOG(kInfo) << "built " << 42 << " blocks";
-  ASSERT_EQ(capture.records().size(), 1u);
-  EXPECT_EQ(capture.records()[0].first, LogLevel::kInfo);
-  // The message is prefixed "file:line] " with the path stripped to its
-  // basename.
-  const std::string& msg = capture.records()[0].second;
-  EXPECT_NE(msg.find("util_test.cc:"), std::string::npos);
-  EXPECT_EQ(msg.find('/'), std::string::npos);
-  EXPECT_NE(msg.find("] built 42 blocks"), std::string::npos);
-}
-
-TEST(LoggingTest, ActiveLevelFiltersLowerSeverities) {
-  ScopedLogCapture capture(LogLevel::kWarning);
-  MINOAN_LOG(kDebug) << "dropped";
-  MINOAN_LOG(kInfo) << "dropped too";
-  MINOAN_LOG(kWarning) << "kept";
-  MINOAN_LOG(kError) << "kept too";
-  ASSERT_EQ(capture.records().size(), 2u);
-  EXPECT_EQ(capture.records()[0].first, LogLevel::kWarning);
-  EXPECT_EQ(capture.records()[1].first, LogLevel::kError);
-}
-
-TEST(LoggingTest, OffSilencesEverything) {
-  ScopedLogCapture capture(LogLevel::kOff);
-  MINOAN_LOG(kError) << "never seen";
-  EXPECT_TRUE(capture.records().empty());
-}
-
-TEST(LoggingTest, FilteredStatementDoesNotEvaluateOperands) {
-  ScopedLogCapture capture(LogLevel::kError);
-  int evaluations = 0;
-  auto expensive = [&evaluations] {
-    ++evaluations;
-    return "costly";
-  };
-  MINOAN_LOG(kDebug) << expensive();
-  EXPECT_EQ(evaluations, 0);
-  MINOAN_LOG(kError) << expensive();
-  EXPECT_EQ(evaluations, 1);
-  EXPECT_EQ(capture.records().size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
