@@ -109,7 +109,7 @@ void TokenBlocking::BuildInto(const EntityCollection& collection,
     sink.Add(entities);
   };
   BuildShardedPostings<uint32_t>(collection.num_entities(), pool, emit,
-                                 HashU32, memory_or_null(), consume);
+                                 HashU32, memory_budget(), consume);
 }
 
 void AppendPisKeys(const PisBlocking::Options& options,
@@ -151,7 +151,7 @@ void PisBlocking::BuildInto(const EntityCollection& collection,
     sink.Add(entities);
   };
   BuildShardedPostings<std::string>(collection.num_entities(), pool, emit,
-                                    HashString, memory_or_null(), consume);
+                                    HashString, memory_budget(), consume);
 }
 
 std::vector<uint32_t> AttributeClusteringBlocking::ClusterPredicates(
@@ -301,7 +301,7 @@ void AttributeClusteringBlocking::BuildInto(const EntityCollection& collection,
     sink.Add(entities);
   };
   BuildShardedPostings<uint64_t>(collection.num_entities(), pool, emit,
-                                 HashU64, memory_or_null(), consume);
+                                 HashU64, memory_budget(), consume);
 }
 
 void CompositeBlocking::BuildInto(const EntityCollection& collection,

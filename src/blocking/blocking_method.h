@@ -56,10 +56,10 @@ class BlockingMethod {
 
   /// Emits the blocks of all entities of `collection` into `sink`, in the
   /// method's canonical order. `pool` (caller-owned, may be nullptr)
-  /// parallelizes index construction with identical output. With a memory
-  /// budget set, construction streams through the spill engine and never
-  /// materializes the full postings — memory is bounded by the budget plus
-  /// one block.
+  /// parallelizes index construction with identical output. Construction
+  /// streams through the shard engine and never materializes the full
+  /// postings; with a memory budget set, the shards spill sorted runs, so
+  /// memory is bounded by the budget plus one block.
   virtual void BuildInto(const EntityCollection& collection, ThreadPool* pool,
                          BlockSink& sink) const = 0;
 
@@ -77,24 +77,16 @@ class BlockingMethod {
     return Build(collection, nullptr);
   }
 
-  /// External-memory budget for the postings shuffle. Disabled by default
-  /// (pure in-memory); when enabled, every postings-based build (token,
-  /// PIS, attr-cluster, q-gram) streams through spilling shard sinks, and
-  /// SortedNeighborhood's global key sort becomes an external merge sort —
-  /// byte-identical blocks either way (see extmem/shuffle.h).
-  /// Configuration, not execution: call before Build (Build itself is
-  /// const and never mutates the method).
+  /// External-memory budget for the postings shuffle. Unset by default
+  /// (the shards never spill); when set, every build (token, PIS,
+  /// attr-cluster, q-gram, sorted neighborhood) spills sorted runs once a
+  /// shard passes its share — byte-identical blocks either way (see
+  /// extmem/shuffle.h). Configuration, not execution: call before Build
+  /// (Build itself is const and never mutates the method).
   virtual void set_memory_budget(const extmem::MemoryBudgetOptions& memory) {
     memory_ = memory;
   }
   const extmem::MemoryBudgetOptions& memory_budget() const { return memory_; }
-
- protected:
-  /// The form BuildShardedPostings takes: null when the budget is disabled,
-  /// so the postings are built in memory.
-  const extmem::MemoryBudgetOptions* memory_or_null() const {
-    return memory_.enabled() ? &memory_ : nullptr;
-  }
 
  private:
   extmem::MemoryBudgetOptions memory_;

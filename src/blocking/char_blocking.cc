@@ -28,38 +28,40 @@ void EntityGrams(const EntityCollection& collection, EntityId e, uint32_t q,
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-/// Emits the sliding-window blocks over a key-sorted (key, entity) record
-/// stream (the external path). Holds at most window_size + 1 entities: the
-/// current window plus one record of lookahead to decide whether the window
-/// reaches the end of the stream. Reproduces the in-memory window loop —
-/// same starts, same window contents — without the global sorted list ever
-/// existing.
-void SlideWindowOverStream(extmem::ShuffleSource& source, size_t w,
-                           BlockSink& sink) {
+/// Emits the sliding-window blocks over a shard of (key, entity) records:
+/// windows of `w` consecutive entities starting every w / 2 records, the
+/// last one reaching the end. Returns the number of windows. Holds at most
+/// w + 1 entities: the current window plus one record of lookahead to
+/// decide whether the window reaches the end of the stream.
+uint64_t SlideWindow(extmem::Shard<extmem::KeyedEntity<std::string>>& sorted,
+                     size_t w, BlockSink& sink) {
   std::deque<EntityId> buf;
   bool exhausted = false;
   const auto fill = [&](size_t want) {
-    std::string_view record;
     while (!exhausted && buf.size() < want) {
-      if (!source.Next(record)) {
+      const extmem::KeyedEntity<std::string>* record = sorted.Next();
+      if (record == nullptr) {
         exhausted = true;
         break;
       }
-      buf.push_back(extmem::ReadU32Le(extmem::RecordPayload(record)));
+      buf.push_back(record->entity);
     }
   };
   std::vector<EntityId> window;
+  uint64_t windows = 0;
   for (;;) {
     fill(w + 1);
-    // In-memory loop condition `start + 1 < N`: at least two records remain.
+    // A window needs at least two records.
     if (buf.size() < 2) break;
     const size_t len = std::min(w, buf.size());
     window.assign(buf.begin(), buf.begin() + len);
     sink.Add(window);
-    // In-memory `end == N` break: the window consumed every record left.
+    ++windows;
+    // This window consumed every record left.
     if (buf.size() <= w) break;
     for (size_t i = 0; i < w / 2; ++i) buf.pop_front();
   }
+  return windows;
 }
 
 }  // namespace
@@ -128,31 +130,25 @@ void QGramBlocking::BuildInto(const EntityCollection& collection,
   const auto hash = [](const std::string& s) { return Fnv1a64(s); };
   const uint64_t df_cap = static_cast<uint64_t>(options_.max_df_fraction *
                                                 collection.num_entities());
-  // Postings arrive in deterministic sorted-key order on both paths.
+  // Postings arrive in deterministic sorted-key order.
   const auto consume = [&](const std::string& /*key*/,
                            std::vector<EntityId>& entities) {
     if (entities.size() < options_.min_df) return;
     if (df_cap > 0 && entities.size() > df_cap) return;
     sink.Add(entities);
   };
-  BuildShardedPostings<std::string>(n, pool, emit, hash, memory_or_null(),
+  BuildShardedPostings<std::string>(n, pool, emit, hash, memory_budget(),
                                     consume);
 }
 
 void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
                                            ThreadPool* pool,
                                            BlockSink& sink) const {
-  // Build (key, entity) pairs: each entity contributes its rarest tokens.
-  // Extraction fans out over fixed entity chunks; a global sort by key
-  // fixes one total order, so chunk concatenation order is irrelevant.
-  //
-  // With a memory budget the global sort becomes an EXTERNAL single-stream
-  // merge sort: the records flow through ONE spilling sink (windows span
-  // arbitrary key-hash boundaries, so key-hashed sharding is not an
-  // option), whose merged stream is the stable key sort of the sequential
-  // arrival order (chunk asc, entity asc) — exactly std::sort's
-  // (key, entity) order, since an entity never emits one key twice. The
-  // window then slides over the stream with O(window) memory.
+  // Build (key, entity) records: each entity contributes its rarest tokens.
+  // Windows span arbitrary key-hash boundaries, so the records go through
+  // ONE shard, sorted by (key, entity) on the pool — or, under a memory
+  // budget, as an external merge sort. The window then slides over the
+  // sorted stream with O(window) memory.
   const uint32_t n = collection.num_entities();
   const size_t w = std::max<uint32_t>(2, options_.window_size);
 
@@ -164,90 +160,34 @@ void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
       obs::MetricsRegistry::Default().counter("blocking.postings");
   chunks_counter.Add(NumChunks(n, kBlockingChunkEntities));
 
-  // Rarest `keys_per_entity` token strings of one entity, by (df, id).
-  const auto entity_keys = [&](EntityId e, std::vector<uint32_t>& toks) {
-    toks = collection.entity(e).tokens;
-    std::sort(toks.begin(), toks.end(), [&](uint32_t a, uint32_t b) {
-      const uint32_t da = collection.TokenDf(a), db = collection.TokenDf(b);
-      return da != db ? da < db : a < b;
-    });
-    toks.resize(std::min<size_t>(options_.keys_per_entity, toks.size()));
-  };
-
-  // A window block is the analog of one merged posting here; both paths
-  // emit the same count so obs parity holds across budgets.
-  uint64_t windows_emitted = 0;
-  class CountingSink : public BlockSink {
-   public:
-    CountingSink(BlockSink& inner, uint64_t& count)
-        : inner_(&inner), count_(&count) {}
-    void Add(std::vector<EntityId>& entities) override {
-      ++*count_;
-      inner_->Add(entities);
-    }
-
-   private:
-    BlockSink* inner_;
-    uint64_t* count_;
-  };
-  CountingSink counting(sink, windows_emitted);
-
-  if (memory_or_null() != nullptr) {
-    extmem::RunSpilledShuffle(
-        pool, n, kBlockingChunkEntities, /*num_shards=*/1, *memory_or_null(),
-        [&](size_t /*chunk*/, size_t begin, size_t end, const auto& route) {
-          std::vector<uint32_t> toks;
-          std::string record;
-          uint64_t emitted = 0;
-          for (EntityId e = static_cast<EntityId>(begin);
-               e < static_cast<EntityId>(end); ++e) {
-            entity_keys(e, toks);
-            for (const uint32_t tok : toks) {
-              extmem::EncodeKey(std::string(collection.tokens().View(tok)),
-                                record);
-              extmem::AppendU32Le(record, e);
-              route(0, record);
-              ++emitted;
-            }
+  using Record = extmem::KeyedEntity<std::string>;
+  extmem::ShardedShuffle<Record> shuffle(pool, memory_budget(), 1);
+  shuffle.Scatter(
+      n, kBlockingChunkEntities,
+      [&](size_t /*chunk*/, size_t begin, size_t end, const auto& route) {
+        // Rarest `keys_per_entity` tokens of each entity, by (df, id).
+        std::vector<uint32_t> toks;
+        uint64_t emitted = 0;
+        for (EntityId e = static_cast<EntityId>(begin);
+             e < static_cast<EntityId>(end); ++e) {
+          toks = collection.entity(e).tokens;
+          std::sort(toks.begin(), toks.end(), [&](uint32_t a, uint32_t b) {
+            const uint32_t da = collection.TokenDf(a);
+            const uint32_t db = collection.TokenDf(b);
+            return da != db ? da < db : a < b;
+          });
+          toks.resize(std::min<size_t>(options_.keys_per_entity, toks.size()));
+          for (const uint32_t tok : toks) {
+            route(0, Record{std::string(collection.tokens().View(tok)), e});
           }
-          emissions_counter.Add(emitted);
-        },
-        [&](uint32_t /*shard*/, extmem::ShuffleSource& source) {
-          SlideWindowOverStream(source, w, counting);
-        });
-    postings_counter.Add(windows_emitted);
-    return;
-  }
+          emitted += toks.size();
+        }
+        emissions_counter.Add(emitted);
+      });
+  shuffle.Finish([](uint32_t, extmem::Shard<Record>&) {});
 
-  std::vector<std::vector<std::pair<std::string, EntityId>>> chunk_keyed(
-      NumChunks(n, kBlockingChunkEntities));
-  RunChunkedTasks(pool, n, kBlockingChunkEntities, [&](size_t c, size_t begin,
-                                                       size_t end) {
-    std::vector<uint32_t> toks;
-    for (size_t idx = begin; idx < end; ++idx) {
-      const EntityId e = static_cast<EntityId>(idx);
-      entity_keys(e, toks);
-      for (const uint32_t tok : toks) {
-        chunk_keyed[c].emplace_back(
-            std::string(collection.tokens().View(tok)), e);
-      }
-    }
-    emissions_counter.Add(chunk_keyed[c].size());
-  });
-  std::vector<std::pair<std::string, EntityId>> keyed =
-      FlattenInOrder(chunk_keyed);
-  std::sort(keyed.begin(), keyed.end());
-
-  // Slide a window over the sorted key list; each window is one block.
-  std::vector<EntityId> window;
-  for (size_t start = 0; start + 1 < keyed.size(); start += w / 2) {
-    const size_t end = std::min(keyed.size(), start + w);
-    window.clear();
-    for (size_t i = start; i < end; ++i) window.push_back(keyed[i].second);
-    counting.Add(window);
-    if (end == keyed.size()) break;
-  }
-  postings_counter.Add(windows_emitted);
+  // A window block is the analog of one merged posting here.
+  postings_counter.Add(SlideWindow(shuffle.shard(0), w, sink));
 }
 
 }  // namespace minoan

@@ -87,11 +87,11 @@ struct WorkflowOptions {
   bool use_same_as_seeds = false;
 
   /// Workflow-wide external-memory budget: fans out to the blocking
-  /// postings shuffle and (when meta.memory is left disabled) the
-  /// meta-blocking vote shards. Disabled by default; when enabled, both
-  /// shuffles spill sorted runs to temp files under
-  /// `memory.shuffle_budget_bytes` and the results are byte-identical to
-  /// the in-memory path. CLI: --memory-budget / --spill-dir.
+  /// shuffle and (when meta.memory is left unset) the meta-blocking
+  /// shuffles. Both run one path either way; the budget only decides when
+  /// a shard spills a sorted run to a temp file, so the results are
+  /// byte-identical with and without it. Unset by default (never spills).
+  /// CLI: --memory-budget / --spill-dir.
   extmem::MemoryBudgetOptions memory;
 
   /// Workflow-wide worker-thread count: fans out to blocking (inverted-index

@@ -2,12 +2,14 @@
 // MemoryBudgetOptions: the external-memory knob of the shuffle phases.
 //
 // MinoanER targets Web-of-Data-scale collections whose intermediate shuffle
-// state (blocking postings, meta-blocking vote shards) can exceed RAM. A
-// memory budget turns both shuffles into spill-to-disk shuffles (see
-// extmem/shuffle.h): each shard buffers records up to a bounded run size,
-// spills sorted runs to temp files, and merges them back in the exact byte
-// order the in-memory path emits — the output is bit-identical with and
-// without spilling, at every thread count.
+// state (blocking postings, meta-blocking votes and edges) can exceed RAM.
+// Every shuffle runs on one shard engine (extmem/shuffle.h) with or without
+// a budget; the budget only decides when a shard writes a sorted run to
+// disk. Each shard holds its records typed in memory and, once its buffer
+// passes its share of the budget, sorts the buffer and spills it as one run.
+// The output is bit-identical with and without spilling, at every thread
+// count. No budget = a shard never spills: no file is opened and no spill
+// directory is created.
 
 #ifndef MINOAN_EXTMEM_MEMORY_BUDGET_H_
 #define MINOAN_EXTMEM_MEMORY_BUDGET_H_
@@ -20,62 +22,32 @@ namespace minoan {
 namespace extmem {
 
 /// Floor on the per-shard run buffer: below this, runs degenerate to a
-/// handful of records each and the merge fan-in explodes. Deliberately tiny
-/// so tests can force many runs on small corpora.
+/// handful of records each. Deliberately tiny so tests can force many runs
+/// on small corpora.
 inline constexpr uint64_t kMinSpillRunBytes = 256;
 
-/// Ceiling on the per-shard run buffer (the sink indexes its buffer with
-/// 32-bit offsets; 1 GiB per shard × 64 shards is far past the point where
-/// spilling stops being the bottleneck anyway).
-inline constexpr uint64_t kMaxSpillRunBytes = 1ull << 30;
-
-/// Default cap on the k-way merge fan-in of one shard sink (see
-/// MemoryBudgetOptions::max_merge_fanin).
-inline constexpr uint32_t kDefaultMergeFanin = 16;
-
 /// External-memory budget for the shuffle phases. Default-constructed =
-/// disabled (pure in-memory, today's fast path, zero overhead).
+/// no budget: the shards keep everything in memory.
 struct MemoryBudgetOptions {
   /// Total bytes the intermediate shuffle state of one phase may hold in
   /// RAM before spilling, split evenly across that phase's shards.
-  /// 0 = unbounded (in-memory) unless spill_run_bytes is set.
+  /// 0 = unbounded (never spills).
   uint64_t shuffle_budget_bytes = 0;
 
-  /// Explicit per-shard run-buffer size in bytes; overrides the
-  /// budget-derived split when non-zero. Mostly a testing/tuning knob.
-  uint64_t spill_run_bytes = 0;
-
   /// Directory for temp run files. Empty = the system temp directory.
-  /// Each shuffle creates (and removes, on success and on error) its own
-  /// uniquely named subdirectory underneath.
+  /// A shuffle that spills creates (and removes, on success and on error)
+  /// its own uniquely named subdirectory underneath.
   std::string spill_dir;
 
-  /// Cap on how many run files one shard sink merges at once. When a sink
-  /// has spilled more runs than this, consecutive runs are cascade-merged
-  /// into a next generation of (at most fan-in) larger runs until the final
-  /// merge fits — so no merge ever holds more than fan-in + 1 files open,
-  /// regardless of how tiny the run budget is. 0 = kDefaultMergeFanin; the
-  /// effective minimum is 2.
-  uint32_t max_merge_fanin = 0;
+  /// True when a budget is set.
+  bool enabled() const { return shuffle_budget_bytes > 0; }
 
-  /// True when any budget is set: the shuffles take the spill path.
-  bool enabled() const {
-    return shuffle_budget_bytes > 0 || spill_run_bytes > 0;
-  }
-
-  /// Run-buffer bytes for one of `num_shards` shard sinks.
+  /// Buffer bytes after which one of `num_shards` shards spills a run;
+  /// 0 = never.
   uint64_t RunBytesPerShard(uint32_t num_shards) const {
-    const uint64_t raw = spill_run_bytes > 0
-                             ? spill_run_bytes
-                             : shuffle_budget_bytes /
-                                   std::max<uint32_t>(1, num_shards);
-    return std::clamp(raw, kMinSpillRunBytes, kMaxSpillRunBytes);
-  }
-
-  /// Effective cascaded-merge fan-in (>= 2).
-  uint32_t MergeFanin() const {
-    return std::max<uint32_t>(
-        2, max_merge_fanin == 0 ? kDefaultMergeFanin : max_merge_fanin);
+    if (!enabled()) return 0;
+    return std::max(kMinSpillRunBytes,
+                    shuffle_budget_bytes / std::max<uint32_t>(1, num_shards));
   }
 };
 

@@ -11,22 +11,6 @@ namespace {
 
 constexpr size_t kMaxVarintBytes = 10;
 
-// Local copies of the shuffle record framing helpers (run_codec sits below
-// shuffle.h in the include graph).
-inline void PutU32Le(std::string& out, uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-  out.push_back(static_cast<char>((v >> 16) & 0xff));
-  out.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-inline uint32_t GetU32Le(const char* p) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(p[0])) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[1])) << 8) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[2])) << 16) |
-         (static_cast<uint32_t>(static_cast<unsigned char>(p[3])) << 24);
-}
-
 [[noreturn]] void ThrowCorrupt(const std::string& path, const char* what) {
   throw SpillError("compressed run " + path + ": " + what);
 }
@@ -70,7 +54,7 @@ void CompressedRunWriter::Append(std::string_view record) {
   if (record.size() < 4) {
     throw SpillError("malformed shuffle record (short frame): " + path_);
   }
-  const uint32_t key_len = GetU32Le(record.data());
+  const uint32_t key_len = ReadU32Le(record);
   if (record.size() < 4u + key_len) {
     throw SpillError("malformed shuffle record (short key): " + path_);
   }
@@ -156,7 +140,7 @@ bool CompressedRunReader::Next(std::string_view& record) {
 
   const size_t key_len = static_cast<size_t>(shared + suffix_len);
   record_.clear();
-  PutU32Le(record_, static_cast<uint32_t>(key_len));
+  AppendU32Le(record_, static_cast<uint32_t>(key_len));
   record_.append(prev_key_, 0, static_cast<size_t>(shared));
   const size_t body_len = static_cast<size_t>(suffix_len + payload_len);
   const size_t body_at = record_.size();

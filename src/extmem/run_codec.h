@@ -34,6 +34,33 @@
 namespace minoan {
 namespace extmem {
 
+// A shuffle record is [u32 LE key_len][key bytes][payload bytes]. Runs are
+// sorted by the lexicographic order of the key bytes (extmem/records.h
+// writes keys whose byte order is the record order); payload bytes are
+// opaque to the run format and the merge.
+
+inline void AppendU32Le(std::string& out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+inline uint32_t ReadU32Le(std::string_view bytes) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(bytes[i]);
+  }
+  return v;
+}
+
+/// Key span of a framed record.
+inline std::string_view RecordKey(std::string_view record) {
+  return record.substr(4, ReadU32Le(record));
+}
+
+/// Payload span of a framed record.
+inline std::string_view RecordPayload(std::string_view record) {
+  return record.substr(4 + RecordKey(record).size());
+}
+
 /// First bytes of every compressed run file.
 inline constexpr std::string_view kRunMagic = "MNRUNZ1\n";
 

@@ -2,12 +2,11 @@
 // RunMerger: the k-way merge reader over sorted shuffle runs.
 //
 // Each input run is a ShuffleSource whose records are already sorted by key
-// (lexicographic over the order-preserving key bytes), with equal keys in
-// arrival order. The merger emits the union sorted by key, breaking key
-// ties by run index (lower first). Because the spill sink cuts runs at
-// arrival boundaries — run 0 holds the earliest records, the final
-// in-memory buffer the latest — run-index tie-breaking reproduces the
-// STABLE sort of the full arrival sequence, byte for byte.
+// (lexicographic over the order-preserving key bytes). The merger emits the
+// union sorted by key, breaking key ties by run index (lower first). The
+// record codecs (extmem/records.h) put a record's whole order into its key
+// bytes, so ties are identical records and the merge equals the in-memory
+// sort of all of them.
 
 #ifndef MINOAN_EXTMEM_RUN_MERGER_H_
 #define MINOAN_EXTMEM_RUN_MERGER_H_
@@ -16,10 +15,19 @@
 #include <string_view>
 #include <vector>
 
-#include "extmem/shuffle.h"
+#include "extmem/run_codec.h"
 
 namespace minoan {
 namespace extmem {
+
+/// A stream of framed shuffle records. Views returned by Next stay valid
+/// until the next call only.
+class ShuffleSource {
+ public:
+  virtual ~ShuffleSource() = default;
+  /// Advances to the next record; false at end of stream.
+  virtual bool Next(std::string_view& record) = 0;
+};
 
 class RunMerger : public ShuffleSource {
  public:

@@ -1,231 +1,64 @@
 // Copyright 2026 The MinoanER Authors.
-// The external-memory shuffle engine: bounded-memory shard sinks that spill
-// sorted runs to disk and merge them back in the exact byte order the
-// in-memory shuffle path produces.
+// The shard engine: the one typed path of every deterministic shuffle in
+// the pipeline, with or without a memory budget.
 //
-// Both deterministic shard cores of the pipeline — the blocking postings
-// shuffle (blocking/sharded_blocking.h) and the meta-blocking vote shards
-// (metablocking/sharded_prune.cc) — share one contract: records are routed
-// to key-hashed shards IN ARRIVAL ORDER (chunk order, then within-chunk
-// scan order), and each shard's output is the stable sort of its records by
-// key. The spill engine reproduces that order with bounded memory:
+// The shard cores — blocking postings (blocking/sharded_blocking.h), sorted
+// neighborhood's key sort (blocking/char_blocking.cc) and meta-blocking's
+// votes and edges (metablocking/sharded_prune.cc) — share one contract:
+// fixed-size chunks of a scan route typed records (extmem/records.h) to a
+// fixed number of shards, and each shard yields its records sorted by the
+// record type's total order.
 //
-//   * records are serialized as [u32 LE key_len][key bytes][payload], where
-//     the key bytes are ORDER-PRESERVING (big-endian integers, raw strings)
-//     so that lexicographic byte comparison of keys equals the logical sort
-//     order;
-//   * a SpillShuffle sink buffers records up to a run budget, stable-sorts
-//     the buffer by key, and spills it as one sorted run file;
-//   * Finish() returns a ShuffleSource that k-way-merges the runs plus the
-//     final in-memory buffer, breaking key ties by run index — runs hold
-//     arrival-contiguous batches, so run-index order IS arrival order and
-//     the merged stream equals the stable sort of all records.
+//   * Chunks scan in parallel, in waves of kShuffleWaveChunks; each shard
+//     then takes the wave's records in chunk order.
+//   * A shard holds its records typed. Only when its buffer passes its
+//     share of the budget does it sort the buffer and write it as one
+//     compressed run (extmem/run_codec.h), encoding each record.
+//   * Finish sorts what is left. When nothing spilled, Next walks that
+//     buffer; otherwise it decodes the k-way merge (extmem/run_merger.h) of
+//     the runs and the buffer, cascade-merging first so that no merge opens
+//     more than kMergeFanin runs.
 //
-// The net guarantee: for any run budget (including "never spill"), any
-// spill timing, and any thread count, a shard's merged stream is
-// byte-identical to the in-memory stable sort. Temp files live in a
-// ScopedSpillDir and are removed when the shuffle ends, on success and on
-// exception.
+// The record orders are total and equal records are identical, so a shard's
+// output is the same for any budget, any spill timing and any thread count.
+// The budget only decides when a shard writes a run: without one a shard
+// never spills, and the engine opens no file and creates no directory.
+// Temp files live in a ScopedSpillDir and are removed when the shuffle
+// ends, on success and on exception.
 
 #ifndef MINOAN_EXTMEM_SHUFFLE_H_
 #define MINOAN_EXTMEM_SHUFFLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "extmem/memory_budget.h"
+#include "extmem/records.h"
+#include "extmem/run_codec.h"
+#include "extmem/run_merger.h"
 #include "extmem/spill_file.h"
 #include "util/thread_pool.h"
 
 namespace minoan {
 namespace extmem {
 
-// ---------------------------------------------------------------------------
-// Record codec
-// ---------------------------------------------------------------------------
-// A shuffle record is [u32 LE key_len][key bytes][payload bytes]. Key bytes
-// must be order-preserving under lexicographic comparison; payload bytes are
-// opaque to the engine.
+/// Most runs one merge reads. A shard that spilled more first merges
+/// consecutive groups of this many runs into a next generation of larger
+/// runs, until the final merge fits.
+inline constexpr size_t kMergeFanin = 16;
 
-/// Key span of a serialized record.
-inline std::string_view RecordKey(std::string_view record) {
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<unsigned char>(record[i]))
-           << (8 * i);
-  }
-  return record.substr(4, len);
-}
-
-/// Payload span of a serialized record.
-inline std::string_view RecordPayload(std::string_view record) {
-  return record.substr(4 + RecordKey(record).size());
-}
-
-inline void AppendU32Le(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void AppendU32Be(std::string& out, uint32_t v) {
-  for (int i = 3; i >= 0; --i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void AppendU64Be(std::string& out, uint64_t v) {
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void AppendU64Le(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline uint32_t ReadU32Be(std::string_view bytes) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[i]);
-  }
-  return v;
-}
-
-inline uint64_t ReadU64Be(std::string_view bytes) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[i]);
-  }
-  return v;
-}
-
-inline uint32_t ReadU32Le(std::string_view bytes) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-inline uint64_t ReadU64Le(std::string_view bytes) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-/// Begins a record with an order-preserving encoding of `key`: big-endian
-/// for integers (byte order == numeric order), raw bytes for strings (byte
-/// order == std::string's lexicographic order). `out` is overwritten.
-inline void EncodeKey(uint32_t key, std::string& out) {
-  out.clear();
-  AppendU32Le(out, 4);
-  AppendU32Be(out, key);
-}
-inline void EncodeKey(uint64_t key, std::string& out) {
-  out.clear();
-  AppendU32Le(out, 8);
-  AppendU64Be(out, key);
-}
-inline void EncodeKey(const std::string& key, std::string& out) {
-  out.clear();
-  AppendU32Le(out, static_cast<uint32_t>(key.size()));
-  out.append(key);
-}
-
-/// Decodes a key span written by the matching EncodeKey overload.
-template <typename Key>
-Key DecodeKey(std::string_view key_bytes) {
-  if constexpr (std::is_same_v<Key, uint32_t>) {
-    return ReadU32Be(key_bytes);
-  } else if constexpr (std::is_same_v<Key, uint64_t>) {
-    return ReadU64Be(key_bytes);
-  } else {
-    static_assert(std::is_same_v<Key, std::string>,
-                  "unsupported shuffle key type");
-    return std::string(key_bytes);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sink / source abstraction
-// ---------------------------------------------------------------------------
-
-/// A stream of shuffle records. Views returned by Next stay valid until the
-/// next call only.
-class ShuffleSource {
- public:
-  virtual ~ShuffleSource() = default;
-  /// Advances to the next record; false at end of stream.
-  virtual bool Next(std::string_view& record) = 0;
-};
-
-/// A shard's record collector. Add records in arrival order, then Finish
-/// exactly once to read them back sorted by key (equal keys in arrival
-/// order).
-class ShuffleSink {
- public:
-  virtual ~ShuffleSink() = default;
-  virtual void Add(std::string_view record) = 0;
-  virtual std::unique_ptr<ShuffleSource> Finish() = 0;
-};
-
-/// The spilling sink. With run_bytes == 0 it never spills (pure in-memory
-/// stable sort); with a budget it spills a sorted run whenever the buffer
-/// exceeds `run_bytes`. `dir` must outlive the source returned by Finish
-/// (run files are read lazily); it may be null only when run_bytes == 0.
-///
-/// Runs are written compressed (extmem/run_codec.h: varint frames,
-/// front-coded keys). When more than `max_merge_fanin` runs accumulate,
-/// Finish cascade-merges consecutive runs into a next generation of larger
-/// runs until the final merge fits the fan-in — bounding open files at
-/// fan-in + 1 per sink. Merging consecutive runs in place preserves the
-/// run-index tie-break (every record of generation-merge i arrived before
-/// every record of merge i+1), so the merged stream stays byte-identical to
-/// the in-memory stable sort at any fan-in.
-class SpillShuffle : public ShuffleSink {
- public:
-  SpillShuffle(uint64_t run_bytes, ScopedSpillDir* dir,
-               uint32_t max_merge_fanin = kDefaultMergeFanin);
-  ~SpillShuffle() override;
-
-  void Add(std::string_view record) override;
-  std::unique_ptr<ShuffleSource> Finish() override;
-
-  uint64_t records() const { return records_; }
-  uint64_t runs_spilled() const { return runs_spilled_; }
-
- private:
-  /// Stable-sorts the buffered records by key; fills `order_` with record
-  /// start offsets in sorted order.
-  void SortBuffer();
-  void SpillRun();
-  /// Repeatedly merges consecutive groups of `merge_fanin_` runs until at
-  /// most `merge_fanin_` remain. Input runs of a finished merge are deleted;
-  /// a partially written output is deleted before an error propagates.
-  void CascadeMergeRuns();
-  std::string MergeRunGroup(size_t begin, size_t end);
-
-  uint64_t run_bytes_;
-  ScopedSpillDir* dir_;
-  uint32_t merge_fanin_;
-  std::string buffer_;               // framed records, arrival order
-  std::vector<uint32_t> offsets_;    // record frame start offsets
-  std::vector<uint32_t> order_;      // offsets_ permuted into sorted order
-  std::vector<std::string> run_paths_;
-  uint64_t records_ = 0;
-  uint64_t runs_spilled_ = 0;
-};
+/// Chunks scanned per wave. Bounds the records in flight between the scan
+/// and the shards independently of the corpus size; a wave boundary only
+/// decides when a shard may spill, never what it yields.
+inline constexpr size_t kShuffleWaveChunks = 64;
 
 // ---------------------------------------------------------------------------
 // Telemetry (for tests and benches)
@@ -239,10 +72,10 @@ class SpillShuffle : public ShuffleSink {
 struct SpillTelemetry {
   uint64_t runs_spilled = 0;   ///< total sorted runs written to disk
   uint64_t bytes_spilled = 0;  ///< total bytes written to run files
-  uint64_t sinks_spilled = 0;  ///< finished sinks that spilled >= 1 run
-  uint64_t sinks_loaded = 0;   ///< finished sinks that received >= 1 record
+  uint64_t sinks_spilled = 0;  ///< finished shards that spilled >= 1 run
+  uint64_t sinks_loaded = 0;   ///< finished shards that got >= 1 record
   uint64_t cascade_merges = 0;  ///< intermediate cascaded run merges
-  /// Minimum runs_spilled over finished sinks that received >= 1 record
+  /// Minimum runs spilled over finished shards that got >= 1 record
   /// (UINT64_MAX when none finished yet) — the "every shard really spilled
   /// k runs" probe of the determinism tests.
   uint64_t min_runs_per_loaded_sink = 0;
@@ -251,103 +84,261 @@ struct SpillTelemetry {
 SpillTelemetry GetSpillTelemetry();
 void ResetSpillTelemetry();
 
+/// Records one finished shard in the spill.* telemetry.
+void RecordFinishedShard(uint64_t records, uint64_t runs);
+
 // ---------------------------------------------------------------------------
-// The chunked spill-shuffle driver
+// Shards
 // ---------------------------------------------------------------------------
 
-/// Chunks scanned per wave. Bounds the transient per-wave emission memory to
-/// O(wave × chunk emissions) independently of the corpus size; output is
-/// byte-identical for ANY wave size (wave boundaries only decide when runs
-/// spill, never the record order fed to a shard).
-inline constexpr size_t kSpillWaveChunks = 64;
+/// The spilled runs of one shard, in arrival order: every record of run i
+/// arrived before every record of run i + 1.
+class SpilledRuns {
+ public:
+  explicit SpilledRuns(ScopedSpillDir* dir) : dir_(dir) {}
 
-/// Appends a framed copy of `record` to `out`.
-inline void AppendFramed(std::string& out, std::string_view record) {
-  AppendU32Le(out, static_cast<uint32_t>(record.size()));
-  out.append(record);
-}
-
-/// Calls `fn(record)` for every framed record in `framed`.
-template <typename Fn>
-void ForEachFramed(std::string_view framed, const Fn& fn) {
-  size_t pos = 0;
-  while (pos < framed.size()) {
-    const uint32_t len = ReadU32Le(framed.substr(pos, 4));
-    fn(framed.substr(pos + 4, len));
-    pos += 4 + len;
+  /// Writes one run of `count` records; `encode(i, out)` appends the i-th
+  /// in sorted order.
+  template <typename EncodeFn>
+  void Write(size_t count, const EncodeFn& encode) {
+    std::string path = dir_->NextRunPath();
+    CompressedRunWriter writer(path);
+    std::string record;
+    for (size_t i = 0; i < count; ++i) {
+      record.clear();
+      encode(i, record);
+      writer.Append(record);
+    }
+    Add(std::move(path), writer.Close());
   }
-}
 
-/// The scatter half of a deterministic bounded-memory shuffle: scans
-/// [0, total) in fixed-size chunks, dealt in waves of kSpillWaveChunks
-/// (parallel within a wave); `scan(chunk, begin, end, route)` serializes
-/// each record and calls `route(shard, record)`. Each shard sink receives
-/// its records in (chunk, within-chunk scan) order — the sequential arrival
-/// order — spilling sorted runs when over budget (parallel across shards;
-/// a shard is owned by exactly one task).
-///
-/// Chunk and shard task boundaries are fixed (never derived from the worker
-/// count), so each sink's arrival order — and therefore its merged output —
-/// is byte-identical at every thread count and for every budget.
-template <typename ScanFn>
-void ScatterIntoSinks(ThreadPool* pool, size_t total, size_t chunk_size,
-                      uint32_t num_shards, const ScanFn& scan,
-                      std::vector<std::unique_ptr<SpillShuffle>>& sinks) {
-  const size_t num_chunks = NumChunks(total, chunk_size);
-  for (size_t wave_begin = 0; wave_begin < num_chunks;
-       wave_begin += kSpillWaveChunks) {
-    const size_t wave_end =
-        std::min(num_chunks, wave_begin + kSpillWaveChunks);
-    // Per (chunk-of-wave, shard) framed record slices, built in parallel.
-    std::vector<std::vector<std::string>> slices(
-        wave_end - wave_begin, std::vector<std::string>(num_shards));
-    RunPoolTasks(pool, wave_end - wave_begin, [&](size_t i) {
-      const size_t c = wave_begin + i;
-      const size_t begin = c * chunk_size;
-      const size_t end = std::min(total, begin + chunk_size);
-      scan(c, begin, end, [&](uint32_t shard, std::string_view record) {
-        AppendFramed(slices[i][shard], record);
-      });
-    });
-    // Feed the wave into the sinks in chunk order.
-    RunPoolTasks(pool, num_shards, [&](size_t s) {
-      for (auto& chunk_slices : slices) {
-        ForEachFramed(chunk_slices[s], [&](std::string_view record) {
-          sinks[s]->Add(record);
-        });
-        chunk_slices[s].clear();
-        chunk_slices[s].shrink_to_fit();
+  size_t size() const { return paths_.size(); }
+
+  /// Cascade-merges the runs down to kMergeFanin, then returns the merge of
+  /// them and `tail` (the latest records). A cascade merge that fails
+  /// removes its partial output before the error propagates.
+  std::unique_ptr<ShuffleSource> MergeWith(std::unique_ptr<ShuffleSource> tail);
+
+ private:
+  void Add(std::string path, uint64_t bytes);
+  std::string MergeGroup(size_t begin, size_t end);
+
+  ScopedSpillDir* dir_;
+  std::vector<std::string> paths_;
+};
+
+/// One shard: Append records in arrival order, Finish once, then Next until
+/// nullptr to read them back in the record type's order.
+template <typename Record>
+class Shard {
+ public:
+  /// `run_bytes` is the buffer size at which the shard spills a run; 0 =
+  /// never. `sort_pool` sorts the buffer on a pool (ParallelSort); pass it
+  /// only to a shard that is fed and finished on the calling thread.
+  Shard(uint64_t run_bytes, ScopedSpillDir* dir, ThreadPool* sort_pool)
+      : spill_at_(run_bytes == 0 ? std::numeric_limits<uint64_t>::max()
+                                 : run_bytes),
+        sort_pool_(sort_pool),
+        runs_(dir) {}
+
+  /// Moves `slice` into the shard, spilling a sorted run whenever the
+  /// memory the buffer holds — its allocation plus the records' heap
+  /// bytes — reaches the shard's share of the budget.
+  void Append(std::span<Record> slice) {
+    if (slice.empty()) return;
+    ++slices_;
+    records_ += slice.size();
+    for (Record& record : slice) {
+      heap_bytes_ += record.HeapBytes();
+      buffer_.push_back(std::move(record));
+      if (buffer_.capacity() * sizeof(Record) + heap_bytes_ >= spill_at_) {
+        SpillRun();
       }
+    }
+  }
+
+  /// Sorts the buffer and, when runs were spilled, opens their merge.
+  void Finish() {
+    RecordFinishedShard(records_, runs_.size());
+    Sort();
+    if (runs_.size() > 0) {
+      merged_ = runs_.MergeWith(std::make_unique<BufferSource>(buffer_));
+    }
+  }
+
+  /// The next record in order, or nullptr once all are read (the shard's
+  /// memory and files are then released). The record stays valid until the
+  /// next call, and the caller may move from it.
+  Record* Next() {
+    if (merged_ != nullptr) {
+      std::string_view bytes;
+      if (merged_->Next(bytes)) {
+        current_ = Record::Decode(bytes);
+        return &current_;
+      }
+    } else if (next_ < buffer_.size()) {
+      return &buffer_[next_++];
+    }
+    merged_.reset();
+    buffer_ = std::vector<Record>();
+    next_ = 0;
+    return nullptr;
+  }
+
+  /// Records appended.
+  uint64_t records() const { return records_; }
+  /// Non-empty slices appended: how many chunks fed this shard.
+  uint64_t slices() const { return slices_; }
+
+ private:
+  /// The sorted buffer as a run of the final merge, encoded on the fly.
+  class BufferSource : public ShuffleSource {
+   public:
+    explicit BufferSource(std::span<const Record> records)
+        : records_(records) {}
+    bool Next(std::string_view& record) override {
+      if (next_ == records_.size()) return false;
+      bytes_.clear();
+      records_[next_++].Encode(bytes_);
+      record = bytes_;
+      return true;
+    }
+
+   private:
+    std::span<const Record> records_;
+    size_t next_ = 0;
+    std::string bytes_;
+  };
+
+  /// Arrival order is mostly ascending runs (chunks scan entities in
+  /// order), which a merge sort exploits; a shard with a pool sorts on it.
+  void Sort() {
+    if (sort_pool_ == nullptr) {
+      std::stable_sort(buffer_.begin(), buffer_.end());
+    } else {
+      ParallelSort(sort_pool_, std::span<Record>(buffer_), std::less<Record>());
+    }
+  }
+
+  void SpillRun() {
+    Sort();
+    runs_.Write(buffer_.size(), [this](size_t i, std::string& out) {
+      buffer_[i].Encode(out);
+    });
+    buffer_ = std::vector<Record>();
+    heap_bytes_ = 0;
+  }
+
+  uint64_t spill_at_;
+  ThreadPool* sort_pool_;
+  SpilledRuns runs_;
+  std::vector<Record> buffer_;
+  uint64_t heap_bytes_ = 0;
+  uint64_t records_ = 0;
+  uint64_t slices_ = 0;
+  std::unique_ptr<ShuffleSource> merged_;  // null unless a run was spilled
+  size_t next_ = 0;
+  Record current_{};
+};
+
+/// A deterministic shuffle of typed records into `num_shards` shards (at
+/// most 256), each spilling under its share of `memory`. Chunk and shard
+/// task boundaries are fixed — never derived from the worker count — so
+/// every shard receives the same records in the same order at every thread
+/// count.
+template <typename Record>
+class ShardedShuffle {
+ public:
+  ShardedShuffle(ThreadPool* pool, const MemoryBudgetOptions& memory,
+                 uint32_t num_shards)
+      : pool_(pool), dir_(memory.spill_dir) {
+    const uint64_t run_bytes = memory.RunBytesPerShard(num_shards);
+    shards_.reserve(num_shards);
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      shards_.emplace_back(run_bytes, &dir_, num_shards == 1 ? pool : nullptr);
+    }
+  }
+
+  /// Scans [0, total) in chunks of `chunk_size`: `scan(chunk, begin, end,
+  /// route)` calls `route(shard, record)` for each of its records, in scan
+  /// order. Each shard receives its records in (chunk, scan) order.
+  template <typename ScanFn>
+  void Scatter(size_t total, size_t chunk_size, const ScanFn& scan) {
+    // A chunk's records partitioned by shard: shard s's slice is
+    // records[offsets[s], offsets[s + 1]).
+    struct ChunkSlices {
+      std::vector<Record> records;
+      std::vector<uint32_t> offsets;
+    };
+    struct Routed {
+      std::vector<Record> records;
+      std::vector<uint8_t> shard_of;
+      std::vector<uint32_t> cursor;
+    };
+    const size_t num_shards = shards_.size();
+    const size_t num_chunks = NumChunks(total, chunk_size);
+    std::vector<ChunkSlices> wave(std::min(num_chunks, kShuffleWaveChunks));
+    WorkerScratch<Routed> scratch(pool_);
+    for (size_t first = 0; first < num_chunks; first += kShuffleWaveChunks) {
+      const size_t wave_size = std::min(kShuffleWaveChunks, num_chunks - first);
+      RunPoolTasks(pool_, wave_size, [&](size_t i) {
+        Routed& routed = scratch.Local();
+        routed.records.clear();
+        routed.shard_of.clear();
+        const size_t begin = (first + i) * chunk_size;
+        scan(first + i, begin, std::min(total, begin + chunk_size),
+             [&routed](uint32_t shard, Record&& record) {
+               routed.shard_of.push_back(static_cast<uint8_t>(shard));
+               routed.records.push_back(std::move(record));
+             });
+        // Stable counting sort by shard: scan order within each slice.
+        ChunkSlices& out = wave[i];
+        out.offsets.assign(num_shards + 1, 0);
+        if (num_shards == 1) {
+          std::swap(out.records, routed.records);
+          out.offsets[1] = static_cast<uint32_t>(out.records.size());
+          return;
+        }
+        for (const uint8_t s : routed.shard_of) ++out.offsets[s + 1];
+        for (size_t s = 1; s <= num_shards; ++s) {
+          out.offsets[s] += out.offsets[s - 1];
+        }
+        routed.cursor.assign(out.offsets.begin(), out.offsets.end() - 1);
+        out.records.resize(routed.records.size());
+        for (size_t r = 0; r < routed.records.size(); ++r) {
+          out.records[routed.cursor[routed.shard_of[r]]++] =
+              std::move(routed.records[r]);
+        }
+      });
+      RunPoolTasks(pool_, num_shards, [&](size_t s) {
+        for (size_t i = 0; i < wave_size; ++i) {
+          ChunkSlices& slices = wave[i];
+          shards_[s].Append(std::span<Record>(slices.records)
+                                .subspan(slices.offsets[s],
+                                         slices.offsets[s + 1] -
+                                             slices.offsets[s]));
+        }
+      });
+    }
+  }
+
+  /// Finishes each shard and calls `fn(s, shard)` on the task that finished
+  /// it: in parallel across shards, while a lone shard sorts on the pool.
+  template <typename Fn>
+  void Finish(const Fn& fn) {
+    RunPoolTasks(pool_, shards_.size(), [&](size_t s) {
+      shards_[s].Finish();
+      fn(static_cast<uint32_t>(s), shards_[s]);
     });
   }
-}
 
-/// Drives one deterministic bounded-memory shuffle over [0, total) dealt in
-/// fixed-size chunks: ScatterIntoSinks, then `consume(shard, source)`
-/// streams each shard's merged, key-sorted records (parallel across
-/// shards). The consumed streams are byte-identical at every thread count
-/// and for every budget. Temp files are removed before returning, and by
-/// ScopedSpillDir's destructor when an exception unwinds.
-template <typename ScanFn, typename ConsumeFn>
-void RunSpilledShuffle(ThreadPool* pool, size_t total, size_t chunk_size,
-                       uint32_t num_shards,
-                       const MemoryBudgetOptions& memory, const ScanFn& scan,
-                       const ConsumeFn& consume) {
-  ScopedSpillDir dir(memory.spill_dir);
-  const uint64_t run_bytes = memory.RunBytesPerShard(num_shards);
-  std::vector<std::unique_ptr<SpillShuffle>> sinks(num_shards);
-  for (auto& sink : sinks) {
-    sink = std::make_unique<SpillShuffle>(run_bytes, &dir, memory.MergeFanin());
-  }
+  Shard<Record>& shard(uint32_t s) { return shards_[s]; }
 
-  ScatterIntoSinks(pool, total, chunk_size, num_shards, scan, sinks);
-
-  RunPoolTasks(pool, num_shards, [&](size_t s) {
-    std::unique_ptr<ShuffleSource> source = sinks[s]->Finish();
-    consume(static_cast<uint32_t>(s), *source);
-    sinks[s].reset();  // release run readers before the dir is removed
-  });
-}
+ private:
+  ThreadPool* pool_;
+  ScopedSpillDir dir_;  // declared first: outlives the shards' run readers
+  std::vector<Shard<Record>> shards_;
+};
 
 }  // namespace extmem
 }  // namespace minoan

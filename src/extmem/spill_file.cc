@@ -29,88 +29,42 @@ uint64_t ProcessId() {
 
 }  // namespace
 
-ScopedSpillDir::ScopedSpillDir(const std::string& base) {
-  std::error_code ec;
-  std::filesystem::path root =
-      base.empty() ? std::filesystem::temp_directory_path(ec)
-                   : std::filesystem::path(base);
-  if (ec) {
-    throw SpillError("spill: cannot resolve the system temp directory: " +
-                     ec.message());
-  }
-  const uint64_t seq = SpillDirCounter().fetch_add(1);
-  dir_ = root / ("minoan-spill-" + std::to_string(ProcessId()) + "-" +
-                 std::to_string(seq));
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) {
-    throw SpillError("spill: cannot create temp directory " + dir_.string() +
-                     ": " + ec.message());
-  }
-}
+ScopedSpillDir::ScopedSpillDir(std::string base) : base_(std::move(base)) {}
 
 ScopedSpillDir::~ScopedSpillDir() {
   // Best effort: never throw from a destructor (it may run during unwind).
+  if (dir_.empty()) return;
   std::error_code ec;
   std::filesystem::remove_all(dir_, ec);
 }
 
 std::string ScopedSpillDir::NextRunPath() {
-  const uint64_t n = next_run_.fetch_add(1);
-  return (dir_ / ("run-" + std::to_string(n) + ".spill")).string();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (dir_.empty()) {
+    std::error_code ec;
+    const std::filesystem::path root =
+        base_.empty() ? std::filesystem::temp_directory_path(ec)
+                      : std::filesystem::path(base_);
+    if (ec) {
+      throw SpillError("spill: cannot resolve the system temp directory: " +
+                       ec.message());
+    }
+    const std::filesystem::path dir =
+        root / ("minoan-spill-" + std::to_string(ProcessId()) + "-" +
+                std::to_string(SpillDirCounter().fetch_add(1)));
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      throw SpillError("spill: cannot create temp directory " + dir.string() +
+                       ": " + ec.message());
+    }
+    dir_ = dir;
+  }
+  return (dir_ / ("run-" + std::to_string(next_run_++) + ".spill")).string();
 }
 
-SpillFileWriter::SpillFileWriter(std::string path) : path_(std::move(path)) {
-  out_.open(path_, std::ios::binary | std::ios::trunc);
-  if (!out_) {
-    throw SpillError("spill: cannot open run file for writing: " + path_);
-  }
-}
-
-void SpillFileWriter::Append(std::string_view record) {
-  char frame[4];
-  const uint32_t len = static_cast<uint32_t>(record.size());
-  for (int i = 0; i < 4; ++i) {
-    frame[i] = static_cast<char>((len >> (8 * i)) & 0xff);
-  }
-  out_.write(frame, 4);
-  out_.write(record.data(), static_cast<std::streamsize>(record.size()));
-  bytes_ += 4 + record.size();
-  ++records_;
-}
-
-uint64_t SpillFileWriter::Close() {
-  out_.flush();
-  if (!out_) {
-    throw SpillError("spill: write failed (disk full?): " + path_);
-  }
-  out_.close();
-  return bytes_;
-}
-
-SpillFileReader::SpillFileReader(std::string path) : path_(std::move(path)) {
-  in_.open(path_, std::ios::binary);
-  if (!in_) {
-    throw SpillError("spill: cannot open run file for reading: " + path_);
-  }
-}
-
-bool SpillFileReader::Next(std::string_view& record) {
-  char frame[4];
-  if (!in_.read(frame, 4)) {
-    if (in_.gcount() == 0 && in_.eof()) return false;  // clean EOF
-    throw SpillError("spill: truncated frame header in " + path_);
-  }
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(static_cast<unsigned char>(frame[i]))
-           << (8 * i);
-  }
-  buffer_.resize(len);
-  if (len > 0 && !in_.read(buffer_.data(), len)) {
-    throw SpillError("spill: truncated record body in " + path_);
-  }
-  record = buffer_;
-  return true;
+std::filesystem::path ScopedSpillDir::path() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dir_;
 }
 
 }  // namespace extmem

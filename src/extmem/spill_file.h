@@ -1,16 +1,12 @@
 // Copyright 2026 The MinoanER Authors.
-// Temp-file primitives of the external-memory shuffle: framed record files
-// and the RAII directory that owns every run file of one shuffle.
+// The error type of the external-memory shuffle and the RAII directory that
+// owns every run file of one shuffle.
 //
-// A spill file is a flat sequence of length-prefixed records:
-//
-//   [u32 LE record length][record bytes] ...
-//
-// Writers append records in the order given (the shuffle sink sorts a run
-// before writing it); readers stream them back in file order. Temp files
-// live inside a ScopedSpillDir, a uniquely named directory that is removed
-// recursively when the shuffle ends — on success AND when an exception
-// unwinds through it, so no run file ever outlives its shuffle.
+// Temp files live inside a ScopedSpillDir, a uniquely named directory that
+// is created when the first run is written and removed recursively when the
+// shuffle ends — on success AND when an exception unwinds through it, so no
+// run file ever outlives its shuffle. A shuffle that never spills creates
+// nothing.
 //
 // I/O failures throw SpillError (the library is otherwise exception-free;
 // the pipeline drivers catch SpillError at the phase boundary and surface a
@@ -19,13 +15,11 @@
 #ifndef MINOAN_EXTMEM_SPILL_FILE_H_
 #define MINOAN_EXTMEM_SPILL_FILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
+#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace minoan {
 namespace extmem {
@@ -38,65 +32,30 @@ class SpillError : public std::runtime_error {
 };
 
 /// A uniquely named temp directory holding the run files of one shuffle.
-/// Created eagerly; removed recursively (best effort) on destruction.
-/// NextRunPath() is safe to call from concurrent shard tasks.
+/// Created on the first NextRunPath; removed recursively (best effort) on
+/// destruction. NextRunPath() is safe to call from concurrent shard tasks.
 class ScopedSpillDir {
  public:
-  /// Creates `<base>/minoan-spill-<pid>-<seq>/`. Empty `base` = the system
-  /// temp directory. Throws SpillError when the directory cannot be made.
-  explicit ScopedSpillDir(const std::string& base);
+  /// The directory will be `<base>/minoan-spill-<pid>-<seq>/`. Empty
+  /// `base` = the system temp directory.
+  explicit ScopedSpillDir(std::string base);
   ~ScopedSpillDir();
 
   ScopedSpillDir(const ScopedSpillDir&) = delete;
   ScopedSpillDir& operator=(const ScopedSpillDir&) = delete;
 
-  /// A fresh unique path for the next run file (not yet created).
+  /// A fresh unique path for the next run file (not yet created). Creates
+  /// the directory on the first call; throws SpillError when it cannot.
   std::string NextRunPath();
 
-  const std::filesystem::path& path() const { return dir_; }
+  /// The directory; empty until the first NextRunPath.
+  std::filesystem::path path();
 
  private:
+  std::string base_;
+  std::mutex mu_;
   std::filesystem::path dir_;
-  std::atomic<uint64_t> next_run_{0};
-};
-
-/// Sequential writer of one run file.
-class SpillFileWriter {
- public:
-  /// Opens `path` for writing (truncating). Throws SpillError on failure.
-  explicit SpillFileWriter(std::string path);
-
-  /// Appends one framed record. Errors are detected (and thrown) in Close.
-  void Append(std::string_view record);
-
-  /// Flushes and closes; throws SpillError if any write failed. Returns
-  /// the total bytes written (frames included).
-  uint64_t Close();
-
-  uint64_t records() const { return records_; }
-
- private:
-  std::string path_;
-  std::ofstream out_;
-  uint64_t bytes_ = 0;
-  uint64_t records_ = 0;
-};
-
-/// Sequential reader of one run file.
-class SpillFileReader {
- public:
-  /// Opens `path`. Throws SpillError when the file cannot be opened.
-  explicit SpillFileReader(std::string path);
-
-  /// Reads the next record into an internal buffer; `record` stays valid
-  /// until the next call. Returns false at a clean end of file; throws
-  /// SpillError on a truncated or corrupt frame.
-  bool Next(std::string_view& record);
-
- private:
-  std::string path_;
-  std::ifstream in_;
-  std::string buffer_;
+  uint64_t next_run_ = 0;
 };
 
 }  // namespace extmem

@@ -54,9 +54,10 @@ struct MetaBlockingOptions {
   /// use a pool of N workers, 0 = hardware concurrency. The retained edge
   /// list is bit-identical for every value (see sharded_prune.h).
   uint32_t num_threads = 1;
-  /// External-memory budget for the node-centric vote shards: when enabled,
-  /// nominations spill sorted runs to temp files instead of accumulating in
-  /// RAM — with a bit-identical retained edge list either way.
+  /// External-memory budget for pruning's votes and edges. Pruning runs
+  /// one path either way; the budget only decides when a shard spills a
+  /// sorted run to a temp file, with a bit-identical retained edge list.
+  /// Unset by default (never spills).
   extmem::MemoryBudgetOptions memory;
 };
 

@@ -1,11 +1,9 @@
 #include "metablocking/sharded_prune.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
-#include <functional>
-#include <string>
+#include <limits>
 
 #include "extmem/shuffle.h"
 #include "metablocking/meta_blocking.h"
@@ -23,20 +21,6 @@ struct EdgeRank {
   bool operator<(const EdgeRank& o) const {
     if (weight != o.weight) return weight < o.weight;
     return key > o.key;
-  }
-};
-
-/// One node-centric vote: `nominator` kept an edge to the other endpoint of
-/// `key`. Sorting by (key, nominator) groups votes per pair with the larger
-/// endpoint last — the endpoint whose weight the sequential vote table would
-/// have kept (last writer over an ascending entity scan).
-struct Nomination {
-  uint64_t key;
-  EntityId nominator;
-  double weight;
-  bool operator<(const Nomination& o) const {
-    if (key != o.key) return key < o.key;
-    return nominator < o.nominator;
   }
 };
 
@@ -68,6 +52,21 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
   uint64_t nominations = 0;
   uint64_t distinct_pairs = 0;
 
+  // Drains the first `limit` edges of a one-shard edge shuffle, which
+  // yields them in the canonical (weight desc, pair asc) order.
+  const auto take_ranked =
+      [&retained](extmem::ShardedShuffle<extmem::RankedPair>& shuffle,
+                  uint64_t limit) {
+        shuffle.Finish([&](uint32_t, extmem::Shard<extmem::RankedPair>& shard) {
+          retained.reserve(std::min(limit, shard.records()));
+          for (const extmem::RankedPair* edge = nullptr;
+               retained.size() < limit && (edge = shard.Next()) != nullptr;) {
+            retained.push_back({PairKeyFirst(edge->pair),
+                                PairKeySecond(edge->pair), edge->weight});
+          }
+        });
+      };
+
   switch (options.pruning) {
     case PruningScheme::kWep: {
       // Pass 1: per-chunk partial sums, folded in chunk order so the global
@@ -94,162 +93,75 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
       const double mean = graph_edges > 0
                               ? weight_sum / static_cast<double>(graph_edges)
                               : 0.0;
-      if (options.memory.enabled()) {
-        // Pass 2, external: surviving edges stream through ONE spilling sink
-        // keyed [~weight BE][pair BE]. Every scheme's weight is finite and
-        // >= 0 (never -0.0), so the complemented bit pattern orders bytes by
-        // weight descending, pair ascending — the SortByWeightDescending
-        // order — and the edge list never sits in memory whole. Keys are
-        // unique per edge (only_greater emits each pair once), so merge
-        // tie-breaks never fire.
-        extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, /*num_shards=*/1, options.memory,
-            [&](size_t /*c*/, size_t begin, size_t end, const auto& route) {
-              NeighborScratch& scratch = TlsNeighborScratch(n);
-              std::string record;
-              for (EntityId e = static_cast<EntityId>(begin);
-                   e < static_cast<EntityId>(end); ++e) {
-                view.ForNeighbors(
-                    scratch, e, true,
-                    [&](EntityId nb, uint32_t common, double arcs) {
-                      const double w = view.EdgeWeight(e, nb, common, arcs);
-                      if (w < mean) return;
-                      record.clear();
-                      extmem::AppendU32Le(record, 16);
-                      extmem::AppendU64Be(record,
-                                          ~std::bit_cast<uint64_t>(w));
-                      extmem::AppendU64Be(record, PairKey(e, nb));
-                      extmem::AppendU64Le(record, std::bit_cast<uint64_t>(w));
-                      route(0, record);
-                    });
-              }
-            },
-            [&](uint32_t /*s*/, extmem::ShuffleSource& source) {
-              std::string_view record;
-              while (source.Next(record)) {
-                const uint64_t key = extmem::ReadU64Be(
-                    extmem::RecordKey(record).substr(8, 8));
-                const double w = std::bit_cast<double>(
-                    extmem::ReadU64Le(extmem::RecordPayload(record)));
-                retained.push_back(
-                    {PairKeyFirst(key), PairKeySecond(key), w});
-              }
-            });
-        break;
-      }
-      // Pass 2: retain edges at or above the mean, chunk-local then merged.
-      std::vector<std::vector<WeightedComparison>> kept(num_chunks);
-      RunPoolTasks(pool, num_chunks, [&](size_t c) {
-        NeighborScratch& scratch = TlsNeighborScratch(n);
-        const auto [begin, end] = chunk_range(c);
-        for (EntityId e = begin; e < end; ++e) {
-          view.ForNeighbors(scratch, e, true,
-                            [&](EntityId nb, uint32_t common, double arcs) {
-                              const double w =
-                                  view.EdgeWeight(e, nb, common, arcs);
-                              if (w >= mean) kept[c].push_back({e, nb, w});
-                            });
-        }
-      });
-      retained = FlattenInOrder(kept);
+      // Pass 2: edges at or above the mean go through one shard, which
+      // yields them in the canonical (weight desc, pair asc) order.
+      extmem::ShardedShuffle<extmem::RankedPair> shuffle(pool, options.memory,
+                                                         1);
+      shuffle.Scatter(
+          n, kPruneChunkEntities,
+          [&](size_t /*c*/, size_t begin, size_t end, const auto& route) {
+            NeighborScratch& scratch = TlsNeighborScratch(n);
+            for (EntityId e = static_cast<EntityId>(begin);
+                 e < static_cast<EntityId>(end); ++e) {
+              view.ForNeighbors(
+                  scratch, e, true,
+                  [&](EntityId nb, uint32_t common, double arcs) {
+                    const double w = view.EdgeWeight(e, nb, common, arcs);
+                    if (w >= mean) {
+                      route(0, extmem::RankedPair{w, PairKey(e, nb)});
+                    }
+                  });
+            }
+          });
+      take_ranked(shuffle, std::numeric_limits<uint64_t>::max());
       break;
     }
     case PruningScheme::kCep: {
-      // K = half the total block assignments (BC/2, Papadakis). Per-chunk
-      // top-K heaps merge into one exact global selection; the (weight, key)
-      // total order makes the selected set insertion-order independent.
+      // K = half the total block assignments (BC/2, Papadakis). Each chunk
+      // keeps its own top-K; the chunks' survivors go through one shard,
+      // whose first K records in the canonical order are the global top-K.
+      // The (weight, pair) order is total, so the selected set does not
+      // depend on how the edges were split.
       const uint64_t k =
           std::max<uint64_t>(1, view.total_block_assignments() / 2);
       std::vector<ChunkPartial> partials(num_chunks);
-      if (options.memory.enabled()) {
-        // External top-K: ALL edges stream through one spilling sink keyed
-        // [~weight BE][pair BE] (weight descending, pair ascending — see the
-        // WEP case for the encoding argument); the first K records of the
-        // merged stream are exactly the set the in-memory per-chunk heaps
-        // select, because both selections use the same (weight, pair) total
-        // order. Peak memory is the spill budget + K retained edges, not
-        // the full edge list.
-        extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, /*num_shards=*/1, options.memory,
-            [&](size_t c, size_t begin, size_t end, const auto& route) {
-              NeighborScratch& scratch = TlsNeighborScratch(n);
-              ChunkPartial partial;
-              std::string record;
-              for (EntityId e = static_cast<EntityId>(begin);
-                   e < static_cast<EntityId>(end); ++e) {
-                view.ForNeighbors(
-                    scratch, e, true,
-                    [&](EntityId nb, uint32_t common, double arcs) {
-                      const double w = view.EdgeWeight(e, nb, common, arcs);
-                      partial.weight_sum += w;
-                      ++partial.edges;
-                      record.clear();
-                      extmem::AppendU32Le(record, 16);
-                      extmem::AppendU64Be(record,
-                                          ~std::bit_cast<uint64_t>(w));
-                      extmem::AppendU64Be(record, PairKey(e, nb));
-                      extmem::AppendU64Le(record, std::bit_cast<uint64_t>(w));
-                      route(0, record);
-                    });
-              }
-              partials[c] = partial;
-            },
-            [&](uint32_t /*s*/, extmem::ShuffleSource& source) {
-              std::string_view record;
-              while (retained.size() < k && source.Next(record)) {
-                const uint64_t key = extmem::ReadU64Be(
-                    extmem::RecordKey(record).substr(8, 8));
-                const double w = std::bit_cast<double>(
-                    extmem::ReadU64Le(extmem::RecordPayload(record)));
-                retained.push_back(
-                    {PairKeyFirst(key), PairKeySecond(key), w});
-              }
-            });
-        for (const ChunkPartial& p : partials) {
-          weight_sum += p.weight_sum;
-          graph_edges += p.edges;
-        }
-        break;
-      }
-      std::vector<TopK<EdgeRank>> tops(num_chunks, TopK<EdgeRank>(k));
-      RunPoolTasks(pool, num_chunks, [&](size_t c) {
-        NeighborScratch& scratch = TlsNeighborScratch(n);
-        ChunkPartial partial;
-        const auto [begin, end] = chunk_range(c);
-        for (EntityId e = begin; e < end; ++e) {
-          view.ForNeighbors(scratch, e, true,
-                            [&](EntityId nb, uint32_t common, double arcs) {
-                              const double w =
-                                  view.EdgeWeight(e, nb, common, arcs);
-                              partial.weight_sum += w;
-                              ++partial.edges;
-                              tops[c].Push(EdgeRank{w, PairKey(e, nb)});
-                            });
-        }
-        partials[c] = partial;
-      });
+      extmem::ShardedShuffle<extmem::RankedPair> shuffle(pool, options.memory,
+                                                         1);
+      shuffle.Scatter(
+          n, kPruneChunkEntities,
+          [&](size_t c, size_t begin, size_t end, const auto& route) {
+            NeighborScratch& scratch = TlsNeighborScratch(n);
+            ChunkPartial partial;
+            TopK<EdgeRank> top(k);
+            for (EntityId e = static_cast<EntityId>(begin);
+                 e < static_cast<EntityId>(end); ++e) {
+              view.ForNeighbors(
+                  scratch, e, true,
+                  [&](EntityId nb, uint32_t common, double arcs) {
+                    const double w = view.EdgeWeight(e, nb, common, arcs);
+                    partial.weight_sum += w;
+                    ++partial.edges;
+                    top.Push(EdgeRank{w, PairKey(e, nb)});
+                  });
+            }
+            for (const EdgeRank& edge : top.TakeSortedDescending()) {
+              route(0, extmem::RankedPair{edge.weight, edge.key});
+            }
+            partials[c] = partial;
+          });
       for (const ChunkPartial& p : partials) {
         weight_sum += p.weight_sum;
         graph_edges += p.edges;
       }
-      TopK<EdgeRank> top(k);
-      for (TopK<EdgeRank>& chunk_top : tops) {
-        for (const EdgeRank& edge : chunk_top.TakeSortedDescending()) {
-          top.Push(edge);
-        }
-      }
-      for (const EdgeRank& edge : top.TakeSortedDescending()) {
-        retained.push_back(
-            {PairKeyFirst(edge.key), PairKeySecond(edge.key), edge.weight});
-      }
+      take_ranked(shuffle, k);
       break;
     }
     case PruningScheme::kWnp:
     case PruningScheme::kCnp: {
       // Node-centric: each node nominates edges; an edge survives when
       // nominated by either endpoint (standard) or both (reciprocal).
-      // Phase A routes nominations into PairKey-hashed shards (chunk-local
-      // buffers, no shared state); phase B aggregates each shard.
+      // Phase A routes nominations into PairKey-hashed vote shards; phase B
+      // aggregates each shard.
       const uint64_t placed = std::max<uint64_t>(
           1, static_cast<uint64_t>(view.num_nodes()));
       const uint64_t cnp_k = std::max<uint64_t>(
@@ -265,138 +177,76 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
       std::vector<std::pair<uint64_t, uint64_t>> shard_counts(
           kPruneVoteShards);
 
-      // The per-entity nomination scan, shared by the in-memory and the
-      // spilled phase A. `nominate(e, key, w)` routes one vote.
-      const auto scan_chunk = [&](size_t c, const auto& nominate) {
-        NeighborScratch& scratch = TlsNeighborScratch(n);
-        ChunkPartial partial;
-        std::vector<std::pair<EntityId, double>> local;
-        const auto [begin, end] = chunk_range(c);
-        for (EntityId e = begin; e < end; ++e) {
-          local.clear();
-          double local_sum = 0.0;
-          view.ForNeighbors(scratch, e, /*only_greater=*/false,
-                            [&](EntityId nb, uint32_t common, double arcs) {
-                              const double w =
-                                  view.EdgeWeight(e, nb, common, arcs);
-                              local.emplace_back(nb, w);
-                              local_sum += w;
-                            });
-          if (local.empty()) continue;
-          partial.edges += local.size();  // counted twice; halved below
-          partial.weight_sum += local_sum;
-          if (is_wnp) {
-            const double mean = local_sum / static_cast<double>(local.size());
-            for (const auto& [nb, w] : local) {
-              if (w >= mean) nominate(e, PairKey(e, nb), w);
-            }
-          } else {
-            TopK<EdgeRank> top(cnp_k);
-            for (const auto& [nb, w] : local) {
-              top.Push(EdgeRank{w, PairKey(e, nb)});
-            }
-            for (const EdgeRank& edge : top.TakeSortedDescending()) {
-              nominate(e, edge.key, edge.weight);
-            }
-          }
-        }
-        partials[c] = partial;
-      };
-      // One pair's complete vote set is a (key, nominator)-sorted run whose
-      // last entry is the larger endpoint — the endpoint whose weight the
-      // sequential vote table kept. `flush_group` applies the retention
-      // rule to one such run.
-      const auto flush_group = [&](size_t s, uint64_t key, size_t group_votes,
-                                   double last_weight, uint64_t& pairs) {
-        ++pairs;
-        if (group_votes >= needed) {
-          shard_kept[s].push_back(
-              {PairKeyFirst(key), PairKeySecond(key), last_weight});
-        }
-      };
-
-      if (options.memory.enabled()) {
-        // External-memory phase A/B: nominations stream through spilling
-        // vote-shard sinks as (pair, nominator)-keyed records; each shard's
-        // merged stream is exactly the sorted vote array the in-memory path
-        // aggregates, so the retained edges carry identical bytes.
-        extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, kPruneVoteShards, options.memory,
-            [&](size_t c, size_t /*begin*/, size_t /*end*/,
-                const auto& route) {
-              std::string record;
-              scan_chunk(c, [&](EntityId e, uint64_t key, double w) {
-                record.clear();
-                extmem::AppendU32Le(record, 12);  // key: pair + nominator
-                extmem::AppendU64Be(record, key);
-                extmem::AppendU32Be(record, e);
-                extmem::AppendU64Le(record, std::bit_cast<uint64_t>(w));
-                route(static_cast<uint32_t>(Mix64(key) &
-                                            (kPruneVoteShards - 1)),
-                      record);
-              });
-            },
-            [&](uint32_t s, extmem::ShuffleSource& source) {
-              std::string_view record;
-              uint64_t votes = 0, pairs = 0;
-              uint64_t group_key = 0;
-              size_t group_votes = 0;
-              double last_weight = 0.0;
-              bool open = false;
-              while (source.Next(record)) {
-                ++votes;
-                const uint64_t key = extmem::ReadU64Be(
-                    extmem::RecordKey(record).substr(0, 8));
-                if (open && key != group_key) {
-                  flush_group(s, group_key, group_votes, last_weight, pairs);
-                  group_votes = 0;
+      // Phase A: each chunk's nominations go to PairKey-hashed vote shards.
+      extmem::ShardedShuffle<extmem::Vote> shuffle(pool, options.memory,
+                                                   kPruneVoteShards);
+      shuffle.Scatter(
+          n, kPruneChunkEntities,
+          [&](size_t c, size_t begin, size_t end, const auto& route) {
+            NeighborScratch& scratch = TlsNeighborScratch(n);
+            ChunkPartial partial;
+            std::vector<std::pair<EntityId, double>> local;
+            const auto nominate = [&](EntityId e, uint64_t key, double w) {
+              route(static_cast<uint32_t>(Mix64(key) & (kPruneVoteShards - 1)),
+                    extmem::Vote{key, e, w});
+            };
+            for (EntityId e = static_cast<EntityId>(begin);
+                 e < static_cast<EntityId>(end); ++e) {
+              local.clear();
+              double local_sum = 0.0;
+              view.ForNeighbors(
+                  scratch, e, /*only_greater=*/false,
+                  [&](EntityId nb, uint32_t common, double arcs) {
+                    const double w = view.EdgeWeight(e, nb, common, arcs);
+                    local.emplace_back(nb, w);
+                    local_sum += w;
+                  });
+              if (local.empty()) continue;
+              partial.edges += local.size();  // counted twice; halved below
+              partial.weight_sum += local_sum;
+              if (is_wnp) {
+                const double mean =
+                    local_sum / static_cast<double>(local.size());
+                for (const auto& [nb, w] : local) {
+                  if (w >= mean) nominate(e, PairKey(e, nb), w);
                 }
-                group_key = key;
-                open = true;
-                ++group_votes;
-                last_weight = std::bit_cast<double>(
-                    extmem::ReadU64Le(extmem::RecordPayload(record)));
+              } else {
+                TopK<EdgeRank> top(cnp_k);
+                for (const auto& [nb, w] : local) {
+                  top.Push(EdgeRank{w, PairKey(e, nb)});
+                }
+                for (const EdgeRank& edge : top.TakeSortedDescending()) {
+                  nominate(e, edge.key, edge.weight);
+                }
               }
-              if (open) {
-                flush_group(s, group_key, group_votes, last_weight, pairs);
-              }
-              shard_counts[s] = {votes, pairs};
-            });
-      } else {
-        // In-memory phase A: chunk-local shard buffers, no shared state.
-        std::vector<std::vector<std::vector<Nomination>>> chunk_noms(
-            num_chunks,
-            std::vector<std::vector<Nomination>>(kPruneVoteShards));
-        RunPoolTasks(pool, num_chunks, [&](size_t c) {
-          auto& shards = chunk_noms[c];
-          scan_chunk(c, [&shards](EntityId e, uint64_t key, double w) {
-            shards[Mix64(key) & (kPruneVoteShards - 1)].push_back(
-                Nomination{key, e, w});
+            }
+            partials[c] = partial;
           });
-        });
 
-        // In-memory phase B: per-shard vote aggregation over the gathered
-        // (key, nominator)-sorted array.
-        RunPoolTasks(pool, kPruneVoteShards, [&](size_t s) {
-          std::vector<Nomination> votes;
-          size_t total = 0;
-          for (const auto& chunk : chunk_noms) total += chunk[s].size();
-          votes.reserve(total);
-          for (const auto& chunk : chunk_noms) {
-            votes.insert(votes.end(), chunk[s].begin(), chunk[s].end());
+      // Phase B: each shard yields its votes sorted by (pair, nominator),
+      // so one pair's votes are adjacent and end with the larger endpoint's
+      // — the weight the sequential vote table kept (last writer over an
+      // ascending entity scan).
+      shuffle.Finish([&](uint32_t s, extmem::Shard<extmem::Vote>& shard) {
+        uint64_t votes = 0, pairs = 0;
+        const extmem::Vote* vote = shard.Next();
+        while (vote != nullptr) {
+          const uint64_t key = vote->pair;
+          size_t group_votes = 0;
+          double last_weight = 0.0;
+          for (; vote != nullptr && vote->pair == key; vote = shard.Next()) {
+            ++group_votes;
+            last_weight = vote->weight;
           }
-          std::sort(votes.begin(), votes.end());
-          uint64_t pairs = 0;
-          size_t i = 0;
-          while (i < votes.size()) {
-            size_t j = i;
-            while (j < votes.size() && votes[j].key == votes[i].key) ++j;
-            flush_group(s, votes[i].key, j - i, votes[j - 1].weight, pairs);
-            i = j;
+          votes += group_votes;
+          ++pairs;
+          if (group_votes >= needed) {
+            shard_kept[s].push_back(
+                {PairKeyFirst(key), PairKeySecond(key), last_weight});
           }
-          shard_counts[s] = {votes.size(), pairs};
-        });
-      }
+        }
+        shard_counts[s] = {votes, pairs};
+      });
       for (const ChunkPartial& p : partials) {
         weight_sum += p.weight_sum;
         graph_edges += p.edges;
@@ -411,11 +261,11 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
         shard_votes.Record(votes);
       }
       retained = FlattenInOrder(shard_kept);
+      SortByWeightDescending(retained, pool);
       break;
     }
   }
 
-  SortByWeightDescending(retained, pool);
   // Telemetry once per prune run — all sequential, outside the workers.
   {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();

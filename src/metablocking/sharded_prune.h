@@ -4,15 +4,20 @@
 //
 // Entities are dealt to workers in fixed-size chunks (constant, independent
 // of the worker count) so every floating-point partial aggregate folds in
-// the same order no matter how many threads run. Node-centric nominations
-// are routed into a fixed number of shards by PairKey hash; each shard sorts
-// its nominations by (pair, nominating entity) before aggregating, which
-// reproduces the sequential vote-table semantics (the larger endpoint's
-// weight wins when both nominate). The retained edges then take the
-// canonical (weight desc, pair asc) order in one sort that also runs on the
-// pool (ParallelSort). The net guarantee: the retained edge list is
-// bit-identical for every thread count, including the inline (no pool)
-// path.
+// the same order no matter how many threads run. Votes and edges go through
+// the shard engine (extmem/shuffle.h), one typed path whatever the budget:
+//   * node-centric (WNP/CNP) nominations go to a fixed number of shards by
+//     PairKey hash; each shard yields them sorted by (pair, nominating
+//     entity), which reproduces the sequential vote-table semantics (the
+//     larger endpoint's weight wins when both nominate). The retained edges
+//     then take the canonical (weight desc, pair asc) order in one sort that
+//     runs on the pool (ParallelSort);
+//   * edge-centric (WEP/CEP) survivors go through one shard that yields
+//     them in that canonical order directly (CEP keeps each chunk's top-K
+//     first and takes the first K).
+// A memory budget only decides when a shard writes a sorted run to disk.
+// The net guarantee: the retained edge list is bit-identical for every
+// thread count and every budget, including the inline (no pool) path.
 
 #ifndef MINOAN_METABLOCKING_SHARDED_PRUNE_H_
 #define MINOAN_METABLOCKING_SHARDED_PRUNE_H_

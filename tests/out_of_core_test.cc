@@ -1,15 +1,17 @@
 // Out-of-core suite: the compressed run codec (round trips plus hostile
-// truncation / bit-flip fuzzing — run under ASan in CI), cascaded run
-// merges at small fan-ins, mid-merge failure cleanup, the streaming
-// postings path, and the full budgeted pipeline parity matrix: every
+// truncation / bit-flip fuzzing — run under ASan in CI), one and two
+// generations of cascaded run merges, mid-merge failure cleanup, the
+// streaming postings path, and the full budgeted pipeline parity matrix: every
 // blocker × {CEP, WEP} under a forced tiny memory budget must produce
 // byte-identical matches and checkpoints to the unbudgeted run, at 1 and 4
 // threads.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -20,6 +22,7 @@
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "extmem/memory_budget.h"
+#include "extmem/records.h"
 #include "extmem/run_codec.h"
 #include "extmem/shuffle.h"
 #include "extmem/spill_file.h"
@@ -37,15 +40,9 @@ namespace fs = std::filesystem;
 /// key and arbitrary payload bytes.
 std::string StringRecord(const std::string& key, const std::string& payload) {
   std::string record;
-  extmem::EncodeKey(key, record);
+  extmem::AppendU32Le(record, static_cast<uint32_t>(key.size()));
+  record.append(key);
   record.append(payload);
-  return record;
-}
-
-std::string U32Record(uint32_t key, uint32_t payload) {
-  std::string record;
-  extmem::EncodeKey(key, record);
-  extmem::AppendU32Le(record, payload);
   return record;
 }
 
@@ -159,6 +156,12 @@ TEST(RunCodecTest, RoundTripsUnsortedRecords) {
   EXPECT_FALSE(reader.Next(record));
 }
 
+TEST(RunCodecTest, MissingFileThrows) {
+  testutil::ScratchDir base("ooc-codec-missing");
+  EXPECT_THROW(extmem::CompressedRunReader(base.str() + "/absent.spill"),
+               extmem::SpillError);
+}
+
 TEST(RunCodecTest, BadMagicThrows) {
   testutil::ScratchDir base("ooc-codec-magic");
   const std::string path = base.str() + "/run-0.spill";
@@ -240,46 +243,66 @@ TEST(RunCodecTest, BitFlipFuzzNeverCrashes) {
 // Cascaded run merges
 // ---------------------------------------------------------------------------
 
-TEST(CascadeMergeTest, ParityAtSmallFanIns) {
-  const auto arrival = [](size_t i) {
-    return static_cast<uint32_t>((i * 2654435761u) % 97);
-  };
-  constexpr size_t kRecords = 3000;
+using U32Record = extmem::KeyedEntity<uint32_t>;
 
-  extmem::SpillShuffle reference(/*run_bytes=*/0, nullptr);
-  for (size_t i = 0; i < kRecords; ++i) {
-    reference.Add(U32Record(arrival(i), static_cast<uint32_t>(i)));
+/// `count` records with many duplicate keys, in a scrambled arrival order.
+std::vector<U32Record> ScrambledRecords(size_t count) {
+  std::vector<U32Record> records;
+  for (size_t i = 0; i < count; ++i) {
+    records.push_back({static_cast<uint32_t>((i * 2654435761u) % 97),
+                       static_cast<uint32_t>(i)});
   }
-  auto ref_source = reference.Finish();
-  std::vector<std::string> expected;
-  {
-    std::string_view record;
-    while (ref_source->Next(record)) expected.emplace_back(record);
-  }
-  ASSERT_EQ(expected.size(), kRecords);
+  return records;
+}
 
-  for (const uint32_t fanin : {2u, 3u, 7u}) {
+/// Feeds `records` to `shard` in slices of 100, as chunks would.
+void AppendInSlices(extmem::Shard<U32Record>& shard,
+                    std::vector<U32Record> records) {
+  for (size_t i = 0; i < records.size(); i += 100) {
+    shard.Append(std::span<U32Record>(records).subspan(
+        i, std::min<size_t>(100, records.size() - i)));
+  }
+}
+
+TEST(CascadeMergeTest, OneAndTwoGenerationsMatchTheInMemorySort) {
+  // A 256-byte buffer holds 32 records and spills once its allocation
+  // reaches that: 3000 records spill about 180 runs, one cascade generation
+  // at fan-in 16; 10000 records spill about 600, two generations.
+  const uint64_t fanin = extmem::kMergeFanin;
+  for (const auto& [count, generations] :
+       {std::pair<size_t, int>{3000, 1}, std::pair<size_t, int>{10000, 2}}) {
+    std::vector<U32Record> expected = ScrambledRecords(count);
+    std::sort(expected.begin(), expected.end());
+
     testutil::ScratchDir base("ooc-cascade");
     extmem::ScopedSpillDir dir(base.str());
     extmem::ResetSpillTelemetry();
-    extmem::SpillShuffle spilled(/*run_bytes=*/256, &dir, fanin);
-    for (size_t i = 0; i < kRecords; ++i) {
-      spilled.Add(U32Record(arrival(i), static_cast<uint32_t>(i)));
+    extmem::Shard<U32Record> spilled(/*run_bytes=*/256, &dir, nullptr);
+    AppendInSlices(spilled, ScrambledRecords(count));
+    const uint64_t runs = extmem::GetSpillTelemetry().runs_spilled;
+    if (generations == 1) {
+      ASSERT_GT(runs, fanin);
+      ASSERT_LE(runs, fanin * fanin);
+    } else {
+      ASSERT_GT(runs, fanin * fanin);
     }
-    ASSERT_GT(spilled.runs_spilled(), fanin)
-        << "fan-in " << fanin << ": budget did not force a cascade";
-    auto source = spilled.Finish();
-    std::string_view record;
-    size_t count = 0;
-    while (source->Next(record)) {
-      ASSERT_LT(count, expected.size());
-      ASSERT_EQ(record, expected[count])
-          << "fan-in " << fanin << " diverges at record " << count;
-      ++count;
+    spilled.Finish();
+    // Each generation merges groups of `fanin` consecutive runs.
+    uint64_t expected_merges = 0;
+    for (uint64_t left = runs; left > fanin;) {
+      left = (left + fanin - 1) / fanin;
+      expected_merges += left;
     }
-    EXPECT_EQ(count, kRecords) << "fan-in " << fanin;
-    EXPECT_GT(extmem::GetSpillTelemetry().cascade_merges, 0u)
-        << "fan-in " << fanin << " never cascaded";
+    EXPECT_EQ(extmem::GetSpillTelemetry().cascade_merges, expected_merges)
+        << count << " records";
+    size_t i = 0;
+    while (const U32Record* record = spilled.Next()) {
+      ASSERT_LT(i, expected.size());
+      ASSERT_EQ(record->key, expected[i].key) << "record " << i;
+      ASSERT_EQ(record->entity, expected[i].entity) << "record " << i;
+      ++i;
+    }
+    EXPECT_EQ(i, count);
   }
 }
 
@@ -288,12 +311,10 @@ TEST(CascadeMergeTest, FailedMergeRemovesPartialOutput) {
   size_t files_before_finish = 0;
   {
     extmem::ScopedSpillDir dir(base.str());
-    extmem::SpillShuffle sink(/*run_bytes=*/256, &dir, /*max_merge_fanin=*/2);
-    for (size_t i = 0; i < 3000; ++i) {
-      sink.Add(U32Record(static_cast<uint32_t>(i % 97),
-                         static_cast<uint32_t>(i)));
-    }
-    ASSERT_GE(sink.runs_spilled(), 3u);
+    extmem::ResetSpillTelemetry();
+    extmem::Shard<U32Record> shard(/*run_bytes=*/256, &dir, nullptr);
+    AppendInSlices(shard, ScrambledRecords(3000));
+    ASSERT_GT(extmem::GetSpillTelemetry().runs_spilled, extmem::kMergeFanin);
 
     // Corrupt the TAIL of the first run: the magic and the leading records
     // stay valid, so the merge primes cleanly, creates its output file, and
@@ -306,7 +327,7 @@ TEST(CascadeMergeTest, FailedMergeRemovesPartialOutput) {
     for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir.path())) {
       ++files_before_finish;
     }
-    EXPECT_THROW(sink.Finish(), extmem::SpillError);
+    EXPECT_THROW(shard.Finish(), extmem::SpillError);
 
     // No partially written merge output may survive the throw; the inputs
     // of the failed merge are still there (the dir removes them wholesale).
@@ -324,7 +345,7 @@ TEST(CascadeMergeTest, FailedMergeRemovesPartialOutput) {
 // Streaming postings
 // ---------------------------------------------------------------------------
 
-TEST(StreamingPostingsTest, MatchesMaterializedPostings) {
+TEST(StreamingPostingsTest, MatchesSequentialPostings) {
   constexpr uint32_t kEntities = 1500;
   const auto emit = [](EntityId e, std::vector<uint32_t>& keys) {
     keys.push_back(e % 97);
@@ -333,33 +354,39 @@ TEST(StreamingPostingsTest, MatchesMaterializedPostings) {
   };
   const auto hash = [](uint32_t key) { return static_cast<uint64_t>(key); };
 
-  std::vector<KeyedPosting<uint32_t>> reference;
-  BuildShardedPostings<uint32_t>(
-      kEntities, nullptr, emit, hash, /*memory=*/nullptr,
-      [&](uint32_t key, std::vector<EntityId>& entities) {
-        reference.push_back({key, entities});
-      });
-  ASSERT_GT(reference.size(), 0u);
+  // The sequential inverted index: keys ascending, entities in scan order.
+  std::map<uint32_t, std::vector<EntityId>> reference;
+  std::vector<uint32_t> keys;
+  for (EntityId e = 0; e < kEntities; ++e) {
+    keys.clear();
+    emit(e, keys);
+    for (const uint32_t key : keys) reference[key].push_back(e);
+  }
 
   testutil::ScratchDir base("ooc-stream-postings");
-  extmem::MemoryBudgetOptions memory;
-  memory.shuffle_budget_bytes = 16 << 10;
-  memory.spill_dir = base.str();
-
-  for (const uint32_t threads : {1u, 4u}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    size_t i = 0;
-    BuildShardedPostings<uint32_t>(
-        kEntities, pool.get(), emit, hash, &memory,
-        [&](uint32_t key, std::vector<EntityId>& entities) {
-          ASSERT_LT(i, reference.size());
-          EXPECT_EQ(key, reference[i].key) << "posting " << i;
-          EXPECT_EQ(entities, reference[i].entities)
-              << "posting " << i << " at " << threads << " threads";
-          ++i;
-        });
-    EXPECT_EQ(i, reference.size()) << threads << " threads";
+  extmem::MemoryBudgetOptions tiny;
+  tiny.shuffle_budget_bytes = 16 << 10;
+  tiny.spill_dir = base.str();
+  for (const extmem::MemoryBudgetOptions& memory :
+       {extmem::MemoryBudgetOptions{}, tiny}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      extmem::ResetSpillTelemetry();
+      auto it = reference.begin();
+      BuildShardedPostings<uint32_t>(
+          kEntities, pool.get(), emit, hash, memory,
+          [&](uint32_t key, std::vector<EntityId>& entities) {
+            ASSERT_NE(it, reference.end());
+            EXPECT_EQ(key, it->first);
+            EXPECT_EQ(entities, it->second)
+                << "posting " << key << " at " << threads << " threads";
+            ++it;
+          });
+      EXPECT_EQ(it, reference.end()) << threads << " threads";
+      EXPECT_EQ(extmem::GetSpillTelemetry().runs_spilled > 0,
+                memory.enabled());
+    }
   }
   EXPECT_EQ(base.NumEntries(), 0u) << "streaming postings leaked spill files";
 }

@@ -1,9 +1,10 @@
-// Determinism suite for the external-memory shuffle engine (src/extmem/):
-// spill-file and merge primitives, forced-spill byte parity against the
-// in-memory paths for blocking postings and meta-blocking vote shards at
-// 1/2/4/7 threads, whole-session match-sequence invariance, and temp-file
-// cleanup on success AND on exception. Budgets are chosen tiny enough that
-// every shard spills several sorted runs — the telemetry asserts it.
+// Determinism suite for the shard engine (src/extmem/): typed shards and
+// their spilled merges, forced-spill byte parity against unbudgeted runs
+// for blocking postings and meta-blocking vote shards at 1/2/4/7 threads,
+// whole-session match-sequence and observability invariance across
+// budgets, and temp-file cleanup on success AND on exception. Budgets are
+// chosen tiny enough that every shard spills several sorted runs — the
+// telemetry asserts it.
 
 #include <algorithm>
 #include <cstring>
@@ -17,7 +18,7 @@
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "extmem/memory_budget.h"
-#include "extmem/run_merger.h"
+#include "extmem/records.h"
 #include "extmem/shuffle.h"
 #include "extmem/spill_file.h"
 #include "gtest/gtest.h"
@@ -25,6 +26,7 @@
 #include "metablocking/blocking_graph.h"
 #include "metablocking/meta_blocking.h"
 #include "metablocking/sharded_prune.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace minoan {
@@ -32,156 +34,123 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string MakeRecord(uint32_t key, uint32_t payload) {
-  std::string record;
-  extmem::EncodeKey(key, record);
-  extmem::AppendU32Le(record, payload);
-  return record;
+using U32Record = extmem::KeyedEntity<uint32_t>;
+
+/// Deterministic pseudo-random arrival with many duplicate keys.
+U32Record Arrival(size_t i) {
+  return U32Record{static_cast<uint32_t>((i * 2654435761u) % 97),
+                   static_cast<uint32_t>(i)};
+}
+
+/// Drains a finished shard.
+std::vector<std::pair<uint32_t, uint32_t>> Drain(
+    extmem::Shard<U32Record>& shard) {
+  std::vector<std::pair<uint32_t, uint32_t>> out;
+  while (const U32Record* record = shard.Next()) {
+    out.emplace_back(record->key, record->entity);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
-// Primitives
+// Shards and the sharded shuffle
 // ---------------------------------------------------------------------------
 
-TEST(SpillFileTest, RoundTripsBinaryRecords) {
-  testutil::ScratchDir base("spill-file");
-  const std::string path = base.str() + "/run-0.spill";
-  const std::vector<std::string> records = {
-      std::string("plain"), std::string("\x00\xff\x00", 3), std::string(),
-      std::string(1000, 'x')};
-  {
-    extmem::SpillFileWriter writer(path);
-    for (const std::string& r : records) writer.Append(r);
-    EXPECT_GT(writer.Close(), 0u);
-    EXPECT_EQ(writer.records(), records.size());
-  }
-  extmem::SpillFileReader reader(path);
-  std::string_view record;
-  for (const std::string& expected : records) {
-    ASSERT_TRUE(reader.Next(record));
-    EXPECT_EQ(record, expected);
-  }
-  EXPECT_FALSE(reader.Next(record));
-}
-
-TEST(SpillFileTest, MissingFileAndTruncationThrow) {
-  testutil::ScratchDir base("spill-file-err");
-  EXPECT_THROW(extmem::SpillFileReader(base.str() + "/absent.spill"),
-               extmem::SpillError);
-  const std::string path = base.str() + "/trunc.spill";
-  {
-    extmem::SpillFileWriter writer(path);
-    writer.Append("hello world");
-    writer.Close();
-  }
-  fs::resize_file(path, 7);  // cut the record body short
-  extmem::SpillFileReader reader(path);
-  std::string_view record;
-  EXPECT_THROW(reader.Next(record), extmem::SpillError);
-}
-
-TEST(SpillShuffleTest, InMemorySortIsStable) {
-  extmem::SpillShuffle sink(/*run_bytes=*/0, nullptr);
-  // Equal keys must keep arrival order (payload tracks it).
-  sink.Add(MakeRecord(7, 0));
-  sink.Add(MakeRecord(3, 1));
-  sink.Add(MakeRecord(7, 2));
-  sink.Add(MakeRecord(3, 3));
-  sink.Add(MakeRecord(1, 4));
-  auto source = sink.Finish();
-  std::vector<std::pair<uint32_t, uint32_t>> seen;
-  std::string_view record;
-  while (source->Next(record)) {
-    seen.emplace_back(
-        extmem::DecodeKey<uint32_t>(extmem::RecordKey(record)),
-        extmem::ReadU32Le(extmem::RecordPayload(record)));
-  }
+TEST(SpillShuffleTest, NeverSpillingShardYieldsTheRecordOrder) {
+  extmem::ScopedSpillDir dir("");
+  extmem::Shard<U32Record> shard(/*run_bytes=*/0, &dir, nullptr);
+  std::vector<U32Record> records = {{7, 2}, {3, 1}, {7, 0}, {3, 3}, {1, 4}};
+  shard.Append(records);
+  shard.Finish();
   const std::vector<std::pair<uint32_t, uint32_t>> expected = {
       {1, 4}, {3, 1}, {3, 3}, {7, 0}, {7, 2}};
-  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(Drain(shard), expected);
+  EXPECT_EQ(shard.records(), 5u);
+  EXPECT_TRUE(dir.path().empty()) << "a shard without a budget made a dir";
 }
 
 TEST(SpillShuffleTest, SpilledMergeEqualsInMemorySort) {
-  // Deterministic pseudo-random arrival with many duplicate keys, tiny run
-  // budget → many runs, each splitting equal-key groups.
-  const auto arrival = [](size_t i) {
-    return static_cast<uint32_t>((i * 2654435761u) % 97);
-  };
+  // A tiny run budget → many runs, each splitting equal-key groups.
   constexpr size_t kRecords = 3000;
-
-  extmem::SpillShuffle reference(/*run_bytes=*/0, nullptr);
-  for (size_t i = 0; i < kRecords; ++i) {
-    reference.Add(MakeRecord(arrival(i), static_cast<uint32_t>(i)));
-  }
-  auto ref_source = reference.Finish();
+  std::vector<U32Record> records;
+  for (size_t i = 0; i < kRecords; ++i) records.push_back(Arrival(i));
+  std::vector<std::pair<uint32_t, uint32_t>> expected;
+  for (const U32Record& r : records) expected.emplace_back(r.key, r.entity);
+  std::sort(expected.begin(), expected.end());
 
   testutil::ScratchDir base("spill-merge");
   extmem::ScopedSpillDir dir(base.str());
-  extmem::SpillShuffle spilled(/*run_bytes=*/256, &dir);
-  for (size_t i = 0; i < kRecords; ++i) {
-    spilled.Add(MakeRecord(arrival(i), static_cast<uint32_t>(i)));
+  extmem::ResetSpillTelemetry();
+  extmem::Shard<U32Record> spilled(/*run_bytes=*/256, &dir, nullptr);
+  for (size_t i = 0; i < kRecords; i += 100) {
+    spilled.Append(std::span<U32Record>(records).subspan(i, 100));
   }
-  EXPECT_GE(spilled.runs_spilled(), 3u);
-  auto spill_source = spilled.Finish();
-
-  std::string_view ref_record, spill_record;
-  size_t count = 0;
-  while (ref_source->Next(ref_record)) {
-    ASSERT_TRUE(spill_source->Next(spill_record)) << "at record " << count;
-    ASSERT_EQ(ref_record, spill_record) << "at record " << count;
-    ++count;
-  }
-  EXPECT_FALSE(spill_source->Next(spill_record));
-  EXPECT_EQ(count, kRecords);
+  EXPECT_GE(extmem::GetSpillTelemetry().runs_spilled, 3u);
+  spilled.Finish();
+  EXPECT_EQ(Drain(spilled), expected);
 }
 
-TEST(SpillShuffleTest, RunSpilledShuffleCleansUpOnSuccessAndException) {
+TEST(SpillShuffleTest, ShardedShuffleCleansUpOnSuccessAndException) {
   testutil::ScratchDir base("spill-cleanup");
   extmem::MemoryBudgetOptions memory;
-  memory.spill_run_bytes = 256;
+  memory.shuffle_budget_bytes = 1024;  // 256 bytes for each of 4 shards
   memory.spill_dir = base.str();
 
   const auto scan = [](size_t, size_t begin, size_t end, const auto& route) {
-    std::string record;
     for (size_t i = begin; i < end; ++i) {
-      record.clear();
-      extmem::EncodeKey(static_cast<uint32_t>(i % 31), record);
-      extmem::AppendU32Le(record, static_cast<uint32_t>(i));
-      route(static_cast<uint32_t>(i % 4), record);
+      route(static_cast<uint32_t>(i % 4),
+            U32Record{static_cast<uint32_t>(i % 31), static_cast<uint32_t>(i)});
     }
   };
   uint64_t consumed = 0;
-  extmem::RunSpilledShuffle(
-      nullptr, /*total=*/5000, /*chunk_size=*/256, /*num_shards=*/4, memory,
-      scan, [&](uint32_t, extmem::ShuffleSource& source) {
-        std::string_view record;
-        while (source.Next(record)) ++consumed;
-      });
+  extmem::ResetSpillTelemetry();
+  {
+    extmem::ShardedShuffle<U32Record> shuffle(nullptr, memory, 4);
+    shuffle.Scatter(/*total=*/5000, /*chunk_size=*/256, scan);
+    shuffle.Finish([&](uint32_t, extmem::Shard<U32Record>& shard) {
+      consumed += Drain(shard).size();
+    });
+  }
   EXPECT_EQ(consumed, 5000u);
+  EXPECT_GE(extmem::GetSpillTelemetry().min_runs_per_loaded_sink, 3u);
   EXPECT_EQ(base.NumEntries(), 0u) << "spill dir leaked after success";
 
-  // An exception from the consume stage must unwind through the engine
-  // with every temp file removed.
+  // An exception from the consumer must unwind through the engine with
+  // every temp file removed.
   EXPECT_THROW(
-      extmem::RunSpilledShuffle(
-          nullptr, 5000, 256, 4, memory, scan,
-          [&](uint32_t, extmem::ShuffleSource&) {
-            throw std::runtime_error("consumer failure");
-          }),
+      {
+        extmem::ShardedShuffle<U32Record> shuffle(nullptr, memory, 4);
+        shuffle.Scatter(5000, 256, scan);
+        shuffle.Finish([](uint32_t, extmem::Shard<U32Record>&) {
+          throw std::runtime_error("consumer failure");
+        });
+      },
       std::runtime_error);
   EXPECT_EQ(base.NumEntries(), 0u) << "spill dir leaked after exception";
 }
 
-TEST(SpillShuffleTest, UnwritableSpillDirThrowsSpillError) {
+TEST(SpillShuffleTest, UnwritableSpillDirThrowsOnlyWhenAShardSpills) {
+  const auto scan = [](size_t, size_t begin, size_t end, const auto& route) {
+    for (size_t i = begin; i < end; ++i) {
+      route(0, U32Record{static_cast<uint32_t>(i), 0});
+    }
+  };
   extmem::MemoryBudgetOptions memory;
-  memory.spill_run_bytes = 256;
   memory.spill_dir = "/proc/definitely-not-writable";
-  EXPECT_THROW(
-      extmem::RunSpilledShuffle(
-          nullptr, 10, 4, 2, memory,
-          [](size_t, size_t, size_t, const auto&) {},
-          [](uint32_t, extmem::ShuffleSource&) {}),
-      extmem::SpillError);
+  // A budget that is never reached opens no file and makes no directory.
+  memory.shuffle_budget_bytes = 64ull << 30;
+  {
+    extmem::ShardedShuffle<U32Record> shuffle(nullptr, memory, 1);
+    shuffle.Scatter(1000, 256, scan);
+    uint64_t consumed = 0;
+    shuffle.Finish([&](uint32_t, extmem::Shard<U32Record>& shard) {
+      consumed += Drain(shard).size();
+    });
+    EXPECT_EQ(consumed, 1000u);
+  }
+  memory.shuffle_budget_bytes = 256;
+  extmem::ShardedShuffle<U32Record> shuffle(nullptr, memory, 1);
+  EXPECT_THROW(shuffle.Scatter(1000, 256, scan), extmem::SpillError);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,39 +309,87 @@ TEST_F(SpillParityTest, VoteShardPruningIsByteIdenticalUnderSpilling) {
   }
 }
 
+/// The blocking.* and prune.* metrics of one run: every counter, plus the
+/// count and sum of every histogram.
+std::vector<std::pair<std::string, uint64_t>> ShardCoreMetrics() {
+  const obs::StatsSnapshot snapshot =
+      obs::MetricsRegistry::Default().Snapshot();
+  const auto in_scope = [](const std::string& name) {
+    return name.starts_with("blocking.") || name.starts_with("prune.");
+  };
+  std::vector<std::pair<std::string, uint64_t>> out;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (in_scope(name)) out.emplace_back(name, value);
+  }
+  for (const auto& [name, histogram] : snapshot.histograms) {
+    if (!in_scope(name)) continue;
+    out.emplace_back(name + ".count", histogram.count);
+    out.emplace_back(name + ".sum", histogram.sum);
+  }
+  return out;
+}
+
 TEST_F(SpillParityTest, SessionMatchSequenceIsInvariantUnderSpilling) {
   testutil::ScratchDir base("spill-session");
-  const auto run = [&](bool spill, uint32_t threads) {
+  struct Run {
+    ResolutionReport report;
+    std::vector<std::pair<std::string, uint64_t>> metrics;
+    uint64_t spilled_runs = 0;
+  };
+  const auto run = [&](const extmem::MemoryBudgetOptions& memory,
+                       uint32_t threads) {
     WorkflowOptions options;
     options.num_threads = threads;
     options.progressive.matcher.threshold = 0.3;
-    if (spill) options.memory = TinyBudget(base);
+    options.memory = memory;
+    obs::MetricsRegistry::Default().ResetAll();
     auto session = ResolutionSession::Open(*collection_, options);
     EXPECT_TRUE(session.ok());
     session->Step(0);
-    return session->Report();
+    return Run{session->Report(), ShardCoreMetrics(),
+               extmem::GetSpillTelemetry().runs_spilled};
   };
-  const ResolutionReport reference = run(false, 1);
-  ASSERT_GT(reference.progressive.run.matches.size(), 0u);
+  const Run reference = run({}, 1);
+  ASSERT_GT(reference.report.progressive.run.matches.size(), 0u);
+  for (const char* name : {"blocking.shard_records", "blocking.merge_fanin",
+                           "prune.shard_votes"}) {
+    const auto it = std::ranges::find(
+        reference.metrics, std::string(name) + ".count",
+        &std::pair<std::string, uint64_t>::first);
+    ASSERT_NE(it, reference.metrics.end()) << name;
+    EXPECT_GT(it->second, 0u) << name;
+  }
+  extmem::MemoryBudgetOptions never_spills;
+  never_spills.shuffle_budget_bytes = 64ull << 30;
+  never_spills.spill_dir = base.str();
+  std::vector<std::pair<std::string, Run>> runs;
+  runs.emplace_back("64 GiB budget", run(never_spills, 4));
+  EXPECT_EQ(runs.back().second.spilled_runs, 0u);
   for (uint32_t threads : {1u, 2u, 4u, 7u}) {
-    const ResolutionReport report = run(true, threads);
-    EXPECT_EQ(reference.blocks_built, report.blocks_built);
-    EXPECT_EQ(reference.blocks_after_cleaning, report.blocks_after_cleaning);
-    EXPECT_EQ(reference.comparisons_before_meta,
+    runs.emplace_back("spilled at " + std::to_string(threads) + " threads",
+                      run(TinyBudget(base), threads));
+    EXPECT_GT(runs.back().second.spilled_runs, 0u);
+  }
+  for (const auto& [label, got] : runs) {
+    const ResolutionReport& report = got.report;
+    EXPECT_EQ(reference.metrics, got.metrics) << label;
+    EXPECT_EQ(reference.report.blocks_built, report.blocks_built);
+    EXPECT_EQ(reference.report.blocks_after_cleaning,
+              report.blocks_after_cleaning);
+    EXPECT_EQ(reference.report.comparisons_before_meta,
               report.comparisons_before_meta);
-    EXPECT_EQ(reference.comparisons_after_meta,
+    EXPECT_EQ(reference.report.comparisons_after_meta,
               report.comparisons_after_meta);
-    EXPECT_EQ(reference.meta_stats.retained_edges,
+    EXPECT_EQ(reference.report.meta_stats.retained_edges,
               report.meta_stats.retained_edges);
-    EXPECT_EQ(std::memcmp(&reference.meta_stats.mean_weight,
+    EXPECT_EQ(std::memcmp(&reference.report.meta_stats.mean_weight,
                           &report.meta_stats.mean_weight, sizeof(double)),
               0);
-    EXPECT_EQ(reference.progressive.run.comparisons_executed,
+    EXPECT_EQ(reference.report.progressive.run.comparisons_executed,
               report.progressive.run.comparisons_executed);
-    const auto& ref_matches = reference.progressive.run.matches;
+    const auto& ref_matches = reference.report.progressive.run.matches;
     const auto& got_matches = report.progressive.run.matches;
-    ASSERT_EQ(ref_matches.size(), got_matches.size())
-        << "spilled at " << threads << " threads";
+    ASSERT_EQ(ref_matches.size(), got_matches.size()) << label;
     for (size_t i = 0; i < ref_matches.size(); ++i) {
       EXPECT_EQ(ref_matches[i].a, got_matches[i].a);
       EXPECT_EQ(ref_matches[i].b, got_matches[i].b);
@@ -381,8 +398,7 @@ TEST_F(SpillParityTest, SessionMatchSequenceIsInvariantUnderSpilling) {
       EXPECT_EQ(std::memcmp(&ref_matches[i].similarity,
                             &got_matches[i].similarity, sizeof(double)),
                 0)
-          << "match " << i << " similarity bits differ at " << threads
-          << " threads";
+          << "match " << i << " similarity bits differ, " << label;
     }
   }
   EXPECT_EQ(base.NumEntries(), 0u) << "session leaked spill files";

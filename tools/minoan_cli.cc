@@ -21,10 +21,11 @@
 //       --step-budget N the comparison budget is spent in increments of N
 //       through the pay-as-you-go Session API (identical results); with
 //       --stream every confirmed match is printed as it is discovered.
-//       --memory-budget caps the RAM the blocking-postings and vote-shard
-//       shuffles may hold (suffixes k/m/g accepted, e.g. 512m); overflow
-//       spills sorted runs to temp files under --spill-dir (default: the
-//       system temp dir) with byte-identical results.
+//       --memory-budget caps the RAM the shuffles of blocking and pruning
+//       may hold (suffixes k/m/g accepted, e.g. 512m). They run the same
+//       path either way; the budget only decides when a shard spills a
+//       sorted run to a temp file under --spill-dir (default: the system
+//       temp dir), with byte-identical results.
 //       Observability (out-of-band; results are identical with or without):
 //       --metrics-out writes the flat stats JSON (per-phase wall times,
 //       progressive-quality curve, pool utilization, spill counters, peak
@@ -286,9 +287,10 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
   // run (the character-level methods included).
   MINOAN_ASSIGN_OR_RETURN(
       options.blocker, ParseBlocker(verb, flags.Get("blocker", "token+pis")));
-  // --memory-budget N[k|m|g]: cap on the in-RAM shuffle state (blocking
-  // postings + vote shards); overflow spills sorted runs under --spill-dir.
-  // Deterministic: the resolution result is byte-identical either way.
+  // --memory-budget N[k|m|g]: cap on the in-RAM shuffle state of blocking
+  // and pruning; it only decides when a shard spills a sorted run under
+  // --spill-dir. Deterministic: the resolution result is byte-identical
+  // either way.
   options.memory.shuffle_budget_bytes = flags.GetByteSize("memory-budget", 0);
   options.memory.spill_dir = flags.Get("spill-dir", "");
   if (!options.memory.spill_dir.empty() && !options.memory.enabled()) {
